@@ -34,7 +34,6 @@ from .constants import (
     validate_hypotheses,
     well_constants,
     well_function,
-    with_safety,
 )
 from .diagnostics import (
     DecayReport,

@@ -9,9 +9,10 @@ GAMMA0 part of the boundary):
 * G  multiplier matrix    int phi_i (m . grad phi_j)    -- not symmetric
 * T  boundary mass        int_{Gamma1} phi_i phi_j
 
-The nonlinear coupling |u|^rho |v|^rho v is evaluated by fixed Gauss
-quadrature on each element, pointwise (the integrand is continuous; no
-regularization of |.|^rho is needed).
+Nonlinear integrands (coupling |u|^rho |v|^rho v, L^p norms, GAMMA1 traces)
+are evaluated pointwise (they are continuous; no regularization of |.|^rho is
+needed) by fixed Gauss quadrature through one cached QuadratureTable per cell
+set: the elements at a given degree, and the GAMMA1 facets.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ class DiscreteOperators:
         full = np.zeros(self.n_nodes)
         full[self.free] = vec
         return full
-
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        return np.asarray(full, float)[self.free]
 
     def cache(self, key, builder):
         if key not in self._caches:
@@ -206,7 +204,6 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition, delta=None,
 
     dirichlet = partition.dirichlet_vertices()
     free = np.setdiff1d(np.arange(n), dirichlet)
-    sub = np.ix_(free, free)
 
     def restrict(A):
         return sp.csr_matrix(A.tocsc()[:, free].tocsr()[free, :])
@@ -232,11 +229,52 @@ def _uv_arrays(state):
     return np.asarray(u, float), np.asarray(v, float)
 
 
-def _coupling_tables(mesh: Mesh, operators: DiscreteOperators, degree: int):
+@dataclass(frozen=True)
+class QuadratureTable:
+    """Quadrature on one cell set over free nodes: conn (ncells, nloc) sends
+    clamped vertices to slot n_free, which reads as zero and is dropped;
+    shapes (nq, nloc) are P1 values, w (ncells, nq) weights times measure."""
+
+    conn: np.ndarray
+    shapes: np.ndarray
+    w: np.ndarray
+    n_free: int
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Values (ncells, nq) of the free-node field x at the points."""
+        padded = np.zeros(self.n_free + 1)
+        padded[:-1] = x
+        return padded[self.conn] @ self.shapes.T
+
+    def project(self, fw: np.ndarray) -> np.ndarray:
+        """Galerkin vector sum_cq fw[c, q] phi_i(x_cq) for fw already times
+        `w`; bincount adds in the same order as a sequential scatter-add."""
+        local = fw @ self.shapes
+        return np.bincount(self.conn.ravel(), local.ravel(), self.n_free + 1)[:-1]
+
+
+def _table(operators: DiscreteOperators, cells: np.ndarray, shapes: np.ndarray,
+           w: np.ndarray) -> QuadratureTable:
+    slot = np.full(operators.n_nodes, operators.n_free)
+    slot[operators.free] = np.arange(operators.n_free)
+    return QuadratureTable(slot[cells], shapes, w, operators.n_free)
+
+
+def volume_table(operators: DiscreteOperators, degree: int) -> QuadratureTable:
+    """Cached table of the mesh elements at quadrature `degree`."""
     def build():
-        _, wdet, shapes = element_quadrature_tables(mesh, degree)
-        return wdet, shapes, mesh.elements
-    return operators.cache(("coupling", degree), build)
+        _, wdet, shapes = element_quadrature_tables(operators.mesh, degree)
+        return _table(operators, operators.mesh.elements, shapes, wdet)
+    return operators.cache(("volume", degree), build)
+
+
+def gamma1_table(operators: DiscreteOperators) -> QuadratureTable:
+    """Cached table of the damped facets at the boundary quadrature degree."""
+    def build():
+        g1 = operators.partition.gamma1_facets
+        _, wts, shapes = operators.mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+        return _table(operators, operators.mesh.facets[g1], shapes, wts[g1])
+    return operators.cache(("gamma1",), build)
 
 
 def coupling_vectors(state, spec: CouplingSpec, mesh: Mesh,
@@ -248,17 +286,12 @@ def coupling_vectors(state, spec: CouplingSpec, mesh: Mesh,
       F_v[i] = int |u_h|^rho u_h |v_h|^rho phi_i dx
     """
     u, v = _uv_arrays(state)
-    wdet, shapes, conn = _coupling_tables(mesh, operators, spec.quad_degree)
-    uq = operators.embed(u)[conn] @ shapes.T
-    vq = operators.embed(v)[conn] @ shapes.T
+    q = volume_table(operators, spec.quad_degree)
+    uq, vq = q.values(u), q.values(v)
     rho = spec.rho
     au = np.abs(uq) ** rho
     av = np.abs(vq) ** rho
-    fu = np.zeros(operators.n_nodes)
-    fv = np.zeros(operators.n_nodes)
-    np.add.at(fu, conn, ((au * av * vq) * wdet) @ shapes)
-    np.add.at(fv, conn, ((au * uq * av) * wdet) @ shapes)
-    return fu[operators.free], fv[operators.free]
+    return q.project((au * av * vq) * q.w), q.project((au * uq * av) * q.w)
 
 
 def coupling_energy(state, spec: CouplingSpec, mesh: Mesh,
@@ -270,12 +303,11 @@ def coupling_energy(state, spec: CouplingSpec, mesh: Mesh,
     prefactor cancels the rho+1 produced by differentiating |u|^rho u).
     """
     u, v = _uv_arrays(state)
-    wdet, shapes, conn = _coupling_tables(mesh, operators, spec.quad_degree)
-    uq = operators.embed(u)[conn] @ shapes.T
-    vq = operators.embed(v)[conn] @ shapes.T
+    q = volume_table(operators, spec.quad_degree)
+    uq, vq = q.values(u), q.values(v)
     rho = spec.rho
     integrand = (np.abs(uq) ** rho * uq) * (np.abs(vq) ** rho * vq)
-    return float(np.sum(integrand * wdet) / (rho + 1.0))
+    return float(np.sum(integrand * q.w) / (rho + 1.0))
 
 
 def write_coo_text(matrix, path) -> None:

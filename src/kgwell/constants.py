@@ -26,8 +26,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import DiscreteOperators, element_quadrature_tables
-from .geometry import BOUNDARY_QUAD_DEGREE, BoundaryPartition, Mesh
+from .assembly import DiscreteOperators, QuadratureTable, gamma1_table, volume_table
+from .geometry import BoundaryPartition, Mesh
 
 _DENSE_EIG_LIMIT = 400
 
@@ -49,7 +49,12 @@ def _require_constrained(operators: DiscreteOperators):
 
 
 def first_eigenpair(operators: DiscreteOperators) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of K x = lambda M x, residual-checked to 1e-10."""
+    """Smallest eigenpair of K x = lambda M x, residual-checked to 1e-10,
+    solved once per operators and cached (the vector is read-only)."""
+    return operators.cache(("eigenpair",), lambda: _solve_first_eigenpair(operators))
+
+
+def _solve_first_eigenpair(operators: DiscreteOperators) -> tuple[float, np.ndarray]:
     _require_constrained(operators)
     K, M = operators.K, operators.M
     n = operators.n_free
@@ -80,9 +85,9 @@ def first_eigenpair(operators: DiscreteOperators) -> tuple[float, np.ndarray]:
     residual = np.linalg.norm(K @ x - lam * (M @ x)) / np.linalg.norm(M @ x)
     if residual >= 1e-10:
         raise SetupError(f"eigenpair residual {residual:.3e} exceeds 1e-10")
-    # deterministic sign: largest-magnitude entry positive
-    if x[np.argmax(np.abs(x))] < 0:
-        x = -x
+    # deterministic sign: largest |entry| positive; copy drops the eigh matrix
+    x = -x if x[np.argmax(np.abs(x))] < 0 else x.copy()
+    x.setflags(write=False)
     return lam, x
 
 
@@ -94,32 +99,12 @@ def _vnorm(operators: DiscreteOperators, x: np.ndarray) -> float:
     return math.sqrt(max(float(x @ (operators.K @ x)), 0.0))
 
 
-def _volume_lp(mesh: Mesh, operators: DiscreteOperators, x: np.ndarray,
-               p: float, degree: int):
-    """(||v_h||_{L^p}, gradient of ||.||_p^p / p wrt coefficients)."""
-    def build():
-        _, wdet, shapes = element_quadrature_tables(mesh, degree)
-        return wdet, shapes
-    wdet, shapes = operators.cache(("lp", degree), build)
-    conn = mesh.elements
-    vq = operators.embed(x)[conn] @ shapes.T
-    norm = float(np.sum(np.abs(vq) ** p * wdet)) ** (1.0 / p)
-    g = np.zeros(operators.n_nodes)
-    np.add.at(g, conn, (np.abs(vq) ** (p - 2.0) * vq * wdet) @ shapes)
-    return norm, g[operators.free]
-
-
-def _trace_lp(mesh: Mesh, partition: BoundaryPartition,
-              operators: DiscreteOperators, x: np.ndarray, p: float):
-    g1 = partition.gamma1_facets
-    pts, wts, shp = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
-    wts = wts[g1]
-    conn = mesh.facets[g1]
-    vq = operators.embed(x)[conn] @ shp.T
-    norm = float(np.sum(np.abs(vq) ** p * wts)) ** (1.0 / p)
-    g = np.zeros(operators.n_nodes)
-    np.add.at(g, conn, (np.abs(vq) ** (p - 2.0) * vq * wts) @ shp)
-    return norm, g[operators.free]
+def _lp(table: QuadratureTable, x: np.ndarray, p: float):
+    """(||v_h||_{L^p} over the table's cells, gradient of ||.||_p^p / p wrt
+    coefficients)."""
+    vq = table.values(x)
+    norm = float(np.sum(np.abs(vq) ** p * table.w)) ** (1.0 / p)
+    return norm, table.project(np.abs(vq) ** (p - 2.0) * vq * table.w)
 
 
 def _best_constant(operators: DiscreteOperators, norm_and_grad, tol: float,
@@ -161,12 +146,8 @@ def embedding_constant(mesh: Mesh, operators: DiscreteOperators, p: float,
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    degree = max(4, math.ceil(p) + 2)
-    c, _ = _best_constant(
-        operators,
-        lambda x: _volume_lp(mesh, operators, x, p, degree),
-        tol, max_iter,
-    )
+    table = volume_table(operators, max(4, math.ceil(p) + 2))
+    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter)
     return c
 
 
@@ -178,11 +159,8 @@ def trace_constant(mesh: Mesh, partition: BoundaryPartition,
         raise ValueError("p must be at least 2")
     if len(partition.gamma1_facets) == 0:
         raise ValueError("damped boundary part is empty")
-    c, _ = _best_constant(
-        operators,
-        lambda x: _trace_lp(mesh, partition, operators, x, p),
-        tol, max_iter,
-    )
+    table = gamma1_table(operators)
+    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter)
     return c
 
 
@@ -413,13 +391,3 @@ def validate_hypotheses(rho: float, n: int, theta: float | None = None) -> Valid
     regimes.append(RegimeCheck("regular_decay", applies, sat, detail))
 
     return ValidationReport(rho=rho, n=n, theta=theta, regimes=tuple(regimes))
-
-
-def with_safety(constants: WellConstants, safety: float) -> WellConstants:
-    """Re-derive thresholds after rescaling the embedding/trace constants."""
-    scale = safety / constants.safety
-    return well_constants(
-        constants.rho, constants.dim, scale * constants.c0, scale * constants.c1,
-        scale * constants.c2, scale * constants.c3, constants.lambda1,
-        constants.R, constants.m0, safety=safety,
-    )

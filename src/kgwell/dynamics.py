@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import diagnostics
-from .assembly import CouplingSpec, DiscreteOperators, assemble_operators, coupling_vectors
+from .assembly import (CouplingSpec, DiscreteOperators, _element_geometry,
+                       assemble_operators, coupling_vectors, gamma1_table)
 from .constants import WellConstants, admissibility, compute_well_constants, first_eigenpair
 from .geometry import (
     BOUNDARY_QUAD_DEGREE,
@@ -302,20 +303,16 @@ def _compat_residual(operators: DiscreteOperators, disp: np.ndarray,
     g1 = part.gamma1_facets
     if len(g1) == 0:
         return 0.0
-    from .assembly import _element_geometry  # P1 gradients per element
-
     grads, _ = _element_geometry(mesh)
     owners = mesh.facet_owner()[g1]
-    pts, wts, shp = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
-    pts, wts = pts[g1], wts[g1]
+    pts = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)[0][g1]
     disp_full = operators.embed(disp)
-    vel_full = operators.embed(vel)
     grad_u = np.einsum("fk,fkd->fd", disp_full[mesh.elements[owners]], grads[owners])
     dn = np.einsum("fd,fd->f", grad_u, mesh.facet_normals[g1])
     delta = np.einsum("fqd,fd->fq", radial_field(pts, part.x0), mesh.facet_normals[g1])
-    velq = vel_full[mesh.facets[g1]] @ shp.T
-    resid = dn[:, None] + delta * velq
-    return math.sqrt(float(np.sum(resid ** 2 * wts)))
+    q = gamma1_table(operators)
+    resid = dn[:, None] + delta * q.values(vel)
+    return math.sqrt(float(np.sum(resid ** 2 * q.w)))
 
 
 def prepare(config: ScenarioConfig) -> Prepared:

@@ -112,3 +112,32 @@ def dense_lp_norm(mesh, v_full, p, nsub=40, npts=10) -> float:
         vq = shapes @ v_full[conn]
         total += np.sum(np.abs(vq) ** p * w)
     return total ** (1.0 / p)
+
+
+# -- scatter-add reference for the quadrature tables --------------------------
+# The gather / np.add.at formula over full nodes, restricted to free nodes at
+# the end, as the library evaluated it before the tables existed.  The tables
+# do the same arithmetic in the same order, so results must agree bitwise.
+
+def scatter_add_coupling(conn, shapes, wdet, ops, u, v, rho):
+    """(F_u, F_v, coupling energy) for cells `conn` (full-node indices)."""
+    uq = ops.embed(u)[conn] @ shapes.T
+    vq = ops.embed(v)[conn] @ shapes.T
+    au = np.abs(uq) ** rho
+    av = np.abs(vq) ** rho
+    fu = np.zeros(ops.n_nodes)
+    fv = np.zeros(ops.n_nodes)
+    np.add.at(fu, conn, ((au * av * vq) * wdet) @ shapes)
+    np.add.at(fv, conn, ((au * uq * av) * wdet) @ shapes)
+    integrand = (np.abs(uq) ** rho * uq) * (np.abs(vq) ** rho * vq)
+    energy = float(np.sum(integrand * wdet) / (rho + 1.0))
+    return fu[ops.free], fv[ops.free], energy
+
+
+def scatter_add_lp(conn, shapes, w, ops, x, p):
+    """(||x||_{L^p}, gradient of ||.||_p^p / p) over cells `conn`."""
+    vq = ops.embed(x)[conn] @ shapes.T
+    norm = float(np.sum(np.abs(vq) ** p * w)) ** (1.0 / p)
+    g = np.zeros(ops.n_nodes)
+    np.add.at(g, conn, (np.abs(vq) ** (p - 2.0) * vq * w) @ shapes)
+    return norm, g[ops.free]

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from _oracles import dense_coupling_energy, dense_coupling_vectors
+from _oracles import (
+    dense_coupling_energy,
+    dense_coupling_vectors,
+    scatter_add_coupling,
+    scatter_add_lp,
+)
 from conftest import interval_setup, square_setup, unconstrained_interval
 from kgwell import (
     CouplingSpec,
@@ -13,6 +18,19 @@ from kgwell import (
     read_coo_text,
     write_coo_text,
 )
+from kgwell.assembly import (
+    VOLUME_QUAD_DEGREE,
+    element_quadrature_tables,
+    gamma1_table,
+    volume_table,
+)
+from kgwell.constants import _lp
+from kgwell.geometry import BOUNDARY_QUAD_DEGREE
+
+# both meshes have clamped vertices, which the tables send to a zero slot
+TABLE_MESHES = pytest.mark.parametrize(
+    "setup", [lambda: square_setup(4), lambda: interval_setup(8)],
+    ids=["square4", "interval8"])
 
 
 # -- hand-assembled two-element matrices (free nodes {0.5, 1.0}) -------------
@@ -199,3 +217,40 @@ def test_coo_text_roundtrip(tmp_path):
     write_coo_text(ops.K, path)
     loaded = read_coo_text(path, ops.K.shape)
     np.testing.assert_allclose(loaded.toarray(), ops.K.toarray(), atol=0)
+
+
+@TABLE_MESHES
+def test_quadrature_tables_match_scatter_add_bitwise(setup):
+    mesh, part, ops = setup()
+    rng = np.random.default_rng(17)
+    u, v = rng.standard_normal((2, ops.n_free))
+    for rho in (1.0, 1.5):
+        spec = CouplingSpec(rho=rho)
+        _, wdet, shapes = element_quadrature_tables(mesh, spec.quad_degree)
+        fu_ref, fv_ref, e_ref = scatter_add_coupling(mesh.elements, shapes, wdet,
+                                                     ops, u, v, rho)
+        fu, fv = coupling_vectors((u, v), spec, mesh, ops)
+        assert np.array_equal(fu, fu_ref)
+        assert np.array_equal(fv, fv_ref)
+        assert coupling_energy((u, v), spec, mesh, ops) == e_ref
+    g1 = part.gamma1_facets
+    _, fwts, fshapes = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    _, wdet, shapes = element_quadrature_tables(mesh, 6)
+    cases = ((volume_table(ops, 6), (mesh.elements, shapes, wdet)),
+             (gamma1_table(ops), (mesh.facets[g1], fshapes, fwts[g1])))
+    for table, ref in cases:
+        for p in (2.0, 4.0, 3.3):
+            norm, grad = _lp(table, u, p)
+            norm_ref, grad_ref = scatter_add_lp(*ref, ops, u, p)
+            assert norm == norm_ref
+            assert np.array_equal(grad, grad_ref)
+
+
+@TABLE_MESHES
+def test_projection_is_galerkin_adjoint_of_evaluation(setup):
+    _, _, ops = setup()
+    x = np.random.default_rng(23).uniform(0.5, 1.5, ops.n_free)
+    for table, matrix in ((volume_table(ops, VOLUME_QUAD_DEGREE), ops.M),
+                          (gamma1_table(ops), ops.T)):
+        np.testing.assert_allclose(table.project(table.values(x) * table.w),
+                                   matrix @ x, rtol=1e-13, atol=0)

@@ -22,7 +22,8 @@ from kgwell import (
     well_constants,
     well_function,
 )
-from kgwell.constants import _volume_lp
+from kgwell.assembly import volume_table
+from kgwell.constants import _lp
 
 
 def test_first_eigenvalue_interval():
@@ -54,6 +55,15 @@ def test_eigenpair_residual_contract():
     assert r < 1e-10
 
 
+def test_first_eigenpair_is_cached_and_read_only():
+    _, _, ops = square_setup(4)
+    lam, x = first_eigenpair(ops)
+    lam_again, x_again = first_eigenpair(ops)
+    assert lam_again == lam and x_again is x
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+
+
 def test_eigenvalue_requires_clamped_nodes():
     _, _, ops = unconstrained_interval(5)
     with pytest.raises(SetupError):
@@ -83,11 +93,11 @@ def test_embedding_rejects_small_p():
 @settings(max_examples=20, deadline=None)
 @given(s=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
 def test_lp_quotient_is_scale_invariant(s):
-    mesh, _, ops = interval_setup(elements=8)
+    _, _, ops = interval_setup(elements=8)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(ops.n_free)
-    n1, _ = _volume_lp(mesh, ops, v, 4.0, 8)
-    n2, _ = _volume_lp(mesh, ops, s * v, 4.0, 8)
+    n1, _ = _lp(volume_table(ops, 8), v, 4.0)
+    n2, _ = _lp(volume_table(ops, 8), s * v, 4.0)
     vn1 = math.sqrt(v @ (ops.K @ v))
     vn2 = math.sqrt((s * v) @ (ops.K @ (s * v)))
     assert np.isclose(n1 / vn1, n2 / vn2, rtol=1e-10)

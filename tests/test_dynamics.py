@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import kgwell.diagnostics as diag
-from conftest import interval_setup
+from conftest import interval_setup, square_setup
 from kgwell import (
     CouplingSpec,
     FieldInit,
@@ -21,7 +21,7 @@ from kgwell import (
     step,
     write_trajectory_csv,
 )
-from kgwell.dynamics import TrajectoryPoint
+from kgwell.dynamics import TrajectoryPoint, _compat_residual
 
 
 def without_damping(ops):
@@ -280,3 +280,12 @@ def test_compatibility_residual_reported():
     prep = prepare(cfg)
     assert prep.compat_residual_u > 0.0
     assert prep.compat_residual_v == 0.0
+
+
+def test_compatibility_residual_2d_velocity_only():
+    # x0 = (-0.1, -0.1): m . nu = 1.1 on both damped sides (x = 1 and y = 1),
+    # so with zero displacement the residual is 1.1 ||vel||_{L2(Gamma1)}
+    _, _, ops = square_setup(4)
+    vel = np.random.default_rng(29).uniform(0.5, 1.5, ops.n_free)
+    resid = _compat_residual(ops, np.zeros(ops.n_free), vel)
+    assert np.isclose(resid, 1.1 * math.sqrt(vel @ (ops.T @ vel)), rtol=1e-12)
