@@ -8,8 +8,11 @@ Equivalent shell commands:
     kgwell sweep     --config demos/configs/decay_1d.cfg --out demo_output/sweep \
                      --param initial.u0_amplitude --values 0.1,0.5,0.9
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
-3 numerical setup failure, 4 nonlinear solver failure.
+Exit codes: 0 all checks pass, 1 a check failed, 2 rejected input (bad
+config key or value, unreadable initial-data file, unbuildable mesh or
+boundary split, sampling too coarse for the dissipation check), 3 numerical
+setup failure, 4 nonlinear solver failure; run and sweep finalize
+manifest.json with the matching status in every case.
 """
 
 from pathlib import Path

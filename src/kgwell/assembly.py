@@ -68,6 +68,8 @@ class DiscreteOperators:
     G: sp.csr_matrix
     T: sp.csr_matrix
     delta_min: float
+    #: delta at the GAMMA1 facet quadrature points (n_gamma1, nq), as in B
+    delta_gamma1: np.ndarray
     _caches: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -218,6 +220,7 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition, delta=None,
         G=restrict(G_full),
         T=restrict(T_full),
         delta_min=delta_min,
+        delta_gamma1=dvals,
     )
     return ops
 

@@ -1,7 +1,10 @@
 """Command-line surface: constants, validate, run, sweep.
 
-Exit codes: 0 pass, 1 check failure, 2 config error, 3 numerical setup
-failure, 4 nonlinear solver failure.
+Exit codes: 0 pass, 1 check failure, 2 rejected input (config key or value,
+initial-data file, mesh or boundary split, damping floor, sampling too
+coarse for the dissipation check), 3 numerical setup failure, 4 nonlinear
+solver failure.  FAILURES maps exceptions to codes; run and sweep record
+the failure in manifest.json.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from . import diagnostics
 from .config import (
+    _KNOWN_KEYS,
     ConfigError,
     hypotheses_from_config,
     load_config,
@@ -24,6 +28,7 @@ from .config import (
 )
 from .constants import ConvergenceError, SetupError, validate_hypotheses
 from .dynamics import NonlinearSolveFailure, Trajectory, prepare, simulate, write_trajectory_csv
+from .geometry import EmptyGamma1Error, MeshError, MixedFacetError
 from .svgplot import line_plot
 
 EXIT_OK = 0
@@ -31,6 +36,16 @@ EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SETUP_FAILURE = 3
 EXIT_SOLVER_FAILURE = 4
+
+#: (exception types, exit code, manifest status); the only place an
+#: exception is turned into an exit code.
+FAILURES = (
+    ((ConfigError, ValueError, OSError, MeshError, MixedFacetError, EmptyGamma1Error),
+     EXIT_CONFIG_ERROR, "config_error"),
+    ((SetupError, ConvergenceError), EXIT_SETUP_FAILURE, "setup_failure"),
+    ((NonlinearSolveFailure,), EXIT_SOLVER_FAILURE, "solver_failure"),
+)
+_FAILURE_TYPES = tuple(t for types, _, _ in FAILURES for t in types)
 
 ALL_CHECKS = ("well", "equivalence", "dissipation", "bound")
 
@@ -75,6 +90,14 @@ def _write_manifest(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_to_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
+def _failure(exc: Exception) -> tuple[int, str]:
+    """(exit code, manifest status) of a failure, reported on stderr."""
+    code, status = next((code, status) for types, code, status in FAILURES
+                        if isinstance(exc, types))
+    print(f"{status.replace('_', ' ')}: {exc}", file=sys.stderr)
+    return code, status
+
+
 def cmd_constants(cfg: dict[str, str]) -> int:
     scenario = scenario_from_config(cfg)
     report = validate_hypotheses(*hypotheses_from_config(cfg))
@@ -111,7 +134,7 @@ def _run_checks(trajectory: Trajectory, prep, selected) -> dict:
         results["equivalence"] = diagnostics.check_equivalence(trajectory, wc)
     if "dissipation" in selected:
         results["dissipation"] = diagnostics.check_dissipation(
-            trajectory, prep.operators, wc.m0)
+            trajectory, prep.operators, prep.operators.delta_min)
     if "bound" in selected:
         results["decay"] = diagnostics.check_decay_bound(trajectory, wc)
     return results
@@ -148,9 +171,8 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
     """Shared by run and sweep; returns (exit code, summary fields)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
-    scenario = scenario_from_config(cfg)
     manifest = {
-        "scenario": scenario.name,
+        "scenario": cfg.get("scenario.name"),
         "status": "running",
         "exit_code": None,
         "config": dict(sorted(cfg.items())),
@@ -159,29 +181,27 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
     _write_manifest(manifest_path, manifest)
     summary: dict = {}
     try:
+        scenario = scenario_from_config(cfg)
+        manifest["scenario"] = scenario.name
         prep = prepare(scenario)
         manifest["constants"] = prep.constants
         manifest["admissibility"] = prep.admissibility
         manifest["admissible"] = prep.admissibility.admissible
         trajectory = simulate(prep)
-    except NonlinearSolveFailure as exc:
-        manifest.update(status="solver_failure", exit_code=EXIT_SOLVER_FAILURE,
-                        error=str(exc), failing_time=exc.time)
+        # before any output: check_dissipation rejects too-coarse sampling
+        results = _run_checks(trajectory, prep, checks)
+    except _FAILURE_TYPES as exc:
+        code, status = _failure(exc)
+        manifest.update(status=status, exit_code=code, error=str(exc))
+        if isinstance(exc, NonlinearSolveFailure):
+            manifest["failing_time"] = exc.time
         _write_manifest(manifest_path, manifest)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE, summary
-    except (SetupError, ConvergenceError) as exc:
-        manifest.update(status="setup_failure", exit_code=EXIT_SETUP_FAILURE,
-                        error=str(exc))
-        _write_manifest(manifest_path, manifest)
-        print(f"numerical setup failure: {exc}", file=sys.stderr)
-        return EXIT_SETUP_FAILURE, summary
+        return code, summary
 
     csv_path = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, csv_path)
     outputs = [csv_path.name]
 
-    results = _run_checks(trajectory, prep, checks)
     passed = _checks_passed(results)
     wc = prep.constants
 
@@ -230,7 +250,6 @@ def cmd_sweep(cfg: dict[str, str], out: str, parameter: str, values, checks,
     if not values:
         print("sweep needs a non-empty value list", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    from .config import _KNOWN_KEYS
     if parameter not in _KNOWN_KEYS:
         print(f"unknown sweep parameter '{parameter}'", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -309,20 +328,9 @@ def main(argv=None) -> int:
             return cmd_run(cfg, args.out, checks, args.no_plot)
         values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
         return cmd_sweep(cfg, args.out, args.param, values, checks, args.no_plot)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (SetupError, ConvergenceError) as exc:
-        print(f"numerical setup failure: {exc}", file=sys.stderr)
-        return EXIT_SETUP_FAILURE
-    except NonlinearSolveFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
-
-
-def entry() -> None:
-    sys.exit(main())
+    except _FAILURE_TYPES as exc:
+        return _failure(exc)[0]
 
 
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -13,9 +13,14 @@ Example::
     time.t_end = 50.0
     initial.u0 = eigenfunction
     initial.u0_amplitude = 0.1
+
+Every key is a row of KEYS; a key the file omits keeps the ScenarioConfig
+or FieldInit default, and value checks live in those dataclasses.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .dynamics import FieldInit, ScenarioConfig
 
@@ -24,21 +29,69 @@ class ConfigError(Exception):
     """Malformed, missing, or inconsistent configuration."""
 
 
-_KNOWN_KEYS = {
-    "scenario.name",
-    "mesh.kind", "mesh.a", "mesh.b", "mesh.elements",
-    "mesh.lo", "mesh.hi", "mesh.nx", "mesh.ny",
-    "geometry.x0",
-    "coupling.rho", "coupling.enabled", "coupling.quad_degree",
-    "delta.kind", "delta.value", "delta.floor",
-    "time.dt", "time.t_end", "time.stride",
-    "solver.tol", "solver.max_iter",
-    "constants.safety",
-    "initial.u0", "initial.u0_amplitude", "initial.u0_scale", "initial.u0_file",
-    "initial.v0", "initial.v0_amplitude", "initial.v0_scale", "initial.v0_file",
-    "initial.u1", "initial.u1_amplitude", "initial.u1_scale", "initial.u1_file",
-    "initial.v1", "initial.v1_amplitude", "initial.v1_scale", "initial.v1_file",
-    "hypotheses.rho", "hypotheses.n", "hypotheses.theta",
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split())
+
+
+def _relative(raw: str) -> bool:
+    if raw not in ("relative", "absolute"):
+        raise ValueError(f"expected 'relative' or 'absolute', got {raw!r}")
+    return raw == "relative"
+
+
+#: The four initial fields, each configured by initial.<name>{,_amplitude,...}.
+INITIAL_FIELDS = ("u0", "v0", "u1", "v1")
+
+#: Config key -> (target, parser). A target without a dot is a ScenarioConfig
+#: field ("a" and "b" are the interval ends); "<field>.<attr>" is a FieldInit
+#: attribute of that initial field; "hypotheses.<arg>" a validator input.
+KEYS = {
+    "scenario.name": ("name", str),
+    "mesh.kind": ("mesh_kind", str),
+    "mesh.a": ("a", float),
+    "mesh.b": ("b", float),
+    "mesh.elements": ("elements", int),
+    "mesh.lo": ("rect_lo", _floats),
+    "mesh.hi": ("rect_hi", _floats),
+    "mesh.nx": ("nx", int),
+    "mesh.ny": ("ny", int),
+    "geometry.x0": ("x0", _floats),
+    "coupling.rho": ("rho", float),
+    "coupling.enabled": ("coupling_enabled", _bool),
+    "coupling.quad_degree": ("quad_degree", int),
+    "delta.kind": ("delta_kind", str),
+    "delta.value": ("delta_value", float),
+    "delta.floor": ("delta_floor", float),
+    "time.dt": ("dt", float),
+    "time.t_end": ("t_end", float),
+    "time.stride": ("stride", int),
+    "solver.tol": ("solver_tol", float),
+    "solver.max_iter": ("solver_max_iter", int),
+    "constants.safety": ("safety", float),
+    **{f"initial.{name}{suffix}": (f"{name}.{attr}", parse)
+       for name in INITIAL_FIELDS
+       for suffix, attr, parse in (("", "preset", str), ("_amplitude", "amplitude", float),
+                                   ("_scale", "relative", _relative), ("_file", "path", str))},
+    "hypotheses.rho": ("hypotheses.rho", float),
+    "hypotheses.n": ("hypotheses.n", int),
+    "hypotheses.theta": ("hypotheses.theta", float),
+}
+
+_KNOWN_KEYS = frozenset(KEYS)
+
+#: Geometry keys each mesh kind requires; the other kind's keys are ignored.
+_MESH_KEYS = {
+    "interval": ("mesh.a", "mesh.b", "mesh.elements"),
+    "rectangle": ("mesh.lo", "mesh.hi", "mesh.nx", "mesh.ny"),
 }
 
 
@@ -67,123 +120,39 @@ def load_config(path) -> dict[str, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
+def _value(cfg: dict[str, str], key: str, parse):
+    """The parsed value of `key`; every error names the key."""
+    if key not in cfg:
         raise ConfigError(f"missing config key: {key}")
-    return default
-
-
-def _get_float(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, default=None, required=required)
-    if raw is None:
-        return default
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key} must be a number, got {raw!r}") from None
-
-
-def _get_int(cfg, key, default=None, required=False):
-    raw = _get(cfg, key, default=None, required=required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key} must be an integer, got {raw!r}") from None
-
-
-def _get_bool(cfg, key, default):
-    raw = _get(cfg, key)
-    if raw is None:
-        return default
-    low = raw.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"config key {key} must be a boolean, got {raw!r}")
-
-
-def _get_floats(cfg, key, required=False):
-    raw = _get(cfg, key, required=required)
-    if raw is None:
-        return None
-    try:
-        return tuple(float(tok) for tok in raw.split())
-    except ValueError:
-        raise ConfigError(f"config key {key} must be numbers, got {raw!r}") from None
-
-
-def _field_init(cfg, name: str) -> FieldInit:
-    preset = _get(cfg, f"initial.{name}", default="zero")
-    scale = _get(cfg, f"initial.{name}_scale", default="relative")
-    if scale not in ("relative", "absolute"):
-        raise ConfigError(f"initial.{name}_scale must be 'relative' or 'absolute'")
-    try:
-        return FieldInit(
-            preset=preset,
-            amplitude=_get_float(cfg, f"initial.{name}_amplitude", default=0.1),
-            relative=scale == "relative",
-            path=_get(cfg, f"initial.{name}_file"),
-        )
+        return parse(cfg[key])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"config key {key}: {exc}") from None
+
+
+def _targets(cfg: dict[str, str], required=(), ignored=()) -> dict[str, dict]:
+    """Parsed values of the set (and the required) keys, grouped by the
+    target's part before the dot ("" for ScenarioConfig fields)."""
+    groups: dict[str, dict] = defaultdict(dict)
+    for key, (target, parse) in KEYS.items():
+        if key not in ignored and (key in cfg or key in required):
+            group, _, attr = target.rpartition(".")
+            groups[group][attr] = _value(cfg, key, parse)
+    return groups
 
 
 def scenario_from_config(cfg: dict[str, str]) -> ScenarioConfig:
     """Typed scenario from a flat config dict; errors name the bad key."""
-    kind = _get(cfg, "mesh.kind", required=True)
-    if kind not in ("interval", "rectangle"):
-        raise ConfigError(f"mesh.kind must be 'interval' or 'rectangle', got {kind!r}")
-    rho = _get_float(cfg, "coupling.rho", default=1.0)
-    if rho is None or rho <= 0:
-        raise ConfigError(f"coupling.rho must be positive, got {rho}")
-    x0 = _get_floats(cfg, "geometry.x0", required=True)
-    expected_dim = 1 if kind == "interval" else 2
-    if len(x0) != expected_dim:
-        raise ConfigError(
-            f"geometry.x0 needs {expected_dim} coordinate(s) for a {kind} mesh, got {len(x0)}"
-        )
-    kwargs = dict(
-        name=_get(cfg, "scenario.name", default="scenario"),
-        mesh_kind=kind,
-        x0=x0,
-        rho=rho,
-        quad_degree=_get_int(cfg, "coupling.quad_degree"),
-        coupling_enabled=_get_bool(cfg, "coupling.enabled", True),
-        delta_kind=_get(cfg, "delta.kind", default="mdotnu"),
-        delta_value=_get_float(cfg, "delta.value", default=1.0),
-        delta_floor=_get_float(cfg, "delta.floor", default=0.0),
-        dt=_get_float(cfg, "time.dt"),
-        t_end=_get_float(cfg, "time.t_end", default=1.0),
-        stride=_get_int(cfg, "time.stride", default=10),
-        solver_tol=_get_float(cfg, "solver.tol", default=1e-10),
-        solver_max_iter=_get_int(cfg, "solver.max_iter", default=50),
-        safety=_get_float(cfg, "constants.safety", default=1.1),
-        u0=_field_init(cfg, "u0"),
-        v0=_field_init(cfg, "v0"),
-        u1=_field_init(cfg, "u1"),
-        v1=_field_init(cfg, "v1"),
-    )
+    kind = _value(cfg, "mesh.kind", str)
+    required = ("geometry.x0", *_MESH_KEYS.get(kind, ()))
+    ignored = {key for keys in _MESH_KEYS.values() for key in keys} - set(required)
+    groups = _targets(cfg, required, ignored)
+    fields = groups[""]
     if kind == "interval":
-        kwargs["interval"] = (
-            _get_float(cfg, "mesh.a", required=True),
-            _get_float(cfg, "mesh.b", required=True),
-        )
-        kwargs["elements"] = _get_int(cfg, "mesh.elements", required=True)
-    else:
-        lo = _get_floats(cfg, "mesh.lo", required=True)
-        hi = _get_floats(cfg, "mesh.hi", required=True)
-        if len(lo) != 2 or len(hi) != 2:
-            raise ConfigError("mesh.lo and mesh.hi must each hold two numbers")
-        kwargs["rect_lo"], kwargs["rect_hi"] = lo, hi
-        kwargs["nx"] = _get_int(cfg, "mesh.nx", required=True)
-        kwargs["ny"] = _get_int(cfg, "mesh.ny", required=True)
+        fields["interval"] = (fields.pop("a"), fields.pop("b"))
     try:
-        return ScenarioConfig(**kwargs)
+        return ScenarioConfig(**fields, **{name: FieldInit(**groups[name])
+                                           for name in INITIAL_FIELDS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -191,16 +160,10 @@ def scenario_from_config(cfg: dict[str, str]) -> ScenarioConfig:
 def hypotheses_from_config(cfg: dict[str, str]) -> tuple[float, int, float | None]:
     """(rho, n, theta) for the hypothesis validator; n defaults to the mesh
     dimension, rho to the coupling exponent."""
-    rho = _get_float(cfg, "hypotheses.rho")
-    if rho is None:
-        rho = _get_float(cfg, "coupling.rho", default=1.0)
-    n = _get_int(cfg, "hypotheses.n")
-    if n is None:
-        kind = _get(cfg, "mesh.kind")
-        if kind is None:
-            raise ConfigError("missing config key: hypotheses.n (or mesh.kind to infer it)")
-        n = 1 if kind == "interval" else 2
-    theta = _get_float(cfg, "hypotheses.theta")
-    if rho <= 0:
-        raise ConfigError(f"coupling.rho must be positive, got {rho}")
-    return rho, n, theta
+    groups = _targets(cfg)
+    fields, hyp = groups[""], groups["hypotheses"]
+    if "n" not in hyp and "mesh_kind" not in fields:
+        raise ConfigError("missing config key: hypotheses.n (or mesh.kind to infer it)")
+    rho = hyp.get("rho", fields.get("rho", ScenarioConfig.rho))
+    n = hyp.get("n", 1 if fields.get("mesh_kind") == "interval" else 2)
+    return rho, n, hyp.get("theta")

@@ -17,6 +17,10 @@ from .constants import WellConstants
 #: 1e-12 * E(0); relative statements are meaningless in the roundoff floor.
 NEAR_ZERO_SLACK = 1e-12
 
+#: Widest sample spacing (stride * dt) the finite-difference dissipation
+#: check accepts.
+MAX_SAMPLE_SPACING = 0.1
+
 
 @dataclass(frozen=True)
 class EnergySample:
@@ -137,7 +141,7 @@ def check_equivalence(trajectory, constants: WellConstants) -> EquivalenceReport
 @dataclass(frozen=True)
 class DissipationReport:
     ok: bool
-    worst_residual: float   # max of dE/dt + m0 * trace forms (<= slack)
+    worst_residual: float   # max of dE/dt + delta_min * trace forms (<= slack)
     worst_t: float
     slack: float
 
@@ -146,15 +150,17 @@ def check_dissipation(trajectory, operators: DiscreteOperators, m0: float,
                       slack: float | None = None) -> DissipationReport:
     """Finite-difference check of dE/dt <= -m0 (||u'||^2 + ||v'||^2 on the
     damped boundary), the trace forms evaluated through T at the midpoint of
-    each sample pair.  Sample spacing must not exceed 0.1."""
+    each sample pair.  Pass the smallest damping the run assembled
+    (operators.delta_min, which equals the geometric m0 for delta = m . nu)
+    as m0.  Sample spacing must not exceed MAX_SAMPLE_SPACING."""
     samples = trajectory.samples
     if len(samples) < 2:
         raise ValueError("need at least two samples for a dissipation check")
     gaps = np.diff(trajectory.times())
-    if np.max(gaps) > 0.1 + 1e-12:
+    if np.max(gaps) > MAX_SAMPLE_SPACING + 1e-12:
         raise ValueError(
             f"sample spacing {np.max(gaps):g} too coarse for a finite-difference "
-            "derivative; need stride * dt <= 0.1"
+            f"derivative; need stride * dt <= {MAX_SAMPLE_SPACING:g}"
         )
     if slack is None:
         dt = trajectory.meta.get("dt", float(np.min(gaps)))

@@ -22,13 +22,7 @@ from . import diagnostics
 from .assembly import (CouplingSpec, DiscreteOperators, _element_geometry,
                        assemble_operators, coupling_vectors, gamma1_table)
 from .constants import WellConstants, admissibility, compute_well_constants, first_eigenpair
-from .geometry import (
-    BOUNDARY_QUAD_DEGREE,
-    build_interval_mesh,
-    build_rectangle_mesh,
-    classify_boundary,
-    radial_field,
-)
+from .geometry import build_interval_mesh, build_rectangle_mesh, classify_boundary
 
 
 class NonlinearSolveFailure(Exception):
@@ -239,6 +233,14 @@ class ScenarioConfig:
             raise ValueError("stride must be a positive integer")
         if self.mesh_kind not in ("interval", "rectangle"):
             raise ValueError(f"unknown mesh kind '{self.mesh_kind}'")
+        dim = 1 if self.mesh_kind == "interval" else 2
+        if len(self.x0) != dim:
+            raise ValueError(f"x0 needs {dim} coordinate(s) for a {self.mesh_kind} mesh, "
+                             f"got {len(self.x0)}")
+        if dim == 2 and (len(self.rect_lo) != 2 or len(self.rect_hi) != 2):
+            raise ValueError("rect_lo and rect_hi must each hold two numbers")
+        if not self.rho > 0:
+            raise ValueError(f"rho must be positive, got {self.rho}")
         if self.delta_kind not in ("mdotnu", "constant"):
             raise ValueError(f"unknown delta kind '{self.delta_kind}'")
         if self.delta_kind == "constant" and self.delta_value <= 0:
@@ -299,19 +301,17 @@ def _compat_residual(operators: DiscreteOperators, disp: np.ndarray,
                      vel: np.ndarray) -> float:
     """L2(Gamma1) residual of the boundary compatibility
     d(disp)/dnu + delta * vel = 0, reported as a diagnostic only."""
-    mesh, part = operators.mesh, operators.partition
-    g1 = part.gamma1_facets
+    mesh = operators.mesh
+    g1 = operators.partition.gamma1_facets
     if len(g1) == 0:
         return 0.0
     grads, _ = _element_geometry(mesh)
     owners = mesh.facet_owner()[g1]
-    pts = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)[0][g1]
     disp_full = operators.embed(disp)
     grad_u = np.einsum("fk,fkd->fd", disp_full[mesh.elements[owners]], grads[owners])
     dn = np.einsum("fd,fd->f", grad_u, mesh.facet_normals[g1])
-    delta = np.einsum("fqd,fd->fq", radial_field(pts, part.x0), mesh.facet_normals[g1])
     q = gamma1_table(operators)
-    resid = dn[:, None] + delta * q.values(vel)
+    resid = dn[:, None] + operators.delta_gamma1 * q.values(vel)
     return math.sqrt(float(np.sum(resid ** 2 * q.w)))
 
 

@@ -93,6 +93,16 @@ def test_delta_floor_rejected():
         assemble_operators(mesh, part, delta=lambda p: np.full(p.shape[:2], -1.0))
 
 
+@pytest.mark.parametrize("setup", [lambda: interval_setup(50), lambda: square_setup(8)],
+                         ids=["interval50", "square8"])
+def test_radial_damping_minimum_is_m0_bitwise(setup):
+    # the dissipation check passes delta_min where it used to pass m0;
+    # for delta = m . nu the two must agree to the last bit
+    _, part, ops = setup()
+    assert ops.delta_min == part.m0
+    assert ops.delta_gamma1.shape == gamma1_table(ops).w.shape
+
+
 def test_operator_symmetry_and_positivity():
     rng = np.random.default_rng(7)
     for mesh, part, ops in (interval_setup(8), square_setup(3)):

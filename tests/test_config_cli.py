@@ -1,10 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kgwell.cli import main
 from kgwell.config import (
+    INITIAL_FIELDS,
+    KEYS,
     ConfigError,
     hypotheses_from_config,
     parse_config_text,
@@ -252,3 +256,83 @@ def test_cli_run_deterministic_csv(tmp_path):
     assert main(["run", "--config", path, "--out", str(out1), "--no-plot"]) == 0
     assert main(["run", "--config", path, "--out", str(out2), "--no-plot"]) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+def test_cli_run_constant_damping_dissipation_holds(tmp_path):
+    # delta = 0.2 everywhere on the damped end: the check must use the
+    # damping that was assembled (delta_min = 0.2), not the geometric m0 = 1
+    text = DECAY_1D + "delta.kind = constant\ndelta.value = 0.2\n"
+    path = write_cfg(tmp_path, text)
+    out_dir = tmp_path / "const"
+    assert main(["run", "--config", path, "--out", str(out_dir), "--no-plot",
+                 "--check", "dissipation"]) == 0
+    assert "dissipation.ok=true" in (out_dir / "report.kv").read_text()
+
+
+def _file_values(tmp_path, count):
+    path = tmp_path / "u0.txt"
+    np.savetxt(path, np.zeros(count))
+    return path
+
+
+#: (subcommand, config edit) pairs that must be rejected as input errors.
+INPUT_ERRORS = {
+    "u0_file_wrong_length": ("run", lambda tmp: "initial.u0 = file\ninitial.u0_file = "
+                             f"{_file_values(tmp, 7)}\n"),
+    "u0_file_missing": ("run", lambda tmp: "initial.u0 = file\ninitial.u0_file = "
+                        f"{tmp / 'absent.txt'}\n"),
+    "delta_floor_above_delta": ("run", lambda tmp: "delta.floor = 2.0\n"),
+    "zero_elements": ("run", lambda tmp: "mesh.elements = 0\n"),
+    "b_not_above_a": ("run", lambda tmp: "mesh.b = 0.0\n"),
+    "quad_degree_too_low": ("run", lambda tmp: "coupling.quad_degree = 1\n"),
+    "negative_rho": ("run", lambda tmp: "coupling.rho = -1.0\n"),
+    "sampling_too_coarse": ("run", lambda tmp: "time.stride = 100\n"),
+    "hypotheses_n_zero": ("validate", lambda tmp: "hypotheses.n = 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_cli_input_errors_exit_2_with_final_manifest(tmp_path, capsys, case):
+    command, edit = INPUT_ERRORS[case]
+    # later lines override earlier ones, so the edit replaces the base value
+    path = write_cfg(tmp_path, DECAY_1D + edit(tmp_path))
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", path]
+    if command == "run":
+        argv += ["--out", str(out_dir), "--no-plot"]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    if command == "run":
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["status"] == "config_error"
+        assert manifest["exit_code"] == 2
+        assert manifest["error"]
+        assert not (out_dir / "trajectory.csv").exists()
+
+
+def test_cli_sweep_records_bad_value_and_goes_on(tmp_path, capsys):
+    path = write_cfg(tmp_path, DECAY_1D)
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", "--config", path, "--out", str(out_dir),
+                 "--param", "mesh.elements", "--values", "10,0,20", "--no-plot"])
+    assert code == 2
+    statuses = {}
+    for value in ("10", "0", "20"):
+        manifest = json.loads((out_dir / f"mesh_elements_{value}" / "manifest.json").read_text())
+        statuses[value] = (manifest["status"], manifest["exit_code"])
+    assert statuses == {"10": ("pass", 0), "0": ("config_error", 2), "20": ("pass", 0)}
+    rows = (out_dir / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["10", "0", "20"]
+
+
+def test_readme_config_table_lists_exactly_the_known_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration format", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for row in section.splitlines():
+        if not row.startswith("| `"):
+            continue
+        for key in re.findall(r"`([a-z_]+\.[a-z0-9_]+)`", row.split("|")[1]):
+            # an initial.u0* row stands for the same key of all four fields
+            listed |= {key.replace("u0", name, 1) for name in INITIAL_FIELDS}
+    assert listed == set(KEYS)

@@ -289,3 +289,12 @@ def test_compatibility_residual_2d_velocity_only():
     vel = np.random.default_rng(29).uniform(0.5, 1.5, ops.n_free)
     resid = _compat_residual(ops, np.zeros(ops.n_free), vel)
     assert np.isclose(resid, 1.1 * math.sqrt(vel @ (ops.T @ vel)), rtol=1e-12)
+
+
+def test_compatibility_residual_uses_assembled_constant_delta():
+    # 1D, clamped at 0, damped at x = 1 with delta = 0.2 (m . nu would be 1):
+    # with zero displacement the residual is 0.2 |vel(1)|
+    _, _, ops = interval_setup(4, delta=0.2)
+    vel = np.array([0.3, -0.7, 1.3, 0.9])
+    resid = _compat_residual(ops, np.zeros(ops.n_free), vel)
+    assert np.isclose(resid, 0.2 * 0.9, rtol=1e-14)
