@@ -114,7 +114,9 @@ def cmd_constants(cfg: dict[str, str]) -> int:
         val = getattr(wc, name)
         print(f"{name:14s} {val:>24.16g}  {_FORMULAS[name]}")
     print()
-    for line in diagnostics.report_lines(wc, {"admissibility": prep.admissibility}):
+    premises = {"delta_mdotnu": scenario.delta_kind == "mdotnu"}
+    for line in diagnostics.report_lines(wc, {"admissibility": prep.admissibility,
+                                              "premises": premises}):
         print(line)
     return EXIT_OK
 
@@ -204,15 +206,15 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
 
     passed = _checks_passed(results)
     wc = prep.constants
+    details = {**results, "admissibility": prep.admissibility,
+               "premises": {"delta_mdotnu": scenario.delta_kind == "mdotnu"}}
 
     report_txt = out_dir / "report.txt"
     report_txt.write_text(
-        diagnostics.render_report(wc, results, header=f"run: {scenario.name}") + "\n")
+        diagnostics.render_report(wc, details, header=f"run: {scenario.name}") + "\n")
     outputs.append(report_txt.name)
     report_kv = out_dir / "report.kv"
-    report_kv.write_text(
-        "\n".join(diagnostics.report_lines(
-            wc, {**results, "admissibility": prep.admissibility})) + "\n")
+    report_kv.write_text("\n".join(diagnostics.report_lines(wc, details)) + "\n")
     outputs.append(report_kv.name)
     if not no_plot:
         svg_path = out_dir / "energy.svg"

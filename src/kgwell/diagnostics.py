@@ -290,6 +290,9 @@ def render_report(constants: WellConstants, results: dict, header: str = "") -> 
         f"decay constants: P = {constants.P:.6g}, D = {constants.D:.6g}, "
         f"m0 = {constants.m0:.6g}, tau = {constants.tau:.6g}"
     )
+    if "premises" in results:
+        held = "holds" if results["premises"]["delta_mdotnu"] else "does NOT hold"
+        lines.append(f"premise delta = m.nu (assumed by m0, tau and the decay bound): {held}")
     well = results.get("well")
     if well is not None:
         lines.append(

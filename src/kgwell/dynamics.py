@@ -107,44 +107,35 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
          spec: CouplingSpec, opts: StepOptions | None = None) -> SimState:
     """One implicit-midpoint step.
 
-    Positions and velocities advance together; the coupling is evaluated at
-    the midpoint state and resolved by fixed-point iteration, each pass
-    solving the exact linear midpoint system.  Converged when the equation
-    residual, measured in the M^-1 inner product (an M-norm of the velocity
-    defect), drops below opts.tol.
+    u and v share M, K and B, so they advance as the two columns of one
+    (n, 2) block.  The midpoint coupling is resolved by fixed-point
+    iteration; each pass makes one two-column linear solve, one coupling
+    evaluation and one M^-1 residual solve.  Converged when the residual in
+    the M^-1 inner product (an M-norm of the velocity defect) is below opts.tol.
     """
     if opts is None:
         opts = StepOptions()
     if dt <= 0:
         raise ValueError("dt must be positive")
     A_lu, M_lu = _step_factorizations(operators, dt)
-    M, K = operators.M, operators.K
-    u0, v0, p0, q0 = state.u, state.v, state.du, state.dv
-    rhs_u = M @ p0 - (dt / 2.0) * (K @ u0)
-    rhs_v = M @ q0 - (dt / 2.0) * (K @ v0)
+    x0 = np.column_stack([state.u, state.v])
+    p0 = np.column_stack([state.du, state.dv])
+    rhs = operators.M @ p0 - (dt / 2.0) * (operators.K @ x0)
 
-    use_coupling = opts.coupling
-    fu = fv = None
-    if use_coupling:
-        fu, fv = coupling_vectors((u0, v0), spec, operators.mesh, operators)
+    f = None
+    if opts.coupling:
+        f = np.column_stack(coupling_vectors(x0.T, spec, operators.mesh, operators))
 
-    p_mid = q_mid = None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(opts.max_iter):
-            bu = rhs_u if fu is None else rhs_u - (dt / 2.0) * fu
-            bv = rhs_v if fv is None else rhs_v - (dt / 2.0) * fv
-            p_mid = A_lu.solve(bu)
-            q_mid = A_lu.solve(bv)
-            if not use_coupling:
+            p_mid = A_lu.solve(rhs if f is None else rhs - (dt / 2.0) * f)
+            if f is None:
                 break
-            u_mid = u0 + (dt / 2.0) * p_mid
-            v_mid = v0 + (dt / 2.0) * q_mid
-            fu_new, fv_new = coupling_vectors((u_mid, v_mid), spec,
-                                              operators.mesh, operators)
-            ru = (dt / 2.0) * (fu_new - fu)
-            rv = (dt / 2.0) * (fv_new - fv)
-            fu, fv = fu_new, fv_new
-            res_sq = float(ru @ M_lu.solve(ru) + rv @ M_lu.solve(rv))
+            x_mid = x0 + (dt / 2.0) * p_mid
+            f_new = np.column_stack(coupling_vectors(x_mid.T, spec, operators.mesh, operators))
+            r = (dt / 2.0) * (f_new - f)
+            f = f_new
+            res_sq = float(np.sum(r * M_lu.solve(r)))
             if not np.isfinite(res_sq):
                 raise NonlinearSolveFailure(
                     f"midpoint solve diverged at t = {state.t:.6g} (dt = {dt:g} too large)",
@@ -159,13 +150,11 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
                 time=state.t,
             )
 
-    return SimState(
-        t=state.t + dt,
-        u=u0 + dt * p_mid,
-        v=v0 + dt * q_mid,
-        du=2.0 * p_mid - p0,
-        dv=2.0 * q_mid - q0,
-    )
+    # separate copies: views sharing one block raised peak memory ~4% (1D, sampling every step)
+    x1 = x0 + dt * p_mid
+    p1 = 2.0 * p_mid - p0
+    return SimState(state.t + dt, x1[:, 0].copy(), x1[:, 1].copy(),
+                    p1[:, 0].copy(), p1[:, 1].copy())
 
 
 # ---------------------------------------------------------------------------

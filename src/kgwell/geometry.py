@@ -139,16 +139,21 @@ class Mesh:
         return float(np.min(np.maximum(np.maximum(d01, d12), d20)))
 
     def _find_owners(self) -> np.ndarray:
-        elem_sets = [frozenset(e) for e in self.elements]
-        owners = np.empty(self.n_facets, dtype=int)
-        for i, f in enumerate(self.facets):
-            fs = set(f)
-            hits = [k for k, es in enumerate(elem_sets) if fs <= es]
-            if len(hits) != 1:
-                raise MeshError(
-                    f"boundary facet {f.tolist()} belongs to {len(hits)} elements, expected exactly 1"
-                )
-            owners[i] = hits[0]
+        """Owner of each facet, by binary search over sorted element-face keys."""
+        nv = self.n_vertices
+        radix = nv ** np.arange(self.dim)
+        faces = [np.delete(self.elements, k, axis=1) for k in range(self.dim + 1)]
+        face_keys = np.sort(np.concatenate(faces), axis=1) @ radix
+        order = np.argsort(face_keys)
+        facets = np.sort(self.facets, axis=1)
+        keys = np.where(np.all((facets >= 0) & (facets < nv), axis=1), facets @ radix, -1)
+        first = np.searchsorted(face_keys[order], keys)
+        counts = np.searchsorted(face_keys[order], keys, side="right") - first
+        if np.any(counts != 1):
+            i = np.argmax(counts != 1)
+            raise MeshError(f"boundary facet {self.facets[i].tolist()} belongs to "
+                            f"{counts[i]} elements, expected exactly 1")
+        owners = order[first] % self.n_elements  # face k*ne + e lies on element e
         owners.setflags(write=False)
         return owners
 

@@ -141,3 +141,44 @@ def scatter_add_lp(conn, shapes, w, ops, x, p):
     g = np.zeros(ops.n_nodes)
     np.add.at(g, conn, (np.abs(vq) ** (p - 2.0) * vq * w) @ shapes)
     return norm, g[ops.free]
+
+
+# -- per-field reference for the block midpoint step --------------------------
+# The implicit-midpoint step as the library wrote it before u and v were
+# advanced as one (n, 2) block: two A solves, two coupling vectors and two
+# M^-1 residual solves per pass.  Same arithmetic per column, so the block
+# step must agree bitwise.
+
+def two_solve_step(state, dt, operators, spec, opts):
+    from kgwell.assembly import coupling_vectors
+    from kgwell.dynamics import SimState, _step_factorizations
+
+    A_lu, M_lu = _step_factorizations(operators, dt)
+    M, K = operators.M, operators.K
+    u0, v0, p0, q0 = state.u, state.v, state.du, state.dv
+    rhs_u = M @ p0 - (dt / 2.0) * (K @ u0)
+    rhs_v = M @ q0 - (dt / 2.0) * (K @ v0)
+
+    fu = fv = None
+    if opts.coupling:
+        fu, fv = coupling_vectors((u0, v0), spec, operators.mesh, operators)
+    for _ in range(opts.max_iter):
+        bu = rhs_u if fu is None else rhs_u - (dt / 2.0) * fu
+        bv = rhs_v if fv is None else rhs_v - (dt / 2.0) * fv
+        p_mid = A_lu.solve(bu)
+        q_mid = A_lu.solve(bv)
+        if not opts.coupling:
+            break
+        u_mid = u0 + (dt / 2.0) * p_mid
+        v_mid = v0 + (dt / 2.0) * q_mid
+        fu_new, fv_new = coupling_vectors((u_mid, v_mid), spec, operators.mesh, operators)
+        ru = (dt / 2.0) * (fu_new - fu)
+        rv = (dt / 2.0) * (fv_new - fv)
+        fu, fv = fu_new, fv_new
+        res_sq = float(ru @ M_lu.solve(ru) + rv @ M_lu.solve(rv))
+        if np.sqrt(res_sq) < opts.tol:
+            break
+    else:
+        raise RuntimeError("reference midpoint solve did not converge")
+    return SimState(state.t + dt, u0 + dt * p_mid, v0 + dt * q_mid,
+                    2.0 * p_mid - p0, 2.0 * q_mid - q0)

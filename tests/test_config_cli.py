@@ -269,6 +269,24 @@ def test_cli_run_constant_damping_dissipation_holds(tmp_path):
     assert "dissipation.ok=true" in (out_dir / "report.kv").read_text()
 
 
+@pytest.mark.parametrize("extra,held", [
+    ("", True),
+    ("delta.kind = constant\ndelta.value = 0.2\n", False),
+], ids=["mdotnu", "constant"])
+def test_cli_records_delta_premise(tmp_path, capsys, extra, held):
+    path = write_cfg(tmp_path, DECAY_1D + extra)
+    line = f"premises.delta_mdotnu={'true' if held else 'false'}"
+    assert main(["constants", "--config", path]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out_dir), "--no-plot",
+                 "--check", "dissipation"]) == 0
+    assert line in (out_dir / "report.kv").read_text().splitlines()
+    verdict = "holds" if held else "does NOT hold"
+    assert f"premise delta = m.nu (assumed by m0, tau and the decay bound): {verdict}" in (
+        out_dir / "report.txt").read_text().splitlines()
+
+
 def _file_values(tmp_path, count):
     path = tmp_path / "u0.txt"
     np.savetxt(path, np.zeros(count))

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import kgwell.diagnostics as diag
+from _oracles import two_solve_step
 from conftest import interval_setup, square_setup
 from kgwell import (
     CouplingSpec,
@@ -151,6 +152,23 @@ def test_second_order_convergence_against_analytic_mode():
 
     ratio = final_error(0.02) / final_error(0.01)
     assert 3.5 <= ratio <= 4.5
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupled", "linear"])
+@pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(8)],
+                         ids=["interval-16", "square-8"])
+def test_block_step_matches_two_solve_reference_bitwise(setup, coupling):
+    _, _, ops = setup()
+    rng = np.random.default_rng(7)
+    u, v, du, dv = 0.3 * rng.standard_normal((4, ops.n_free))
+    spec, opts = CouplingSpec(1.0), StepOptions(coupling=coupling)
+    block = ref = SimState(0.0, u, v, du, dv)
+    for _ in range(20):
+        block = step(block, 0.01, ops, spec, opts)
+        ref = two_solve_step(ref, 0.01, ops, spec, opts)
+    assert np.any(block.u != u)
+    for name in ("u", "v", "du", "dv"):
+        assert np.array_equal(getattr(block, name), getattr(ref, name)), name
 
 
 def test_nonlinear_solve_failure_for_huge_dt():

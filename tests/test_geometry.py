@@ -82,6 +82,19 @@ def test_mesh_invariants_enforced():
     bad_facet = np.array([[0, 8]])  # opposite corners, no owning element
     with pytest.raises(MeshError):
         Mesh(2, mesh.vertices, mesh.elements, bad_facet, [[1.0, 0.0]])
+    interior = np.array([[0, 4]])  # diagonal shared by two triangles
+    with pytest.raises(MeshError, match="belongs to 2 elements"):
+        Mesh(2, mesh.vertices, mesh.elements, interior, [[1.0, 0.0]])
+
+
+@pytest.mark.parametrize("mesh", [build_rectangle_mesh((0, 0), (1, 1), 7, 3),
+                                  build_interval_mesh(0.0, 1.0, 9)],
+                         ids=["rectangle-7x3", "interval"])
+def test_facet_owner_matches_subset_search(mesh):
+    elem_sets = [set(e) for e in mesh.elements]
+    expected = [[k for k, es in enumerate(elem_sets) if set(f) <= es] for f in mesh.facets]
+    assert all(len(hits) == 1 for hits in expected)
+    np.testing.assert_array_equal(mesh.facet_owner(), [hits[0] for hits in expected])
 
 
 def test_classify_interval_star_at_left():
