@@ -53,9 +53,9 @@ def m_norm(o, x):
 print("1) exact conservation (no damping, no coupling), 2000 steps:")
 state = SimState(0.0, w, z, z, z)
 e0 = linear_energy(undamped, state)
-opts = StepOptions(coupling=False)
+opts = StepOptions()
 for _ in range(2000):
-    state = step(state, 0.01, undamped, spec, opts)
+    state = step(state, 0.01, undamped, None, opts)
 print(f"   relative energy drift: {abs(linear_energy(undamped, state) - e0) / e0:.2e}")
 
 print()
@@ -78,7 +78,7 @@ prev = None
 for dt in (0.04, 0.02, 0.01, 0.005):
     s = SimState(0.0, w, z, z, z)
     for _ in range(round(T / dt)):
-        s = step(s, dt, undamped, spec, opts)
+        s = step(s, dt, undamped, None, opts)
     err = (m_norm(undamped, s.u - math.cos(omega * T) * w)
            + m_norm(undamped, s.du + omega * math.sin(omega * T) * w) / omega)
     note = "" if prev is None else f"  (ratio {prev / err:.2f})"

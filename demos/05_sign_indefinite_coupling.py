@@ -25,7 +25,7 @@ mesh = build_interval_mesh(0.0, 1.0, 64)
 part = classify_boundary(mesh, 0.0)
 ops = assemble_operators(mesh, part)
 spec = CouplingSpec(rho=1.0)
-wc = compute_well_constants(mesh, part, ops, rho=1.0)
+wc = compute_well_constants(ops, rho=1.0)
 _, shape = first_eigenpair(ops)
 shape = shape / np.sqrt(shape @ (ops.K @ shape))
 z = np.zeros_like(shape)
@@ -46,7 +46,7 @@ print("far outside it the coupling overwhelms the quadratic part and the "
 print()
 amp = 0.5
 u = amp * shape
-e = coupling_energy((u, -u), spec, mesh, ops)
-refined = coupling_energy((u, -u), CouplingSpec(1.0, quad_degree=10), mesh, ops)
+e = coupling_energy((u, -u), spec, ops)
+refined = coupling_energy((u, -u), CouplingSpec(1.0, quad_degree=10), ops)
 print(f"quadrature sanity at amplitude {amp}: fixed rule {e:.12e}, "
       f"degree-10 rule {refined:.12e} (difference {abs(e - refined):.1e})")

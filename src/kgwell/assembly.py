@@ -225,13 +225,6 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition, delta=None,
     return ops
 
 
-def _uv_arrays(state):
-    if hasattr(state, "u") and hasattr(state, "v"):
-        return np.asarray(state.u, float), np.asarray(state.v, float)
-    u, v = state
-    return np.asarray(u, float), np.asarray(v, float)
-
-
 @dataclass(frozen=True)
 class QuadratureTable:
     """Quadrature on one cell set over free nodes: conn (ncells, nloc) sends
@@ -280,15 +273,15 @@ def gamma1_table(operators: DiscreteOperators) -> QuadratureTable:
     return operators.cache(("gamma1",), build)
 
 
-def coupling_vectors(state, spec: CouplingSpec, mesh: Mesh,
-                     operators: DiscreteOperators):
-    """Galerkin projections of the coupling nonlinearities.
+def coupling_vectors(uv, spec: CouplingSpec, operators: DiscreteOperators):
+    """Galerkin projections of the coupling nonlinearities for the pair
+    uv = (u, v) of free-node vectors.
 
     Returns (F_u, F_v) over free nodes with
       F_u[i] = int |u_h|^rho |v_h|^rho v_h phi_i dx
       F_v[i] = int |u_h|^rho u_h |v_h|^rho phi_i dx
     """
-    u, v = _uv_arrays(state)
+    u, v = uv
     q = volume_table(operators, spec.quad_degree)
     uq, vq = q.values(u), q.values(v)
     rho = spec.rho
@@ -297,15 +290,14 @@ def coupling_vectors(state, spec: CouplingSpec, mesh: Mesh,
     return q.project((au * av * vq) * q.w), q.project((au * uq * av) * q.w)
 
 
-def coupling_energy(state, spec: CouplingSpec, mesh: Mesh,
-                    operators: DiscreteOperators) -> float:
-    """(1/(rho+1)) int (|u_h|^rho u_h)(|v_h|^rho v_h) dx.
+def coupling_energy(uv, spec: CouplingSpec, operators: DiscreteOperators) -> float:
+    """(1/(rho+1)) int (|u_h|^rho u_h)(|v_h|^rho v_h) dx for uv = (u, v).
 
     Sign-indefinite: v = -u makes it strictly negative for nonzero u.  Its
     gradient with respect to the u coefficients is exactly F_u (the 1/(rho+1)
     prefactor cancels the rho+1 produced by differentiating |u|^rho u).
     """
-    u, v = _uv_arrays(state)
+    u, v = uv
     q = volume_table(operators, spec.quad_degree)
     uq, vq = q.values(u), q.values(v)
     rho = spec.rho

@@ -27,7 +27,6 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteOperators, QuadratureTable, gamma1_table, volume_table
-from .geometry import BoundaryPartition, Mesh
 
 _DENSE_EIG_LIMIT = 400
 
@@ -59,16 +58,19 @@ def _solve_first_eigenpair(operators: DiscreteOperators) -> tuple[float, np.ndar
     K, M = operators.K, operators.M
     n = operators.n_free
     try:
+        lu = _lu_K(operators)
         if n <= _DENSE_EIG_LIMIT:
             vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
             lam, x = float(vals[0]), vecs[:, 0]
         else:
+            # shift-invert at sigma = 0 with the cached K factor, so eigsh
+            # does not factor K again
+            OPinv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
             vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM",
-                                    v0=np.ones(n))
+                                    v0=np.ones(n), OPinv=OPinv)
             lam, x = float(vals[0]), vecs[:, 0]
         # polish by inverse iteration until the residual is well inside the
         # 1e-10 contract (dense eigh alone can sit right at the edge)
-        lu = operators.cache(("lu_K",), lambda: spla.splu(K.tocsc()))
         for _ in range(20):
             residual = np.linalg.norm(K @ x - lam * (M @ x)) / np.linalg.norm(M @ x)
             if residual < 1e-11 * max(1.0, lam):
@@ -89,6 +91,11 @@ def _solve_first_eigenpair(operators: DiscreteOperators) -> tuple[float, np.ndar
     x = -x if x[np.argmax(np.abs(x))] < 0 else x.copy()
     x.setflags(write=False)
     return lam, x
+
+
+def _lu_K(operators: DiscreteOperators):
+    """Cached sparse LU factor of K."""
+    return operators.cache(("lu_K",), lambda: spla.splu(operators.K.tocsc()))
 
 
 def first_eigenvalue(operators: DiscreteOperators) -> float:
@@ -113,12 +120,11 @@ def _best_constant(operators: DiscreteOperators, norm_and_grad, tol: float,
     the optimality system K v = mu * grad(||v||_X^p / p); one K-solve per
     iterate, stopping when the quotient moves less than `tol`."""
     _require_constrained(operators)
-    lu = operators.cache(("lu_K",), lambda: spla.splu(operators.K.tocsc()))
+    lu = _lu_K(operators)
     _, v = first_eigenpair(operators)
     v = v / _vnorm(operators, v)
-    quotient, _ = norm_and_grad(v)
+    quotient, g = norm_and_grad(v)
     for _ in range(max_iter):
-        _, g = norm_and_grad(v)
         gnorm = np.linalg.norm(g)
         if gnorm == 0.0:
             raise ConvergenceError("optimality gradient vanished; trivial trace?")
@@ -127,7 +133,7 @@ def _best_constant(operators: DiscreteOperators, norm_and_grad, tol: float,
         if not np.isfinite(nv) or nv == 0.0:
             raise ConvergenceError("iteration produced a degenerate iterate")
         v = w / nv
-        new_quotient, _ = norm_and_grad(v)
+        new_quotient, g = norm_and_grad(v)
         done = abs(new_quotient - quotient) < tol
         quotient = new_quotient
         if done:
@@ -137,7 +143,7 @@ def _best_constant(operators: DiscreteOperators, norm_and_grad, tol: float,
     )
 
 
-def embedding_constant(mesh: Mesh, operators: DiscreteOperators, p: float,
+def embedding_constant(operators: DiscreteOperators, p: float,
                        tol: float = 1e-9, max_iter: int = 500) -> float:
     """Discrete best constant of ||v||_{L^p(Omega)} <= c ||v||_V.
 
@@ -151,13 +157,12 @@ def embedding_constant(mesh: Mesh, operators: DiscreteOperators, p: float,
     return c
 
 
-def trace_constant(mesh: Mesh, partition: BoundaryPartition,
-                   operators: DiscreteOperators, p: float,
+def trace_constant(operators: DiscreteOperators, p: float,
                    tol: float = 1e-9, max_iter: int = 500) -> float:
     """Discrete best constant of ||w||_{L^p(Gamma1)} <= c ||w||_V."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    if len(partition.gamma1_facets) == 0:
+    if len(operators.partition.gamma1_facets) == 0:
         raise ValueError("damped boundary part is empty")
     table = gamma1_table(operators)
     c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter)
@@ -234,20 +239,21 @@ def well_constants(rho: float, n: int, c0: float, c1: float, c2: float,
     )
 
 
-def compute_well_constants(mesh: Mesh, partition: BoundaryPartition,
-                           operators: DiscreteOperators, rho: float,
+def compute_well_constants(operators: DiscreteOperators, rho: float,
                            safety: float = 1.1) -> WellConstants:
     """Full pipeline: eigenvalue, embedding/trace constants (inflated by
-    `safety`), then the threshold formulas."""
+    `safety`), then the threshold formulas; dimension, R and m0 come from
+    the operators' mesh and boundary partition."""
     lam1 = first_eigenvalue(operators)
     p0 = 2.0 * (rho + 1.0)
-    c1 = embedding_constant(mesh, operators, 4.0)
-    c0 = c1 if p0 == 4.0 else embedding_constant(mesh, operators, p0)
-    c2 = trace_constant(mesh, partition, operators, 4.0)
-    c3 = trace_constant(mesh, partition, operators, 2.0)
+    c1 = embedding_constant(operators, 4.0)
+    c0 = c1 if p0 == 4.0 else embedding_constant(operators, p0)
+    c2 = trace_constant(operators, 4.0)
+    c3 = trace_constant(operators, 2.0)
+    part = operators.partition
     return well_constants(
-        rho, mesh.dim, safety * c0, safety * c1, safety * c2, safety * c3,
-        lam1, partition.R, partition.m0, safety=safety,
+        rho, operators.mesh.dim, safety * c0, safety * c1, safety * c2, safety * c3,
+        lam1, part.R, part.m0, safety=safety,
     )
 
 

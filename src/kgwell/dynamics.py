@@ -61,7 +61,6 @@ class SimState:
 class StepOptions:
     tol: float = 1e-10
     max_iter: int = 50
-    coupling: bool = True
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,9 @@ def _step_factorizations(operators: DiscreteOperators, dt: float):
 
 
 def step(state: SimState, dt: float, operators: DiscreteOperators,
-         spec: CouplingSpec, opts: StepOptions | None = None) -> SimState:
-    """One implicit-midpoint step.
+         spec: CouplingSpec | None, opts: StepOptions | None = None) -> SimState:
+    """One implicit-midpoint step; spec=None switches the coupling off and
+    makes the step one linear solve.
 
     u and v share M, K and B, so they advance as the two columns of one
     (n, 2) block.  The midpoint coupling is resolved by fixed-point
@@ -122,9 +122,7 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
     p0 = np.column_stack([state.du, state.dv])
     rhs = operators.M @ p0 - (dt / 2.0) * (operators.K @ x0)
 
-    f = None
-    if opts.coupling:
-        f = np.column_stack(coupling_vectors(x0.T, spec, operators.mesh, operators))
+    f = None if spec is None else np.column_stack(coupling_vectors(x0.T, spec, operators))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(opts.max_iter):
@@ -132,7 +130,7 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
             if f is None:
                 break
             x_mid = x0 + (dt / 2.0) * p_mid
-            f_new = np.column_stack(coupling_vectors(x_mid.T, spec, operators.mesh, operators))
+            f_new = np.column_stack(coupling_vectors(x_mid.T, spec, operators))
             r = (dt / 2.0) * (f_new - f)
             f = f_new
             res_sq = float(np.sum(r * M_lu.solve(r)))
@@ -316,8 +314,7 @@ def prepare(config: ScenarioConfig) -> Prepared:
     operators = assemble_operators(mesh, partition, delta=delta,
                                    delta_floor=config.delta_floor)
     spec = CouplingSpec(rho=config.rho, quad_degree=config.quad_degree)
-    constants = compute_well_constants(mesh, partition, operators, config.rho,
-                                       safety=config.safety)
+    constants = compute_well_constants(operators, config.rho, safety=config.safety)
     threshold, kind = constants.threshold()
     u0 = _build_field(config.u0, operators, threshold, velocity=False)
     v0 = _build_field(config.v0, operators, threshold, velocity=False)
@@ -343,25 +340,22 @@ def simulate(config: ScenarioConfig | Prepared) -> Trajectory:
     cfg = prep.config
     dt = prep.dt
     n_steps = max(1, round(cfg.t_end / dt))
-    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
-                       coupling=cfg.coupling_enabled)
+    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     eps1 = 1.0 / (2.0 * prep.constants.P)
-
-    sample_spec = prep.spec if cfg.coupling_enabled else None
+    spec = prep.spec if cfg.coupling_enabled else None
 
     def sample(state: SimState):
         return TrajectoryPoint(
             state=state,
             energy=diagnostics.full_sample(
-                state, prep.operators, sample_spec, eps=eps1,
-                n=prep.mesh.dim, threshold=prep.threshold,
+                state, prep.operators, spec, eps=eps1, threshold=prep.threshold,
             ),
         )
 
     points = [sample(prep.state0)]
     state = prep.state0
     for k in range(1, n_steps + 1):
-        state = step(state, dt, prep.operators, prep.spec, opts)
+        state = step(state, dt, prep.operators, spec, opts)
         if k % cfg.stride == 0 or k == n_steps:
             points.append(sample(state))
 

@@ -160,18 +160,18 @@ def two_solve_step(state, dt, operators, spec, opts):
     rhs_v = M @ q0 - (dt / 2.0) * (K @ v0)
 
     fu = fv = None
-    if opts.coupling:
-        fu, fv = coupling_vectors((u0, v0), spec, operators.mesh, operators)
+    if spec is not None:
+        fu, fv = coupling_vectors((u0, v0), spec, operators)
     for _ in range(opts.max_iter):
         bu = rhs_u if fu is None else rhs_u - (dt / 2.0) * fu
         bv = rhs_v if fv is None else rhs_v - (dt / 2.0) * fv
         p_mid = A_lu.solve(bu)
         q_mid = A_lu.solve(bv)
-        if not opts.coupling:
+        if spec is None:
             break
         u_mid = u0 + (dt / 2.0) * p_mid
         v_mid = v0 + (dt / 2.0) * q_mid
-        fu_new, fv_new = coupling_vectors((u_mid, v_mid), spec, operators.mesh, operators)
+        fu_new, fv_new = coupling_vectors((u_mid, v_mid), spec, operators)
         ru = (dt / 2.0) * (fu_new - fu)
         rv = (dt / 2.0) * (fv_new - fv)
         fu, fv = fu_new, fv_new

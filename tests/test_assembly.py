@@ -126,20 +126,20 @@ def test_coupling_vanishes_with_zero_factor():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(ops.n_free)
     zero = np.zeros(ops.n_free)
-    fu, fv = coupling_vectors((zero, v), spec, mesh, ops)
+    fu, fv = coupling_vectors((zero, v), spec, ops)
     np.testing.assert_allclose(fu, 0.0)
     np.testing.assert_allclose(fv, 0.0)
-    assert coupling_energy((zero, v), spec, mesh, ops) == 0.0
+    assert coupling_energy((zero, v), spec, ops) == 0.0
 
 
 def test_coupling_constant_one_gives_unity_weights():
     mesh, _, ops = unconstrained_interval(4)
     spec = CouplingSpec(rho=1.0)
     ones = np.ones(ops.n_free)
-    fu, _ = coupling_vectors((ones, ones), spec, mesh, ops)
+    fu, _ = coupling_vectors((ones, ones), spec, ops)
     # int 1 * phi_i dx: the mass-matrix row sums (h/2 at ends, h inside)
     np.testing.assert_allclose(fu, ops.M @ ones, atol=1e-14)
-    assert np.isclose(coupling_energy((ones, ones), spec, mesh, ops), 0.5)
+    assert np.isclose(coupling_energy((ones, ones), spec, ops), 0.5)
 
 
 def test_coupling_antisymmetric_pair():
@@ -147,12 +147,12 @@ def test_coupling_antisymmetric_pair():
     spec = CouplingSpec(rho=1.0)
     rng = np.random.default_rng(3)
     u = rng.uniform(0.3, 1.0, ops.n_free)  # positive interpolant
-    fu, fv = coupling_vectors((u, -u), spec, mesh, ops)
+    fu, fv = coupling_vectors((u, -u), spec, ops)
     np.testing.assert_allclose(fv, -fu, atol=1e-14)
     u_full = ops.embed(u)
     fu_dense, _ = dense_coupling_vectors(mesh, u_full, -u_full, 1.0)
     np.testing.assert_allclose(fu, fu_dense[ops.free], rtol=1e-12, atol=1e-15)
-    e = coupling_energy((u, -u), spec, mesh, ops)
+    e = coupling_energy((u, -u), spec, ops)
     assert e < 0
     e_dense = dense_coupling_energy(mesh, u_full, -u_full, 1.0)
     assert np.isclose(e, e_dense, rtol=1e-12)
@@ -171,11 +171,11 @@ def test_coupling_matches_dense_oracle(rho, dim):
         u = rng.uniform(0.2, 1.0, ops.n_free)
         v = rng.uniform(0.2, 1.0, ops.n_free)
         uf, vf = ops.embed(u), ops.embed(v)
-        fu, fv = coupling_vectors((u, v), spec, mesh, ops)
+        fu, fv = coupling_vectors((u, v), spec, ops)
         fu_d, fv_d = dense_coupling_vectors(mesh, uf, vf, rho, nsub=20, npts=8)
         np.testing.assert_allclose(fu, fu_d[ops.free], rtol=1e-11)
         np.testing.assert_allclose(fv, fv_d[ops.free], rtol=1e-11)
-        e = coupling_energy((u, v), spec, mesh, ops)
+        e = coupling_energy((u, v), spec, ops)
         assert np.isclose(e, dense_coupling_energy(mesh, uf, vf, rho, nsub=20, npts=8),
                           rtol=1e-11)
 
@@ -187,15 +187,15 @@ def test_coupling_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     u = rng.uniform(0.3, 1.0, ops.n_free)
     v = rng.uniform(0.3, 1.0, ops.n_free)
-    fu, fv = coupling_vectors((u, v), spec, mesh, ops)
+    fu, fv = coupling_vectors((u, v), spec, ops)
     h = 1e-6
     for i in range(ops.n_free):
         e = np.zeros(ops.n_free)
         e[i] = h
-        dEu = (coupling_energy((u + e, v), spec, mesh, ops)
-               - coupling_energy((u - e, v), spec, mesh, ops)) / (2 * h)
-        dEv = (coupling_energy((u, v + e), spec, mesh, ops)
-               - coupling_energy((u, v - e), spec, mesh, ops)) / (2 * h)
+        dEu = (coupling_energy((u + e, v), spec, ops)
+               - coupling_energy((u - e, v), spec, ops)) / (2 * h)
+        dEv = (coupling_energy((u, v + e), spec, ops)
+               - coupling_energy((u, v - e), spec, ops)) / (2 * h)
         assert abs(dEu - fu[i]) <= 1e-5 * max(abs(fu[i]), 1e-12)
         assert abs(dEv - fv[i]) <= 1e-5 * max(abs(fv[i]), 1e-12)
 
@@ -205,8 +205,8 @@ def test_quadrature_degree_refinement_is_converged():
     rng = np.random.default_rng(5)
     u = rng.uniform(0.2, 1.0, ops.n_free)
     v = rng.uniform(0.2, 1.0, ops.n_free)
-    base = coupling_energy((u, v), CouplingSpec(1.0), mesh, ops)
-    refined = coupling_energy((u, v), CouplingSpec(1.0, quad_degree=6), mesh, ops)
+    base = coupling_energy((u, v), CouplingSpec(1.0), ops)
+    refined = coupling_energy((u, v), CouplingSpec(1.0, quad_degree=6), ops)
     assert abs(base - refined) < 1e-8
 
 
@@ -239,10 +239,10 @@ def test_quadrature_tables_match_scatter_add_bitwise(setup):
         _, wdet, shapes = element_quadrature_tables(mesh, spec.quad_degree)
         fu_ref, fv_ref, e_ref = scatter_add_coupling(mesh.elements, shapes, wdet,
                                                      ops, u, v, rho)
-        fu, fv = coupling_vectors((u, v), spec, mesh, ops)
+        fu, fv = coupling_vectors((u, v), spec, ops)
         assert np.array_equal(fu, fu_ref)
         assert np.array_equal(fv, fv_ref)
-        assert coupling_energy((u, v), spec, mesh, ops) == e_ref
+        assert coupling_energy((u, v), spec, ops) == e_ref
     g1 = part.gamma1_facets
     _, fwts, fshapes = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
     _, wdet, shapes = element_quadrature_tables(mesh, 6)

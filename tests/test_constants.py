@@ -73,13 +73,13 @@ def test_eigenvalue_requires_clamped_nodes():
 def test_embedding_p4_below_analytic_bound():
     # |v(x)| <= sqrt(x) |v|_V gives |v|_L4 <= 3^(-1/4) |v|_V on (0,1)
     mesh, _, ops = interval_setup(elements=64)
-    c = embedding_constant(mesh, ops, 4.0)
+    c = embedding_constant(ops, 4.0)
     assert 0.5 < c <= 3.0 ** (-0.25) + 1e-12
 
 
 def test_embedding_p2_is_inverse_sqrt_eigenvalue():
     mesh, _, ops = interval_setup(elements=64)
-    c = embedding_constant(mesh, ops, 2.0)
+    c = embedding_constant(ops, 2.0)
     lam = first_eigenvalue(ops)
     assert abs(c * c * lam - 1.0) <= 1e-9
 
@@ -87,7 +87,7 @@ def test_embedding_p2_is_inverse_sqrt_eigenvalue():
 def test_embedding_rejects_small_p():
     mesh, _, ops = interval_setup(elements=8)
     with pytest.raises(ValueError):
-        embedding_constant(mesh, ops, 1.5)
+        embedding_constant(ops, 1.5)
 
 
 @settings(max_examples=20, deadline=None)
@@ -106,8 +106,8 @@ def test_lp_quotient_is_scale_invariant(s):
 def test_trace_constants_are_one_on_unit_interval():
     # the linear function x attains equality in |w(1)| <= |w'|_L2
     mesh, part, ops = interval_setup(elements=32)
-    assert abs(trace_constant(mesh, part, ops, 4.0) - 1.0) <= 1e-9
-    assert abs(trace_constant(mesh, part, ops, 2.0) - 1.0) <= 1e-9
+    assert abs(trace_constant(ops, 4.0) - 1.0) <= 1e-9
+    assert abs(trace_constant(ops, 2.0) - 1.0) <= 1e-9
 
 
 def test_well_constants_formula_examples():
@@ -164,7 +164,7 @@ def test_lambda_star_decreases_in_N():
 
 def test_admissibility_zero_data():
     mesh, part, ops = interval_setup(elements=16)
-    wc = compute_well_constants(mesh, part, ops, rho=1.0)
+    wc = compute_well_constants(ops, rho=1.0)
     z = np.zeros(ops.n_free)
     rep = admissibility(z, z, z, z, wc, ops)
     assert rep.L == 0.0
@@ -173,7 +173,7 @@ def test_admissibility_zero_data():
 
 def test_admissibility_threshold_is_strict():
     mesh, part, ops = interval_setup(elements=16)
-    wc = compute_well_constants(mesh, part, ops, rho=1.0)
+    wc = compute_well_constants(ops, rho=1.0)
     _, vec = first_eigenpair(ops)
     vnorm = math.sqrt(vec @ (ops.K @ vec))
     z = np.zeros(ops.n_free)
@@ -195,7 +195,7 @@ def test_admissibility_small_amplitude_algebra():
     # |u0| = |v0| = lambda*/10, zero velocities, rho = 1 (general set):
     # L = lambda*^2 (1/100 + 1/20000) < lambda*^2 / 4
     mesh, part, ops = interval_setup(elements=16)
-    wc = compute_well_constants(mesh, part, ops, rho=1.0)
+    wc = compute_well_constants(ops, rho=1.0)
     _, vec = first_eigenpair(ops)
     vnorm = math.sqrt(vec @ (ops.K @ vec))
     u0 = (wc.lambda_star / 10.0 / vnorm) * vec
@@ -228,7 +228,7 @@ def test_validate_hypotheses_table():
 
 def test_constants_invariant_under_element_permutation():
     mesh, part, ops = interval_setup(elements=24)
-    wc = compute_well_constants(mesh, part, ops, rho=1.0)
+    wc = compute_well_constants(ops, rho=1.0)
 
     rng = np.random.default_rng(9)
     perm = rng.permutation(mesh.n_elements)
@@ -236,7 +236,7 @@ def test_constants_invariant_under_element_permutation():
                     mesh.facets, mesh.facet_normals)
     part2 = classify_boundary(shuffled, 0.0)
     ops2 = assemble_operators(shuffled, part2)
-    wc2 = compute_well_constants(shuffled, part2, ops2, rho=1.0)
+    wc2 = compute_well_constants(ops2, rho=1.0)
     for name in ("c0", "c1", "c2", "c3", "lambda1", "N", "lambda_star",
                  "N1", "lambda1_star", "P", "D", "tau"):
         assert np.isclose(getattr(wc, name), getattr(wc2, name), rtol=1e-12), name
@@ -244,8 +244,8 @@ def test_constants_invariant_under_element_permutation():
 
 def test_compute_well_constants_applies_safety():
     mesh, part, ops = interval_setup(elements=16)
-    raw = compute_well_constants(mesh, part, ops, rho=1.0, safety=1.0)
-    inflated = compute_well_constants(mesh, part, ops, rho=1.0, safety=1.1)
+    raw = compute_well_constants(ops, rho=1.0, safety=1.0)
+    inflated = compute_well_constants(ops, rho=1.0, safety=1.1)
     assert np.isclose(inflated.c1, 1.1 * raw.c1)
     assert inflated.lambda_star < raw.lambda_star  # conservative shrink
     assert inflated.lambda1_star < raw.lambda1_star

@@ -5,7 +5,7 @@ import pytest
 
 import kgwell.diagnostics as diag
 from _oracles import dense_coupling_energy, dense_multiplier_form
-from conftest import interval_setup
+from conftest import interval_setup, square_setup
 from kgwell import (
     CouplingSpec,
     SimState,
@@ -67,11 +67,11 @@ def test_perturbed_energy_limits():
     v = rng.uniform(0.2, 1.0, ops.n_free)
     z = np.zeros_like(u)
     # zero velocities: psi vanishes
-    out = diag.perturbed_energy(SimState(0.0, u, v, z, z), ops, spec, eps=0.3, n=1)
+    out = diag.perturbed_energy(SimState(0.0, u, v, z, z), ops, spec, eps=0.3)
     assert out["psi"] == 0.0
     # eps = 0: perturbed energy equals the energy
     st = SimState(0.0, u, v, 0.5 * u, 0.2 * v)
-    out0 = diag.perturbed_energy(st, ops, spec, eps=0.0, n=1)
+    out0 = diag.perturbed_energy(st, ops, spec, eps=0.0)
     assert out0["E_eps"] == diag.energy(st, ops, spec).E
 
 
@@ -81,13 +81,27 @@ def test_multiplier_functional_against_dense_quadrature():
     u = rng.standard_normal(ops.n_free)
     z = np.zeros_like(u)
     st = SimState(0.0, u, z, u, z)  # du = u, v = dv = 0, n = 1
-    psi = diag.multiplier_functional(st, ops, n=1)
+    psi = diag.multiplier_functional(st, ops)
     dense = 2.0 * dense_multiplier_form(mesh, ops.embed(u), ops.embed(u), [0.0])
     assert np.isclose(psi, dense, rtol=1e-11)
 
 
+def test_multiplier_functional_takes_dimension_from_mesh():
+    # n = 2: psi = 2 (u', m.grad u) + (n-1) (u', u) with n read from ops.mesh
+    mesh, part, ops = square_setup(4)
+    rng = np.random.default_rng(8)
+    u, du = rng.standard_normal((2, ops.n_free))
+    z = np.zeros_like(u)
+    psi = diag.multiplier_functional(SimState(0.0, u, z, du, z), ops)
+    m_term = float(du @ (ops.M @ u))
+    assert abs(m_term) > 0.01 * abs(psi)  # far above rtol: dropping (n-1) fails
+    dense = 2.0 * dense_multiplier_form(mesh, ops.embed(du), ops.embed(u), part.x0,
+                                        nsub=2, npts=4)
+    assert np.isclose(psi, dense + m_term, rtol=1e-11)
+
+
 def _manual_trajectory(ops, states, spec=None, eps=0.0, threshold=1.0, meta=None):
-    pts = [TrajectoryPoint(s, diag.full_sample(s, ops, spec, eps, ops.mesh.dim, threshold))
+    pts = [TrajectoryPoint(s, diag.full_sample(s, ops, spec, eps, threshold))
            for s in states]
     return Trajectory(pts, meta or {})
 

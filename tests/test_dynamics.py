@@ -71,10 +71,10 @@ def test_linear_undamped_step_conserves_energy():
     ops0 = without_damping(ops)
     lam, w = first_eigenpair(ops0)
     state = SimState(0.0, w, 0.3 * w, np.zeros_like(w), np.zeros_like(w))
-    opts = StepOptions(coupling=False)
+    opts = StepOptions()
     e0 = linear_energy(ops0, state)
     for _ in range(50):
-        state = step(state, 0.02, ops0, CouplingSpec(1.0), opts)
+        state = step(state, 0.02, ops0, None, opts)
     assert abs(linear_energy(ops0, state) - e0) <= 1e-12 * e0
 
 
@@ -85,10 +85,10 @@ def test_single_mode_tracks_harmonic_oracle():
     omega = math.sqrt(lam)
     z = np.zeros_like(w)
     state = SimState(0.0, w, z, z, z)
-    opts = StepOptions(coupling=False)
+    opts = StepOptions()
     dt, nsteps = 0.01, 100
     for _ in range(nsteps):
-        state = step(state, dt, ops0, CouplingSpec(1.0), opts)
+        state = step(state, dt, ops0, None, opts)
     t = nsteps * dt
     err = mnorm(ops0, state.u - math.cos(omega * t) * w)
     assert err < 1e-3 * mnorm(ops0, w)
@@ -101,9 +101,9 @@ def test_damped_linear_step_dissipation_identity():
     n = ops.n_free
     state = SimState(0.0, rng.standard_normal(n), rng.standard_normal(n),
                      rng.standard_normal(n), rng.standard_normal(n))
-    opts = StepOptions(coupling=False)
+    opts = StepOptions()
     dt = 0.01
-    new = step(state, dt, ops, CouplingSpec(1.0), opts)
+    new = step(state, dt, ops, None, opts)
     p_mid = 0.5 * (state.du + new.du)
     q_mid = 0.5 * (state.dv + new.dv)
     expected = -dt * (p_mid @ (ops.B @ p_mid) + q_mid @ (ops.B @ q_mid))
@@ -120,7 +120,7 @@ def test_time_reversal_returns_initial_state():
     z = np.zeros_like(w)
     start = SimState(0.0, 0.4 * w, 0.3 * w, z, z)
     spec = CouplingSpec(1.0)
-    opts = StepOptions(tol=1e-13, coupling=True)
+    opts = StepOptions(tol=1e-13)
     dt, nsteps = 1e-3, 1000
     state = start
     for _ in range(nsteps):
@@ -139,13 +139,13 @@ def test_second_order_convergence_against_analytic_mode():
     lam, w = first_eigenpair(ops0)
     omega = math.sqrt(lam)
     z = np.zeros_like(w)
-    opts = StepOptions(coupling=False)
+    opts = StepOptions()
     T = 1.2
 
     def final_error(dt):
         state = SimState(0.0, w, z, z, z)
         for _ in range(round(T / dt)):
-            state = step(state, dt, ops0, CouplingSpec(1.0), opts)
+            state = step(state, dt, ops0, None, opts)
         eu = mnorm(ops0, state.u - math.cos(omega * T) * w)
         ev = mnorm(ops0, state.du + omega * math.sin(omega * T) * w) / omega
         return eu + ev
@@ -161,7 +161,7 @@ def test_block_step_matches_two_solve_reference_bitwise(setup, coupling):
     _, _, ops = setup()
     rng = np.random.default_rng(7)
     u, v, du, dv = 0.3 * rng.standard_normal((4, ops.n_free))
-    spec, opts = CouplingSpec(1.0), StepOptions(coupling=coupling)
+    spec, opts = CouplingSpec(1.0) if coupling else None, StepOptions()
     block = ref = SimState(0.0, u, v, du, dv)
     for _ in range(20):
         block = step(block, 0.01, ops, spec, opts)
@@ -190,6 +190,23 @@ def test_simulate_zero_scenario():
     assert traj.samples[0].energy.t == 0.0
     np.testing.assert_allclose(traj.energies(), 0.0, atol=1e-30)
     assert np.isclose(traj.meta["t_final"], 0.5)
+
+
+def test_simulate_without_coupling_steps_and_samples_linearly():
+    cfg = ScenarioConfig(name="off", elements=8, x0=(0.0,), dt=0.01, t_end=0.05,
+                         stride=1, coupling_enabled=False,
+                         u0=FieldInit("eigenfunction", 0.4), v0=FieldInit("bump", 0.3))
+    prep = prepare(cfg)
+    traj = simulate(prep)
+    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    state = prep.state0
+    for p in traj.samples[1:]:
+        state = step(state, prep.dt, prep.operators, None, opts)
+        for name in ("u", "v", "du", "dv"):
+            assert np.array_equal(getattr(p.state, name), getattr(state, name)), name
+    assert all(p.energy.coupling == 0.0 for p in traj.samples)
+    coupled = step(prep.state0, prep.dt, prep.operators, prep.spec, opts)
+    assert not np.array_equal(coupled.u, traj.samples[1].state.u)
 
 
 def test_simulate_admissible_well_and_dt_refinement():
@@ -221,7 +238,7 @@ def test_trajectory_validation():
 
     def point(t):
         st = SimState(t, s0.u, s0.v, s0.du, s0.dv)
-        return TrajectoryPoint(st, diag.full_sample(st, ops, spec, 0.0, 1, 1.0))
+        return TrajectoryPoint(st, diag.full_sample(st, ops, spec, 0.0, 1.0))
 
     with pytest.raises(ValueError):
         Trajectory([point(0.5)])  # first sample must sit at t = 0
