@@ -37,14 +37,13 @@ config = ScenarioConfig(
 print(f"simulating {config.name}: T = {config.t_end}, dt = {config.dt} ...")
 traj = simulate(config)
 wc = traj.meta["constants"]
-ops = traj.meta["operators"]
 print(f"  admissible: {traj.meta['admissible']}, threshold "
       f"{traj.meta['threshold']:.4f} ({traj.meta['threshold_kind']} set)")
 
 results = {
     "well": diag.well_monitor(traj, wc),
     "equivalence": diag.check_equivalence(traj, wc),
-    "dissipation": diag.check_dissipation(traj, ops, wc.m0),
+    "dissipation": diag.check_dissipation(traj, wc.m0),
     "decay": diag.check_decay_bound(traj, wc),
 }
 print()

@@ -41,10 +41,8 @@ from .diagnostics import (
     check_decay_bound,
     check_dissipation,
     check_equivalence,
-    energy,
     full_sample,
     multiplier_functional,
-    perturbed_energy,
     well_monitor,
 )
 from .dynamics import (
@@ -55,6 +53,7 @@ from .dynamics import (
     StepOptions,
     Trajectory,
     prepare,
+    record,
     simulate,
     step,
     write_trajectory_csv,

@@ -136,7 +136,7 @@ def _run_checks(trajectory: Trajectory, prep, selected) -> dict:
         results["equivalence"] = diagnostics.check_equivalence(trajectory, wc)
     if "dissipation" in selected:
         results["dissipation"] = diagnostics.check_dissipation(
-            trajectory, prep.operators, prep.operators.delta_min)
+            trajectory, prep.operators.delta_min)
     if "bound" in selected:
         results["decay"] = diagnostics.check_decay_bound(trajectory, wc)
     return results

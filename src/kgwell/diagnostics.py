@@ -53,19 +53,6 @@ def _quad(mat, x) -> float:
     return float(x @ (mat @ x))
 
 
-def energy(state, operators: DiscreteOperators, spec: CouplingSpec) -> EnergySample:
-    """Energy fields only (psi = 0, margins unset); see full_sample for the
-    complete record."""
-    return full_sample(state, operators, spec, eps=0.0, threshold=math.nan)
-
-
-def perturbed_energy(state, operators: DiscreteOperators, spec: CouplingSpec,
-                     eps: float) -> dict[str, float]:
-    """psi and E_eps = E + eps * psi for the given perturbation size."""
-    s = full_sample(state, operators, spec, eps=eps, threshold=math.nan)
-    return {"psi": s.psi, "E_eps": s.E_eps}
-
-
 def multiplier_functional(state, operators: DiscreteOperators) -> float:
     """psi = 2 u'.(G u) + (n-1) u'.(M u) + 2 v'.(G v) + (n-1) v'.(M v) with
     n the dimension of the operators' mesh."""
@@ -147,11 +134,17 @@ class DissipationReport:
     slack: float
 
 
-def check_dissipation(trajectory, operators: DiscreteOperators, m0: float,
-                      slack: float | None = None) -> DissipationReport:
+def pair_flux(a, b, operators: DiscreteOperators) -> float:
+    """Damped-boundary trace form ||mid u'||_T^2 + ||mid v'||_T^2 of a sample
+    pair (a, b), with mid the average of the two samples' velocities."""
+    T = operators.T
+    return _quad(T, 0.5 * (a.du + b.du)) + _quad(T, 0.5 * (a.dv + b.dv))
+
+
+def check_dissipation(trajectory, m0: float, slack: float | None = None) -> DissipationReport:
     """Finite-difference check of dE/dt <= -m0 (||u'||^2 + ||v'||^2 on the
-    damped boundary), the trace forms evaluated through T at the midpoint of
-    each sample pair.  Pass the smallest damping the run assembled
+    damped boundary), the trace forms being each pair's pair_flux, which the
+    trajectory recorded.  Pass the smallest damping the run assembled
     (operators.delta_min, which equals the geometric m0 for delta = m . nu)
     as m0.  Sample spacing must not exceed MAX_SAMPLE_SPACING."""
     samples = trajectory.samples
@@ -166,16 +159,12 @@ def check_dissipation(trajectory, operators: DiscreteOperators, m0: float,
     if slack is None:
         dt = trajectory.meta.get("dt", float(np.min(gaps)))
         slack = 10.0 * dt * samples[0].energy.E
-    T = operators.T
     worst = -math.inf
     worst_t = 0.0
     for a, b in zip(samples[:-1], samples[1:]):
         dt_ab = b.energy.t - a.energy.t
         dE = (b.energy.E - a.energy.E) / dt_ab
-        du_mid = 0.5 * (a.state.du + b.state.du)
-        dv_mid = 0.5 * (a.state.dv + b.state.dv)
-        flux = _quad(T, du_mid) + _quad(T, dv_mid)
-        residual = dE + m0 * flux
+        residual = dE + m0 * b.flux
         if residual > worst:
             worst, worst_t = residual, a.energy.t
     return DissipationReport(ok=worst <= slack, worst_residual=worst,

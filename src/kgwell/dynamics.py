@@ -13,7 +13,7 @@ nonlinear coupling).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -65,13 +65,20 @@ class StepOptions:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    state: SimState
+    """One sample: its energy row, the damped-boundary flux
+    diagnostics.pair_flux of the sample pair that ends here (0.0 at t = 0),
+    and its state, which only the first and the last sample keep."""
+
     energy: "diagnostics.EnergySample"
+    flux: float
+    state: SimState | None = None
 
 
 @dataclass
 class Trajectory:
-    """Sampled run: (state snapshot, energy sample) pairs plus metadata."""
+    """Sampled run: per sample an energy row and the Gamma1 flux of the pair
+    ending there, the states of the first and the last sample, and metadata.
+    record() builds one from any sequence of states."""
 
     samples: list[TrajectoryPoint]
     meta: dict = field(default_factory=dict)
@@ -90,6 +97,26 @@ class Trajectory:
 
     def energies(self) -> np.ndarray:
         return np.array([p.energy.E for p in self.samples])
+
+
+def record(states, operators: DiscreteOperators, spec: CouplingSpec | None,
+           eps: float, threshold: float, meta: dict | None = None) -> Trajectory:
+    """Trajectory of an iterable of states, read one state at a time: each
+    gets its diagnostics.full_sample row (with eps and threshold) and the
+    pair flux from the state before it, and only the first and the last
+    state are kept."""
+    points = []
+    prev = None
+    for state in states:
+        energy = diagnostics.full_sample(state, operators, spec, eps=eps, threshold=threshold)
+        if prev is None:
+            points.append(TrajectoryPoint(energy, 0.0, state))
+        else:
+            points.append(TrajectoryPoint(energy, diagnostics.pair_flux(prev, state, operators)))
+        prev = state
+    if len(points) > 1:
+        points[-1] = replace(points[-1], state=prev)
+    return Trajectory(points, meta or {})
 
 
 def _step_factorizations(operators: DiscreteOperators, dt: float):
@@ -344,27 +371,21 @@ def simulate(config: ScenarioConfig | Prepared) -> Trajectory:
     eps1 = 1.0 / (2.0 * prep.constants.P)
     spec = prep.spec if cfg.coupling_enabled else None
 
-    def sample(state: SimState):
-        return TrajectoryPoint(
-            state=state,
-            energy=diagnostics.full_sample(
-                state, prep.operators, spec, eps=eps1, threshold=prep.threshold,
-            ),
-        )
+    def sampled_states():
+        state = prep.state0
+        yield state
+        for k in range(1, n_steps + 1):
+            state = step(state, dt, prep.operators, spec, opts)
+            if k % cfg.stride == 0 or k == n_steps:
+                yield state
 
-    points = [sample(prep.state0)]
-    state = prep.state0
-    for k in range(1, n_steps + 1):
-        state = step(state, dt, prep.operators, spec, opts)
-        if k % cfg.stride == 0 or k == n_steps:
-            points.append(sample(state))
-
-    meta = {
+    trajectory = record(sampled_states(), prep.operators, spec, eps1, prep.threshold)
+    trajectory.meta = {
         "name": cfg.name,
         "dt": dt,
         "stride": cfg.stride,
         "n_steps": n_steps,
-        "t_final": state.t,
+        "t_final": trajectory.samples[-1].energy.t,
         "eps1": eps1,
         "threshold": prep.threshold,
         "threshold_kind": prep.threshold_kind,
@@ -378,7 +399,7 @@ def simulate(config: ScenarioConfig | Prepared) -> Trajectory:
         "config": cfg,
         "operators": prep.operators,
     }
-    return Trajectory(points, meta)
+    return trajectory
 
 
 CSV_COLUMNS = (

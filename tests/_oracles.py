@@ -182,3 +182,29 @@ def two_solve_step(state, dt, operators, spec, opts):
         raise RuntimeError("reference midpoint solve did not converge")
     return SimState(state.t + dt, u0 + dt * p_mid, v0 + dt * q_mid,
                     2.0 * p_mid - p0, 2.0 * q_mid - q0)
+
+
+# -- stored-state reference for the dissipation check -------------------------
+# The dissipation loop as the library wrote it when a trajectory kept the
+# state of every sample: the midpoint velocities of each pair are formed from
+# the two stored states.  The streamed check must agree bitwise.
+
+def stored_state_dissipation(states, operators, m0):
+    """(worst residual, worst_t) of dE/dt + m0 (||mid u'||_T^2 + ||mid v'||_T^2)
+    over consecutive (SimState, EnergySample) pairs in `states`."""
+    def quad(mat, x):
+        return float(x @ (mat @ x))
+
+    T = operators.T
+    worst = -np.inf
+    worst_t = 0.0
+    for (sa, ea), (sb, eb) in zip(states[:-1], states[1:]):
+        dt_ab = eb.t - ea.t
+        dE = (eb.E - ea.E) / dt_ab
+        du_mid = 0.5 * (sa.du + sb.du)
+        dv_mid = 0.5 * (sa.dv + sb.dv)
+        flux = quad(T, du_mid) + quad(T, dv_mid)
+        residual = dE + m0 * flux
+        if residual > worst:
+            worst, worst_t = residual, ea.t
+    return worst, worst_t

@@ -1,0 +1,40 @@
+"""What the benchmark in perfbench/ relies on from kgwell: every traced
+name resolves, and a simulated trajectory exposes what its child process
+reads.  perfbench's own tests run separately; these catch a refactor that
+would break the benchmark."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from kgwell import FieldInit, ScenarioConfig, simulate
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_point_resolves_to_a_callable():
+    points = _tracing().TRACE_POINTS
+    assert points
+    for module_name, attr, _ in points:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target), f"{module_name}.{attr}"
+
+
+def test_trajectory_exposes_what_the_benchmark_child_reads():
+    cfg = ScenarioConfig(name="bench", elements=8, x0=(0.0,), dt=0.01, t_end=0.05,
+                         stride=2, u0=FieldInit("eigenfunction", 0.1))
+    traj = simulate(cfg)
+    assert traj.meta["n_steps"] == 5
+    assert len(traj.samples) == 4
+    u = traj.samples[0].state.u
+    assert isinstance(u, np.ndarray) and len(u) == 8

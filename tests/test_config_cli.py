@@ -115,6 +115,15 @@ def test_cli_constants_table(tmp_path, capsys):
     assert abs(float(lam) - (np.pi / 2) ** 2) < 1e-3 * (np.pi / 2) ** 2
 
 
+def test_cli_constants_fine_interval(tmp_path, capsys):
+    # 1000 elements: the eigenpair is accurate although its residual
+    # relative to ||M x|| is about 2e-10
+    path = write_cfg(tmp_path, DECAY_1D.replace("mesh.elements = 60",
+                                                "mesh.elements = 1000"))
+    assert main(["constants", "--config", path]) == 0
+    assert "constants.tau=0.0625" in capsys.readouterr().out
+
+
 def test_cli_constants_missing_key(tmp_path, capsys):
     path = write_cfg(tmp_path, DECAY_1D.replace("mesh.elements = 60", ""))
     assert main(["constants", "--config", path]) == 2

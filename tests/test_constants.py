@@ -23,7 +23,7 @@ from kgwell import (
     well_function,
 )
 from kgwell.assembly import volume_table
-from kgwell.constants import _lp
+from kgwell.constants import _lp, _require_accurate_eigenpair
 
 
 def test_first_eigenvalue_interval():
@@ -53,6 +53,19 @@ def test_eigenpair_residual_contract():
     lam, x = first_eigenpair(ops)
     r = np.linalg.norm(ops.K @ x - lam * (ops.M @ x)) / np.linalg.norm(ops.M @ x)
     assert r < 1e-10
+
+
+@pytest.mark.parametrize("elements", [150, 1000])
+def test_eigenpair_backward_error_contract(elements):
+    # accepted on fine meshes, where ||K x - lam M x|| / ||M x|| exceeds
+    # 1e-10 from roundoff alone; a 1e-8 relative change of x is rejected
+    _, _, ops = interval_setup(elements=elements)
+    lam, x = first_eigenpair(ops)
+    _require_accurate_eigenpair(ops.K, ops.M, lam, x)
+    rng = np.random.default_rng(11)
+    perturbed = x * (1.0 + 1e-8 * rng.standard_normal(len(x)))
+    with pytest.raises(SetupError, match="backward error"):
+        _require_accurate_eigenpair(ops.K, ops.M, lam, perturbed)
 
 
 def test_first_eigenpair_is_cached_and_read_only():

@@ -9,10 +9,9 @@ from conftest import interval_setup, square_setup
 from kgwell import (
     CouplingSpec,
     SimState,
-    Trajectory,
     well_function,
 )
-from kgwell.dynamics import TrajectoryPoint
+from kgwell.dynamics import record
 
 
 def _state(ops, rng=None, scale=1.0):
@@ -26,7 +25,7 @@ def _state(ops, rng=None, scale=1.0):
 
 def test_energy_zero_state():
     mesh, _, ops = interval_setup(8)
-    s = diag.energy(SimState.zero(ops.n_free), ops, CouplingSpec(1.0))
+    s = diag.full_sample(SimState.zero(ops.n_free), ops, CouplingSpec(1.0), 0.0, math.nan)
     assert s.kinetic == s.potential == s.coupling == s.E == 0.0
     assert s.psi == 0.0 and s.E_eps == 0.0
 
@@ -36,11 +35,11 @@ def test_energy_decomposition_and_homogeneity():
     spec = CouplingSpec(1.0)
     rng = np.random.default_rng(4)
     base = _state(ops, rng)
-    s1 = diag.energy(base, ops, spec)
+    s1 = diag.full_sample(base, ops, spec, 0.0, math.nan)
     assert np.isclose(s1.E, s1.kinetic + s1.potential + s1.coupling, rtol=1e-15)
     scale = 1.7
-    s2 = diag.energy(SimState(0.0, scale * base.u, scale * base.v,
-                              scale * base.du, scale * base.dv), ops, spec)
+    s2 = diag.full_sample(SimState(0.0, scale * base.u, scale * base.v,
+                                   scale * base.du, scale * base.dv), ops, spec, 0.0, math.nan)
     assert np.isclose(s2.kinetic, scale ** 2 * s1.kinetic)
     assert np.isclose(s2.potential, scale ** 2 * s1.potential)
     assert np.isclose(s2.coupling, scale ** 4 * s1.coupling)  # 2 rho + 2
@@ -52,7 +51,7 @@ def test_energy_sign_indefinite_for_opposed_fields():
     rng = np.random.default_rng(5)
     u = rng.uniform(0.3, 1.0, ops.n_free)
     z = np.zeros_like(u)
-    s = diag.energy(SimState(0.0, u, -u, z, z), ops, spec)
+    s = diag.full_sample(SimState(0.0, u, -u, z, z), ops, spec, 0.0, math.nan)
     assert s.coupling < 0
     assert s.E < s.potential
     dense = dense_coupling_energy(ops.mesh, ops.embed(u), ops.embed(-u), 1.0)
@@ -67,12 +66,12 @@ def test_perturbed_energy_limits():
     v = rng.uniform(0.2, 1.0, ops.n_free)
     z = np.zeros_like(u)
     # zero velocities: psi vanishes
-    out = diag.perturbed_energy(SimState(0.0, u, v, z, z), ops, spec, eps=0.3)
-    assert out["psi"] == 0.0
+    out = diag.full_sample(SimState(0.0, u, v, z, z), ops, spec, eps=0.3, threshold=math.nan)
+    assert out.psi == 0.0
     # eps = 0: perturbed energy equals the energy
     st = SimState(0.0, u, v, 0.5 * u, 0.2 * v)
-    out0 = diag.perturbed_energy(st, ops, spec, eps=0.0)
-    assert out0["E_eps"] == diag.energy(st, ops, spec).E
+    out0 = diag.full_sample(st, ops, spec, eps=0.0, threshold=math.nan)
+    assert out0.E_eps == diag.full_sample(st, ops, spec, 0.0, math.nan).E
 
 
 def test_multiplier_functional_against_dense_quadrature():
@@ -101,9 +100,7 @@ def test_multiplier_functional_takes_dimension_from_mesh():
 
 
 def _manual_trajectory(ops, states, spec=None, eps=0.0, threshold=1.0, meta=None):
-    pts = [TrajectoryPoint(s, diag.full_sample(s, ops, spec, eps, threshold))
-           for s in states]
-    return Trajectory(pts, meta or {})
+    return record(states, ops, spec, eps, threshold, meta)
 
 
 def test_check_equivalence_zero_trajectory():
@@ -145,7 +142,7 @@ def test_check_dissipation_zero_trajectory():
     mesh, _, ops = interval_setup(6)
     states = [SimState.zero(ops.n_free, t) for t in (0.0, 0.05, 0.1)]
     traj = _manual_trajectory(ops, states)
-    rep = diag.check_dissipation(traj, ops, m0=1.0)
+    rep = diag.check_dissipation(traj, m0=1.0)
     assert rep.ok and rep.worst_residual <= 0.0
 
 
@@ -160,7 +157,7 @@ def test_check_dissipation_interior_velocities():
     u = np.zeros(n)
     states = [SimState(t, u, z, du, z) for t in (0.0, 0.05)]
     traj = _manual_trajectory(ops, states)
-    rep = diag.check_dissipation(traj, ops, m0=1.0, slack=0.0)
+    rep = diag.check_dissipation(traj, m0=1.0, slack=0.0)
     assert rep.ok and abs(rep.worst_residual) < 1e-14
 
 
@@ -169,13 +166,12 @@ def test_check_dissipation_rejects_coarse_sampling():
     states = [SimState.zero(ops.n_free, t) for t in (0.0, 0.5)]
     traj = _manual_trajectory(ops, states)
     with pytest.raises(ValueError):
-        diag.check_dissipation(traj, ops, m0=1.0)
+        diag.check_dissipation(traj, m0=1.0)
 
 
 def test_check_dissipation_on_admissible_run(short_admissible_run):
     wc = short_admissible_run.meta["constants"]
-    ops = short_admissible_run.meta["operators"]
-    rep = diag.check_dissipation(short_admissible_run, ops, wc.m0)
+    rep = diag.check_dissipation(short_admissible_run, wc.m0)
     assert rep.ok
 
 
@@ -235,11 +231,10 @@ def test_well_monitor_on_admissible_run(short_admissible_run):
 
 def test_report_rendering(short_admissible_run):
     wc = short_admissible_run.meta["constants"]
-    ops = short_admissible_run.meta["operators"]
     results = {
         "well": diag.well_monitor(short_admissible_run, wc),
         "equivalence": diag.check_equivalence(short_admissible_run, wc),
-        "dissipation": diag.check_dissipation(short_admissible_run, ops, wc.m0),
+        "dissipation": diag.check_dissipation(short_admissible_run, wc.m0),
         "decay": diag.check_decay_bound(short_admissible_run, wc),
     }
     text = diag.render_report(wc, results, header="short run")

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import kgwell.diagnostics as diag
-from _oracles import two_solve_step
+from _oracles import stored_state_dissipation, two_solve_step
 from conftest import interval_setup, square_setup
 from kgwell import (
     CouplingSpec,
@@ -15,14 +15,13 @@ from kgwell import (
     ScenarioConfig,
     SimState,
     StepOptions,
-    Trajectory,
     first_eigenpair,
     prepare,
     simulate,
     step,
     write_trajectory_csv,
 )
-from kgwell.dynamics import TrajectoryPoint, _compat_residual
+from kgwell.dynamics import _compat_residual, record
 
 
 def without_damping(ops):
@@ -200,13 +199,59 @@ def test_simulate_without_coupling_steps_and_samples_linearly():
     traj = simulate(prep)
     opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     state = prep.state0
+    states = []
+    assert traj.samples[0].energy == diag.full_sample(state, prep.operators, None,
+                                                      traj.meta["eps1"], prep.threshold)
     for p in traj.samples[1:]:
         state = step(state, prep.dt, prep.operators, None, opts)
-        for name in ("u", "v", "du", "dv"):
-            assert np.array_equal(getattr(p.state, name), getattr(state, name)), name
+        states.append(state)
+        assert p.energy == diag.full_sample(state, prep.operators, None,
+                                            traj.meta["eps1"], prep.threshold)
+    for name in ("u", "v", "du", "dv"):
+        assert np.array_equal(getattr(traj.samples[-1].state, name), getattr(state, name)), name
     assert all(p.energy.coupling == 0.0 for p in traj.samples)
     coupled = step(prep.state0, prep.dt, prep.operators, prep.spec, opts)
-    assert not np.array_equal(coupled.u, traj.samples[1].state.u)
+    assert not np.array_equal(coupled.u, states[0].u)
+
+
+STREAMED_CASES = {
+    "interval-16": ScenarioConfig(name="i", elements=16, x0=(0.0,), dt=5e-3, t_end=0.3,
+                                  stride=3, u0=FieldInit("eigenfunction", 0.2),
+                                  v0=FieldInit("bump", 0.15)),
+    "square-6": ScenarioConfig(name="s", mesh_kind="rectangle", nx=6, ny=6, x0=(-0.1, -0.1),
+                               dt=0.01, t_end=0.2, stride=2,
+                               u0=FieldInit("eigenfunction", 0.2),
+                               v0=FieldInit("polynomial", 0.1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_CASES))
+def test_streamed_dissipation_matches_stored_states_bitwise(name):
+    prep = prepare(STREAMED_CASES[name])
+    cfg, ops = prep.config, prep.operators
+    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    eps1 = 1.0 / (2.0 * prep.constants.P)
+    states = [prep.state0]
+    for k in range(1, round(cfg.t_end / prep.dt) + 1):
+        states.append(step(states[-1], prep.dt, ops, prep.spec, opts))
+    sampled = states[::cfg.stride]
+    assert len(sampled) > 2 and sampled[-1] is states[-1]
+    pairs = [(s, diag.full_sample(s, ops, prep.spec, eps1, prep.threshold)) for s in sampled]
+    worst, worst_t = stored_state_dissipation(pairs, ops, ops.delta_min)
+    assert worst > -math.inf
+    for traj in (record(sampled, ops, prep.spec, eps1, prep.threshold), simulate(prep)):
+        rep = diag.check_dissipation(traj, ops.delta_min, slack=0.0)
+        assert rep.worst_residual == worst and rep.worst_t == worst_t
+
+
+def test_simulate_keeps_only_first_and_last_state():
+    cfg = ScenarioConfig(name="two", elements=8, x0=(0.0,), dt=0.01, t_end=0.1, stride=2,
+                         u0=FieldInit("eigenfunction", 0.2))
+    traj = simulate(cfg)
+    kept = [p.state is not None for p in traj.samples]
+    assert kept == [True] + [False] * (len(kept) - 2) + [True]
+    assert len(kept) == 6
+    assert traj.samples[-1].state.t == traj.meta["t_final"]
 
 
 def test_simulate_admissible_well_and_dt_refinement():
@@ -236,15 +281,15 @@ def test_trajectory_validation():
     spec = CouplingSpec(1.0)
     s0 = SimState.zero(ops.n_free)
 
-    def point(t):
-        st = SimState(t, s0.u, s0.v, s0.du, s0.dv)
-        return TrajectoryPoint(st, diag.full_sample(st, ops, spec, 0.0, 1.0))
+    def trajectory(*times):
+        states = [SimState(t, s0.u, s0.v, s0.du, s0.dv) for t in times]
+        return record(states, ops, spec, 0.0, 1.0)
 
     with pytest.raises(ValueError):
-        Trajectory([point(0.5)])  # first sample must sit at t = 0
+        trajectory(0.5)  # first sample must sit at t = 0
     with pytest.raises(ValueError):
-        Trajectory([point(0.0), point(0.0)])  # strictly increasing times
-    Trajectory([point(0.0), point(0.1)])
+        trajectory(0.0, 0.0)  # strictly increasing times
+    trajectory(0.0, 0.1)
 
 
 def test_default_dt_uses_mesh_resolution():
