@@ -15,7 +15,6 @@ from kgwell import (
     build_interval_mesh,
     build_rectangle_mesh,
     classify_boundary,
-    geometry_constants,
     save_mesh_text,
 )
 
@@ -29,7 +28,7 @@ for f, nrm, lab in zip(mesh.facets, mesh.facet_normals, part.labels):
     x = mesh.vertices[f[0], 0]
     kind = "damped" if lab else "clamped"
     print(f"  facet at x = {x:.1f}, normal {nrm[0]:+.0f}: {kind}")
-print(f"  constants: {geometry_constants(part)}")
+print(f"  constants: R = {part.R}, m0 = {part.m0}")
 print()
 
 print("== unit square, star point outside the lower-left corner ==")

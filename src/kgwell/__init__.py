@@ -67,7 +67,6 @@ from .geometry import (
     build_interval_mesh,
     build_rectangle_mesh,
     classify_boundary,
-    geometry_constants,
     load_mesh_text,
     radial_field,
     save_mesh_text,

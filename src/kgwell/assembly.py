@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import BOUNDARY_QUAD_DEGREE, BoundaryPartition, Mesh, radial_field
-from .quadrature import p1_shape_segment, p1_shape_triangle, segment_rule, triangle_rule
+from .geometry import (BOUNDARY_QUAD_DEGREE, BoundaryPartition, Mesh, cofactors,
+                       edge_vectors, leibniz_det, radial_field)
+from .quadrature import simplex_quadrature
 
 #: Volume quadrature degree for the bilinear forms (mass integrand is
 #: quadratic, multiplier integrand cubic at most; 4 is exact for all).
@@ -92,43 +93,22 @@ class DiscreteOperators:
         return self._caches[key]
 
 
-def _element_geometry(mesh: Mesh):
-    """Per-element P1 gradients (ne, nloc, dim) and volumes (ne,)."""
-    coords = mesh.vertices[mesh.elements]
-    vol = mesh.element_volumes()
-    if mesh.dim == 1:
-        h = vol[:, None, None]
-        grads = np.concatenate([-1.0 / h, 1.0 / h], axis=1)
-        return grads, vol
-    e1 = coords[:, 1] - coords[:, 0]
-    e2 = coords[:, 2] - coords[:, 0]
-    det = 2.0 * vol
-    # rows of inv([e1 e2]) give grad of the two non-corner shape functions
-    g1 = np.column_stack([e2[:, 1], -e2[:, 0]]) / det[:, None]
-    g2 = np.column_stack([-e1[:, 1], e1[:, 0]]) / det[:, None]
-    g0 = -(g1 + g2)
-    return np.stack([g0, g1, g2], axis=1), vol
-
-
-def _volume_rule(mesh: Mesh, degree: int):
-    """Reference rule and shape table for the mesh's element type."""
-    if mesh.dim == 1:
-        pts, wts = segment_rule(degree)
-        return pts.reshape(-1, 1), wts, p1_shape_segment(pts)
-    pts, wts = triangle_rule(degree)
-    return pts, wts, p1_shape_triangle(pts)
+def _element_geometry(coords: np.ndarray):
+    """P1 gradients (nc, d+1, d) and volumes (nc,) of d-simplices with
+    vertices coords (nc, d+1, d): grad phi_1..phi_d are the rows of
+    E^{-T} = cofactor(E)/det(E), and grad phi_0 = -(their sum)."""
+    edges = edge_vectors(coords)
+    det = leibniz_det(edges)
+    grads = cofactors(edges) / det[:, None, None]
+    grad0 = -np.sum(grads, axis=1, keepdims=True)
+    return np.concatenate([grad0, grads], axis=1), det / math.factorial(edges.shape[1])
 
 
 def element_quadrature_tables(mesh: Mesh, degree: int):
     """(points, wdet, shapes): global quadrature points (ne, nq, dim),
     weights times Jacobian (ne, nq), P1 shape values (nq, nloc)."""
-    ref, wts, shapes = _volume_rule(mesh, degree)
     coords = mesh.vertices[mesh.elements]
-    pts = np.einsum("qk,ekd->eqd", shapes, coords)
-    vol = mesh.element_volumes()
-    jac = vol if mesh.dim == 1 else 2.0 * vol  # reference measures 1 and 1/2
-    wdet = wts[None, :] * jac[:, None]
-    return pts, wdet, shapes
+    return simplex_quadrature(coords, mesh.element_volumes(), degree)
 
 
 def _scatter(n: int, conn: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
@@ -180,7 +160,7 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition, delta=None,
         must leave delta strictly positive) at any boundary quadrature point.
     """
     n = mesh.n_vertices
-    grads, vol = _element_geometry(mesh)
+    grads, vol = _element_geometry(mesh.vertices[mesh.elements])
     pts, wdet, shapes = element_quadrature_tables(mesh, VOLUME_QUAD_DEGREE)
 
     m_local = np.einsum("eq,qi,qj->eij", wdet, shapes, shapes)

@@ -319,10 +319,9 @@ def _compat_residual(operators: DiscreteOperators, disp: np.ndarray,
     g1 = operators.partition.gamma1_facets
     if len(g1) == 0:
         return 0.0
-    grads, _ = _element_geometry(mesh)
-    owners = mesh.facet_owner()[g1]
-    disp_full = operators.embed(disp)
-    grad_u = np.einsum("fk,fkd->fd", disp_full[mesh.elements[owners]], grads[owners])
+    owners = mesh.elements[mesh.facet_owner()[g1]]
+    grads, _ = _element_geometry(mesh.vertices[owners])
+    grad_u = np.einsum("fk,fkd->fd", operators.embed(disp)[owners], grads)
     dn = np.einsum("fd,fd->f", grad_u, mesh.facet_normals[g1])
     q = gamma1_table(operators)
     resid = dn[:, None] + operators.delta_gamma1 * q.values(vel)

@@ -2,6 +2,11 @@
 field m(x) = x - x0, and the split of the boundary into a clamped part
 (m . nu <= 0) and a damped part (m . nu > 0).
 
+One simplex path serves every dimension.  With E the edge vectors from a
+cell's vertex 0, volumes are det(E)/d! (signed), facet measures
+sqrt(det(E E^T))/(d-1)! and P1 gradients cofactor(E)/det(E), with Leibniz
+determinants; cells are integrated by quadrature.simplex_quadrature.
+
 Two geometric constants drive every later estimate:
 
 * R:  largest |m(x)| over the mesh vertices (exact for polytopes, since the
@@ -11,11 +16,13 @@ Two geometric constants drive every later estimate:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import segment_rule
+from .quadrature import simplex_quadrature
 
 #: Quadrature degree used on boundary facets (classification and later
 #: boundary-matrix assembly must share it so that m0 really bounds the
@@ -41,6 +48,33 @@ class MixedFacetError(Exception):
 
 class EmptyGamma1Error(Exception):
     """No facet has m . nu > 0, so there is no damped boundary part."""
+
+
+def edge_vectors(coords: np.ndarray) -> np.ndarray:
+    """Edge vectors E (..., k, dim) from vertex 0 of simplices (..., k+1, dim)."""
+    return coords[..., 1:, :] - coords[..., :1, :]
+
+
+def leibniz_det(A: np.ndarray) -> np.ndarray:
+    """Determinants of stacked square matrices (..., n, n) as the Leibniz sum
+    over permutations; 1 for n = 0."""
+    total = np.zeros(A.shape[:-2])
+    for perm in itertools.permutations(range(A.shape[-1])):
+        term = np.ones(A.shape[:-2])
+        for i, j in enumerate(perm):
+            term = term * A[..., i, j]
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+def cofactors(A: np.ndarray) -> np.ndarray:
+    """Cofactor matrices of stacked square matrices (..., n, n)."""
+    cof = np.empty(A.shape)
+    for i, j in itertools.product(range(A.shape[-1]), repeat=2):
+        minor = leibniz_det(np.delete(np.delete(A, i, axis=-2), j, axis=-1))
+        cof[..., i, j] = -minor if (i + j) % 2 else minor
+    return cof
 
 
 @dataclass(frozen=True)
@@ -91,19 +125,15 @@ class Mesh:
         return len(self.facets)
 
     def element_volumes(self) -> np.ndarray:
-        coords = self.vertices[self.elements]
-        if self.dim == 1:
-            return coords[:, 1, 0] - coords[:, 0, 0]
-        e1 = coords[:, 1] - coords[:, 0]
-        e2 = coords[:, 2] - coords[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        """Signed element volumes det(E)/d!, positive when oriented."""
+        return leibniz_det(edge_vectors(self.vertices[self.elements])) / math.factorial(self.dim)
 
     def facet_measures(self) -> np.ndarray:
-        """Facet sizes: edge lengths in 2D, counting measure 1 for points."""
-        if self.dim == 1:
-            return np.ones(self.n_facets)
-        coords = self.vertices[self.facets]
-        return np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1)
+        """Facet sizes sqrt(det(E E^T))/(d-1)!: edge lengths in 2D, counting
+        measure 1 for points."""
+        edges = edge_vectors(self.vertices[self.facets])
+        gram = np.sum(edges[:, :, None, :] * edges[:, None, :, :], axis=-1)
+        return np.sqrt(leibniz_det(gram)) / math.factorial(self.dim - 1)
 
     def facet_owner(self) -> np.ndarray:
         """Index of the unique element owning each boundary facet."""
@@ -116,27 +146,14 @@ class Mesh:
         (nf, nq) absorbing the facet measure, shapes (nq, dim) P1 values of
         the facet's own vertices at the points.
         """
-        if self.dim == 1:
-            pts = self.vertices[self.facets[:, 0]][:, None, :]
-            wts = np.ones((self.n_facets, 1))
-            shp = np.ones((1, 1))
-            return pts, wts, shp
-        ref, w = segment_rule(degree)
-        a = self.vertices[self.facets[:, 0]]
-        b = self.vertices[self.facets[:, 1]]
-        pts = a[:, None, :] + ref[None, :, None] * (b - a)[:, None, :]
-        wts = w[None, :] * self.facet_measures()[:, None]
-        shp = np.column_stack([1.0 - ref, ref])
-        return pts, wts, shp
+        return simplex_quadrature(self.vertices[self.facets], self.facet_measures(), degree)
 
     def min_diameter(self) -> float:
+        """Smallest element diameter (longest vertex-pair distance)."""
         coords = self.vertices[self.elements]
-        if self.dim == 1:
-            return float(np.min(coords[:, 1, 0] - coords[:, 0, 0]))
-        d01 = np.linalg.norm(coords[:, 0] - coords[:, 1], axis=1)
-        d12 = np.linalg.norm(coords[:, 1] - coords[:, 2], axis=1)
-        d20 = np.linalg.norm(coords[:, 2] - coords[:, 0], axis=1)
-        return float(np.min(np.maximum(np.maximum(d01, d12), d20)))
+        pairs = itertools.combinations(range(self.dim + 1), 2)
+        lengths = [np.linalg.norm(coords[:, i] - coords[:, j], axis=1) for i, j in pairs]
+        return float(np.min(np.max(lengths, axis=0)))
 
     def _find_owners(self) -> np.ndarray:
         """Owner of each facet, by binary search over sorted element-face keys."""
@@ -286,11 +303,6 @@ def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
                 f"{len(touching)} vertex/vertices; facets are attributed wholly to one label"
             )
     return BoundaryPartition(mesh, x0, labels, R, m0, tuple(warnings))
-
-
-def geometry_constants(partition: BoundaryPartition) -> dict[str, float]:
-    """The constants R and m0 of a valid partition."""
-    return {"R": partition.R, "m0": partition.m0}
 
 
 # ---------------------------------------------------------------------------

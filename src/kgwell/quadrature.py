@@ -1,63 +1,70 @@
-"""Gauss quadrature rules on segments and triangles.
+"""Gauss quadrature on the reference k-simplex {x >= 0, x1 + ... + xk <= 1}.
 
-Rules are parametrized by the polynomial degree they must integrate
-exactly.  Triangle rules are built from tensor Gauss-Legendre points
-through the Duffy (collapsed square) map, which is exact for any
-requested degree at the cost of a few extra points.
+One construction serves every cell: points (k = 0), segments (k = 1),
+triangles (k = 2) and tetrahedra (k = 3).  Rules are parametrized by the
+polynomial degree they must integrate exactly and are built from tensor
+Gauss-Legendre points on [0, 1]^k through the collapsed (Duffy) map, which
+is exact for any requested degree at the cost of a few extra points.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import lru_cache, reduce
 
 import numpy as np
 
 
 @lru_cache(maxsize=None)
-def segment_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights on [0, 1], exact for polynomials of `degree`."""
-    if degree < 0:
-        raise ValueError("quadrature degree must be nonnegative")
-    npts = (degree + 2) // 2  # Gauss with q points is exact to 2q-1
-    x, w = np.polynomial.legendre.leggauss(max(npts, 1))
-    pts = 0.5 * (x + 1.0)
-    wts = 0.5 * w
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    return pts, wts
+def _gauss(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """q-point Gauss-Legendre rule on [0, 1], shared by all rules using q."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 @lru_cache(maxsize=None)
-def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points (barycentric-free reference coords) and weights on the unit
-    triangle {x, y >= 0, x + y <= 1}, exact for polynomials of `degree`.
+def simplex_rule(k: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points (npts, k) and weights (npts,) on the reference k-simplex,
+    exact for polynomials of `degree`; k = 0 is one point of weight 1.
 
-    Duffy map: (s, t) in [0,1]^2 -> (s, t(1-s)), Jacobian (1-s).  A degree-d
-    polynomial pulls back to degree <= d+1 per variable, so q Gauss points
-    per direction with 2q-1 >= d+1 suffice.
+    Duffy map: s in [0,1]^k -> x_j = s_j (1 - s_1) ... (1 - s_{j-1}), with
+    Jacobian prod_j (1 - s_1) ... (1 - s_{j-1}).  A degree-d polynomial
+    pulls back to degree <= d + k - 1 per variable, so q Gauss points per
+    direction with 2q - 1 >= d + k - 1 suffice.
     """
     if degree < 0:
         raise ValueError("quadrature degree must be nonnegative")
-    q = (degree + 3) // 2
-    x, w = np.polynomial.legendre.leggauss(max(q, 1))
-    s = 0.5 * (x + 1.0)
-    ws = 0.5 * w
-    S, T = np.meshgrid(s, s, indexing="ij")
-    WS, WT = np.meshgrid(ws, ws, indexing="ij")
-    xs = S.ravel()
-    ys = (T * (1.0 - S)).ravel()
-    wts = (WS * WT * (1.0 - S)).ravel()
-    pts = np.column_stack([xs, ys])
+    q = max((degree + k + 1) // 2, 1)
+    x, w = _gauss(q)
+    s = [g.ravel() for g in np.meshgrid(*[x] * k, indexing="ij")]
+    ws = [g.ravel() for g in np.meshgrid(*[w] * k, indexing="ij")]
+    pts = np.zeros((q ** k, k))
+    wts = np.ones(q ** k)
+    rest = np.ones(q ** k)  # (1 - s_1) ... (1 - s_{j-1})
+    for j in range(k):
+        pts[:, j] = s[j] * rest
+        wts = wts * ws[j] * rest
+        rest = rest * (1.0 - s[j])
     pts.setflags(write=False)
     wts.setflags(write=False)
     return pts, wts
 
 
-def p1_shape_segment(pts: np.ndarray) -> np.ndarray:
-    """P1 shape function values on reference segment; shape (npts, 2)."""
-    return np.column_stack([1.0 - pts, pts])
+def p1_shapes(ref: np.ndarray) -> np.ndarray:
+    """P1 shape values (npts, k+1) at reference points (npts, k): the
+    barycentric coordinates 1 - x1 - ... - xk, x1, ..., xk."""
+    first = reduce(np.subtract, ref.T, np.ones(len(ref)))  # left to right
+    return np.column_stack([first, ref])
 
 
-def p1_shape_triangle(pts: np.ndarray) -> np.ndarray:
-    """P1 shape function values on reference triangle; shape (npts, 3)."""
-    return np.column_stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+def simplex_quadrature(coords: np.ndarray, measures: np.ndarray, degree: int):
+    """Rule of `degree` on k-simplices with vertices coords (nc, k+1, dim) and
+    measures (nc,): points (nc, nq, dim), weights (nc, nq) absorbing the
+    measure, and P1 values (nq, k+1) of the cell's own vertices."""
+    k = coords.shape[1] - 1
+    ref, w = simplex_rule(k, degree)
+    shapes = p1_shapes(ref)
+    pts = np.einsum("qk,ckd->cqd", shapes, coords)
+    # reference weights sum to 1/k!, so scale by k! times the measure
+    wts = w[None, :] * (measures * math.factorial(k))[:, None]
+    return pts, wts, shapes

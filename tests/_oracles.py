@@ -208,3 +208,103 @@ def stored_state_dissipation(states, operators, m0):
         if residual > worst:
             worst, worst_t = residual, ea.t
     return worst, worst_t
+
+
+# -- per-dimension references for the simplex geometry ------------------------
+# The segment and triangle rules and the hand-written 1D / 2D cell formulas
+# as the library wrote them before one simplex path served every dimension.
+# The simplex path does the same arithmetic in the same order, so results
+# must agree bitwise; the one exception is the 2D facet points, formed here
+# as a + t (b - a) and in the library as (1 - t) a + t b.
+
+def segment_rule(degree):
+    npts = (degree + 2) // 2
+    x, w = np.polynomial.legendre.leggauss(max(npts, 1))
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def triangle_rule(degree):
+    q = (degree + 3) // 2
+    x, w = np.polynomial.legendre.leggauss(max(q, 1))
+    s = 0.5 * (x + 1.0)
+    ws = 0.5 * w
+    S, T = np.meshgrid(s, s, indexing="ij")
+    WS, WT = np.meshgrid(ws, ws, indexing="ij")
+    pts = np.column_stack([S.ravel(), (T * (1.0 - S)).ravel()])
+    return pts, (WS * WT * (1.0 - S)).ravel()
+
+
+def p1_shape_segment(pts):
+    return np.column_stack([1.0 - pts, pts])
+
+
+def p1_shape_triangle(pts):
+    return np.column_stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+
+
+def branched_element_volumes(mesh):
+    coords = mesh.vertices[mesh.elements]
+    if mesh.dim == 1:
+        return coords[:, 1, 0] - coords[:, 0, 0]
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def branched_facet_measures(mesh):
+    if mesh.dim == 1:
+        return np.ones(mesh.n_facets)
+    coords = mesh.vertices[mesh.facets]
+    return np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1)
+
+
+def branched_facet_quadrature(mesh, degree):
+    if mesh.dim == 1:
+        pts = mesh.vertices[mesh.facets[:, 0]][:, None, :]
+        return pts, np.ones((mesh.n_facets, 1)), np.ones((1, 1))
+    ref, w = segment_rule(degree)
+    a = mesh.vertices[mesh.facets[:, 0]]
+    b = mesh.vertices[mesh.facets[:, 1]]
+    pts = a[:, None, :] + ref[None, :, None] * (b - a)[:, None, :]
+    wts = w[None, :] * branched_facet_measures(mesh)[:, None]
+    return pts, wts, np.column_stack([1.0 - ref, ref])
+
+
+def branched_min_diameter(mesh):
+    coords = mesh.vertices[mesh.elements]
+    if mesh.dim == 1:
+        return float(np.min(coords[:, 1, 0] - coords[:, 0, 0]))
+    d01 = np.linalg.norm(coords[:, 0] - coords[:, 1], axis=1)
+    d12 = np.linalg.norm(coords[:, 1] - coords[:, 2], axis=1)
+    d20 = np.linalg.norm(coords[:, 2] - coords[:, 0], axis=1)
+    return float(np.min(np.maximum(np.maximum(d01, d12), d20)))
+
+
+def branched_element_geometry(mesh):
+    """P1 gradients (ne, nloc, dim) and volumes (ne,)."""
+    coords = mesh.vertices[mesh.elements]
+    vol = branched_element_volumes(mesh)
+    if mesh.dim == 1:
+        h = vol[:, None, None]
+        return np.concatenate([-1.0 / h, 1.0 / h], axis=1), vol
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    det = 2.0 * vol
+    g1 = np.column_stack([e2[:, 1], -e2[:, 0]]) / det[:, None]
+    g2 = np.column_stack([-e1[:, 1], e1[:, 0]]) / det[:, None]
+    return np.stack([-(g1 + g2), g1, g2], axis=1), vol
+
+
+def branched_element_tables(mesh, degree):
+    """(points, wdet, shapes) of the element quadrature."""
+    if mesh.dim == 1:
+        ref, wts = segment_rule(degree)
+        shapes = p1_shape_segment(ref)
+    else:
+        ref, wts = triangle_rule(degree)
+        shapes = p1_shape_triangle(ref)
+    coords = mesh.vertices[mesh.elements]
+    pts = np.einsum("qk,ekd->eqd", shapes, coords)
+    vol = branched_element_volumes(mesh)
+    jac = vol if mesh.dim == 1 else 2.0 * vol
+    return pts, wts[None, :] * jac[:, None], shapes

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from kgwell import FieldInit, ScenarioConfig, simulate
+from kgwell import FieldInit, ScenarioConfig, prepare, simulate
+from kgwell.assembly import element_quadrature_tables
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,3 +39,13 @@ def test_trajectory_exposes_what_the_benchmark_child_reads():
     assert len(traj.samples) == 4
     u = traj.samples[0].state.u
     assert isinstance(u, np.ndarray) and len(u) == 8
+
+
+def test_element_tables_give_what_the_benchmark_child_counts():
+    cfg = ScenarioConfig(name="bench", mesh_kind="rectangle", nx=3, ny=2,
+                         x0=(-0.1, -0.1), u0=FieldInit("eigenfunction", 0.1))
+    prep = prepare(cfg)
+    pts, wdet, shapes = element_quadrature_tables(prep.mesh, prep.spec.quad_degree)
+    nq = len(shapes)
+    assert wdet.size == prep.mesh.n_elements * nq
+    assert pts.shape == (prep.mesh.n_elements, nq, 2)

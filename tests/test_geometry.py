@@ -14,7 +14,6 @@ from kgwell.geometry import (
     build_interval_mesh,
     build_rectangle_mesh,
     classify_boundary,
-    geometry_constants,
     load_mesh_text,
     save_mesh_text,
 )
@@ -105,7 +104,7 @@ def test_classify_interval_star_at_left():
     assert part.labels[1] == GAMMA1
     assert part.R == 1.0
     assert part.m0 == 1.0
-    assert geometry_constants(part) == {"R": 1.0, "m0": 1.0}
+    assert (part.R, part.m0) == (1.0, 1.0)
 
 
 def test_classify_square_hand_values():
@@ -118,16 +117,15 @@ def test_classify_square_hand_values():
     # m . nu = 1.1 on the right and top edges; R at the far corner (1, 1)
     assert np.isclose(part.m0, 1.1)
     assert np.isclose(part.R, np.hypot(1.1, 1.1))
-    consts = geometry_constants(part)
-    assert np.isclose(consts["R"], 1.5556, atol=5e-5)
-    assert np.isclose(consts["m0"], 1.1)
+    assert np.isclose(part.R, 1.5556, atol=5e-5)
+    assert np.isclose(part.m0, 1.1)
     assert part.warnings  # corner-touching closures are reported
 
 
 def test_classify_longer_interval():
     mesh = build_interval_mesh(0.0, 2.0, 8)
     part = classify_boundary(mesh, 0.0)
-    assert geometry_constants(part) == {"R": 2.0, "m0": 2.0}
+    assert (part.R, part.m0) == (2.0, 2.0)
 
 
 def test_classify_rejects_bad_x0():
