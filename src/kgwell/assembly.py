@@ -11,8 +11,14 @@ GAMMA0 part of the boundary):
 
 Nonlinear integrands (coupling |u|^rho |v|^rho v, L^p norms, GAMMA1 traces)
 are evaluated pointwise (they are continuous; no regularization of |.|^rho is
-needed) by fixed Gauss quadrature through one cached QuadratureTable per cell
-set: the elements at a given degree, and the GAMMA1 facets.
+needed) by fixed Gauss quadrature through a QuadratureTable per cell set: the
+elements at a given degree, and the GAMMA1 facets.  QuadratureTable.reduce
+runs a pointwise kernel over a fixed partition of the cells into blocks of
+about BLOCK_POINTS quadrature points, so its temporaries are block-sized; it
+writes each block's results into one buffer over all cells and reduces that
+buffer in one call, so every sum adds in the order of a single pass.  The
+coupling's table is cached on the operators for the time loop; tables used
+only during setup are built per call.
 """
 
 from __future__ import annotations
@@ -25,11 +31,17 @@ import scipy.sparse as sp
 
 from .geometry import (BOUNDARY_QUAD_DEGREE, BoundaryPartition, Mesh, cofactors,
                        edge_vectors, leibniz_det, radial_field)
-from .quadrature import simplex_quadrature
+from .quadrature import simplex_quadrature, simplex_weights
 
 #: Volume quadrature degree for the bilinear forms (mass integrand is
 #: quadratic, multiplier integrand cubic at most; 4 is exact for all).
 VOLUME_QUAD_DEGREE = 4
+
+#: Quadrature points per block of cells in QuadratureTable.reduce: 4096
+#: triangles at 9 points.  Of 256 to 8192 triangles per block, 4096 made
+#: coupling_vectors fastest on the 64^2 and 128^2 squares (2.23 ms a call at
+#: 128^2, 2.66 ms in one pass); a 50-element interval is one block.
+BLOCK_POINTS = 36864
 
 
 @dataclass
@@ -209,18 +221,23 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition, delta=None,
 class QuadratureTable:
     """Quadrature on one cell set over free nodes: conn (ncells, nloc) sends
     clamped vertices to slot n_free, which reads as zero and is dropped;
-    shapes (nq, nloc) are P1 values, w (ncells, nq) weights times measure."""
+    shapes (nq, nloc) are P1 values, w (ncells, nq) weights times measure.
+    reduce() visits the cells in consecutive blocks of block_cells."""
 
     conn: np.ndarray
     shapes: np.ndarray
     w: np.ndarray
     n_free: int
+    block_cells: int
+
+    def _padded(self, x: np.ndarray) -> np.ndarray:
+        padded = np.zeros(self.n_free + 1)
+        padded[:-1] = x
+        return padded
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Values (ncells, nq) of the free-node field x at the points."""
-        padded = np.zeros(self.n_free + 1)
-        padded[:-1] = x
-        return padded[self.conn] @ self.shapes.T
+        return self._padded(x)[self.conn] @ self.shapes.T
 
     def project(self, fw: np.ndarray) -> np.ndarray:
         """Galerkin vector sum_cq fw[c, q] phi_i(x_cq) for fw already times
@@ -228,20 +245,68 @@ class QuadratureTable:
         local = fw @ self.shapes
         return np.bincount(self.conn.ravel(), local.ravel(), self.n_free + 1)[:-1]
 
+    def reduce(self, fields, kernel):
+        """Integrals and Galerkin vectors of pointwise functions of the
+        free-node fields, evaluated one block of cells at a time.
+
+        kernel(*values) gets each field's values (nb, nq) on one block and
+        returns (integrands, projected): two tuples of new (nb, nq) arrays,
+        which reduce may overwrite.  Returns the np.sum of each integrand
+        times w, and the project() of each projected array times w, over all
+        cells.  Each product with w is written block by block into one
+        (ncells, nq) buffer, which is reduced in one call, so every sum adds
+        in the order of a single pass over the cells (projecting block by
+        block would not: BLAS picks its kernel, and with it the rounding, by
+        matrix size).
+        """
+        padded = [self._padded(x) for x in fields]
+        if len(self.conn) <= self.block_cells:
+            integrands, projected = self._block(kernel, padded, self.conn)
+            for f in integrands + projected:
+                np.multiply(f, self.w, out=f)
+        else:
+            integrands, projected = self._blockwise(kernel, padded)
+        return [np.sum(f) for f in integrands], [self.project(f) for f in projected]
+
+    def _block(self, kernel, padded, conn):
+        shapes_t = self.shapes.T
+        return kernel(*[x[conn] @ shapes_t for x in padded])
+
+    def _blockwise(self, kernel, padded):
+        """The kernel's arrays times w over all cells, one block at a time."""
+        buffers = None
+        for start in range(0, len(self.conn), self.block_cells):
+            cells = slice(start, start + self.block_cells)
+            integrands, projected = self._block(kernel, padded, self.conn[cells])
+            if buffers is None:
+                buffers = ([np.empty(self.w.shape) for _ in integrands],
+                           [np.empty(self.w.shape) for _ in projected])
+            for buf, block in zip(buffers[0] + buffers[1], integrands + projected):
+                np.multiply(block, self.w[cells], out=buf[cells])
+        return buffers
+
 
 def _table(operators: DiscreteOperators, cells: np.ndarray, shapes: np.ndarray,
            w: np.ndarray) -> QuadratureTable:
     slot = np.full(operators.n_nodes, operators.n_free)
     slot[operators.free] = np.arange(operators.n_free)
-    return QuadratureTable(slot[cells], shapes, w, operators.n_free)
+    # a multiple of 8 cells: OpenBLAS rounds the rows past the last multiple
+    # of its kernel width differently (seen on blocks of 1, 3 and 7 cells)
+    block_cells = max(BLOCK_POINTS // len(shapes) // 8 * 8, 8)
+    return QuadratureTable(slot[cells], shapes, w, operators.n_free, block_cells)
 
 
 def volume_table(operators: DiscreteOperators, degree: int) -> QuadratureTable:
-    """Cached table of the mesh elements at quadrature `degree`."""
-    def build():
-        _, wdet, shapes = element_quadrature_tables(operators.mesh, degree)
-        return _table(operators, operators.mesh.elements, shapes, wdet)
-    return operators.cache(("volume", degree), build)
+    """Table of the mesh elements at quadrature `degree`, built per call."""
+    wdet, shapes = simplex_weights(operators.mesh.dim, operators.mesh.element_volumes(),
+                                   degree)
+    return _table(operators, operators.mesh.elements, shapes, wdet)
+
+
+def _coupling_table(operators: DiscreteOperators, spec: CouplingSpec) -> QuadratureTable:
+    """volume_table at the coupling degree, cached for the time loop."""
+    degree = spec.quad_degree
+    return operators.cache(("volume", degree), lambda: volume_table(operators, degree))
 
 
 def gamma1_table(operators: DiscreteOperators) -> QuadratureTable:
@@ -261,13 +326,15 @@ def coupling_vectors(uv, spec: CouplingSpec, operators: DiscreteOperators):
       F_u[i] = int |u_h|^rho |v_h|^rho v_h phi_i dx
       F_v[i] = int |u_h|^rho u_h |v_h|^rho phi_i dx
     """
-    u, v = uv
-    q = volume_table(operators, spec.quad_degree)
-    uq, vq = q.values(u), q.values(v)
     rho = spec.rho
-    au = np.abs(uq) ** rho
-    av = np.abs(vq) ** rho
-    return q.project((au * av * vq) * q.w), q.project((au * uq * av) * q.w)
+
+    def kernel(uq, vq):
+        au = np.abs(uq) ** rho
+        av = np.abs(vq) ** rho
+        return (), (au * av * vq, au * uq * av)
+
+    _, (fu, fv) = _coupling_table(operators, spec).reduce(uv, kernel)
+    return fu, fv
 
 
 def coupling_energy(uv, spec: CouplingSpec, operators: DiscreteOperators) -> float:
@@ -277,12 +344,13 @@ def coupling_energy(uv, spec: CouplingSpec, operators: DiscreteOperators) -> flo
     gradient with respect to the u coefficients is exactly F_u (the 1/(rho+1)
     prefactor cancels the rho+1 produced by differentiating |u|^rho u).
     """
-    u, v = uv
-    q = volume_table(operators, spec.quad_degree)
-    uq, vq = q.values(u), q.values(v)
     rho = spec.rho
-    integrand = (np.abs(uq) ** rho * uq) * (np.abs(vq) ** rho * vq)
-    return float(np.sum(integrand * q.w) / (rho + 1.0))
+
+    def kernel(uq, vq):
+        return ((np.abs(uq) ** rho * uq) * (np.abs(vq) ** rho * vq),), ()
+
+    (total,), _ = _coupling_table(operators, spec).reduce(uv, kernel)
+    return float(total / (rho + 1.0))
 
 
 def write_coo_text(matrix, path) -> None:

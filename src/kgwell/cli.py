@@ -189,8 +189,9 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
         manifest["constants"] = prep.constants
         manifest["admissibility"] = prep.admissibility
         manifest["admissible"] = prep.admissibility.admissible
-        trajectory = simulate(prep)
-        # before any output: check_dissipation rejects too-coarse sampling
+        # the dissipation check needs fine sampling: a coarse run stops at
+        # its first sample pair, before any output
+        trajectory = simulate(prep, check_spacing="dissipation" in checks)
         results = _run_checks(trajectory, prep, checks)
     except _FAILURE_TYPES as exc:
         code, status = _failure(exc)

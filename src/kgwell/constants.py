@@ -15,6 +15,12 @@ The best constants are maximized over the finite-element space only, so
 they are lower bounds for their continuum counterparts; callers inflate
 them by a safety factor (default 1.1) before forming thresholds, which
 shrinks the admissible ball and keeps the well test conservative.
+
+Setup-only state ends with setup: compute_well_constants factors K once, as
+a local that the eigenpair solve and every best-constant iteration share,
+and the volume tables of the embedding constants are built per call, so
+neither outlives the computation.  The operators keep only the first
+eigenpair (and the GAMMA1 table), not the K factor.
 """
 
 from __future__ import annotations
@@ -53,24 +59,37 @@ def _require_constrained(operators: DiscreteOperators):
         )
 
 
-def first_eigenpair(operators: DiscreteOperators) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of K x = lambda M x, checked by its backward error,
-    solved once per operators and cached (the vector is read-only)."""
-    return operators.cache(("eigenpair",), lambda: _solve_first_eigenpair(operators))
-
-
-def _solve_first_eigenpair(operators: DiscreteOperators) -> tuple[float, np.ndarray]:
+def _factor_K(operators: DiscreteOperators, lu_K=None):
+    """lu_K, or a new sparse LU factor of K when it is None; SetupError
+    without a clamped part, or for an exactly singular K."""
     _require_constrained(operators)
+    if lu_K is not None:
+        return lu_K
+    try:
+        return spla.splu(operators.K.tocsc())
+    except RuntimeError as exc:  # exactly singular
+        raise SetupError(f"eigensolver failed: {exc}") from exc
+
+
+def first_eigenpair(operators: DiscreteOperators, lu_K=None) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of K x = lambda M x, checked by its backward error,
+    solved once per operators and cached (the vector is read-only).  lu_K is
+    a sparse LU factor of K to solve with; without it, K is factored for the
+    solve and the factor dropped."""
+    return operators.cache(("eigenpair",), lambda: _solve_first_eigenpair(
+        operators, _factor_K(operators, lu_K)))
+
+
+def _solve_first_eigenpair(operators: DiscreteOperators, lu) -> tuple[float, np.ndarray]:
     K, M = operators.K, operators.M
     n = operators.n_free
     try:
-        lu = _lu_K(operators)
         if n <= _DENSE_EIG_LIMIT:
             vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
             lam, x = float(vals[0]), vecs[:, 0]
         else:
-            # shift-invert at sigma = 0 with the cached K factor, so eigsh
-            # does not factor K again
+            # shift-invert at sigma = 0 with the K factor, so eigsh does not
+            # factor K again
             OPinv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
             vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM",
                                     v0=np.ones(n), OPinv=OPinv)
@@ -111,11 +130,6 @@ def _require_accurate_eigenpair(K, M, lam: float, x: np.ndarray) -> None:
                          f"{EIGENPAIR_BACKWARD_ERROR:g}")
 
 
-def _lu_K(operators: DiscreteOperators):
-    """Cached sparse LU factor of K."""
-    return operators.cache(("lu_K",), lambda: spla.splu(operators.K.tocsc()))
-
-
 def first_eigenvalue(operators: DiscreteOperators) -> float:
     return first_eigenpair(operators)[0]
 
@@ -127,19 +141,21 @@ def _vnorm(operators: DiscreteOperators, x: np.ndarray) -> float:
 def _lp(table: QuadratureTable, x: np.ndarray, p: float):
     """(||v_h||_{L^p} over the table's cells, gradient of ||.||_p^p / p wrt
     coefficients)."""
-    vq = table.values(x)
-    norm = float(np.sum(np.abs(vq) ** p * table.w)) ** (1.0 / p)
-    return norm, table.project(np.abs(vq) ** (p - 2.0) * vq * table.w)
+    def kernel(vq):
+        return (np.abs(vq) ** p,), (np.abs(vq) ** (p - 2.0) * vq,)
+
+    (total,), (grad,) = table.reduce((x,), kernel)
+    return float(total) ** (1.0 / p), grad
 
 
 def _best_constant(operators: DiscreteOperators, norm_and_grad, tol: float,
-                   max_iter: int):
+                   max_iter: int, lu_K):
     """Maximize ||v||_X / ||v||_V over the FE space by inverse iteration on
     the optimality system K v = mu * grad(||v||_X^p / p); one K-solve per
-    iterate, stopping when the quotient moves less than `tol`."""
-    _require_constrained(operators)
-    lu = _lu_K(operators)
-    _, v = first_eigenpair(operators)
+    iterate (with lu_K, or a factor made for this call), stopping when the
+    quotient moves less than `tol`."""
+    lu = _factor_K(operators, lu_K)
+    _, v = first_eigenpair(operators, lu)
     v = v / _vnorm(operators, v)
     quotient, g = norm_and_grad(v)
     for _ in range(max_iter):
@@ -162,8 +178,9 @@ def _best_constant(operators: DiscreteOperators, norm_and_grad, tol: float,
 
 
 def embedding_constant(operators: DiscreteOperators, p: float,
-                       tol: float = 1e-9, max_iter: int = 500) -> float:
-    """Discrete best constant of ||v||_{L^p(Omega)} <= c ||v||_V.
+                       tol: float = 1e-9, max_iter: int = 500, lu_K=None) -> float:
+    """Discrete best constant of ||v||_{L^p(Omega)} <= c ||v||_V, with the
+    sparse LU factor lu_K of K if given.
 
     Lower bound for the continuum constant (the maximum runs over the FE
     space only); inflate before deriving thresholds from it.
@@ -171,19 +188,20 @@ def embedding_constant(operators: DiscreteOperators, p: float,
     if p < 2:
         raise ValueError("p must be at least 2")
     table = volume_table(operators, max(4, math.ceil(p) + 2))
-    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter)
+    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter, lu_K)
     return c
 
 
 def trace_constant(operators: DiscreteOperators, p: float,
-                   tol: float = 1e-9, max_iter: int = 500) -> float:
-    """Discrete best constant of ||w||_{L^p(Gamma1)} <= c ||w||_V."""
+                   tol: float = 1e-9, max_iter: int = 500, lu_K=None) -> float:
+    """Discrete best constant of ||w||_{L^p(Gamma1)} <= c ||w||_V, with the
+    sparse LU factor lu_K of K if given."""
     if p < 2:
         raise ValueError("p must be at least 2")
     if len(operators.partition.gamma1_facets) == 0:
         raise ValueError("damped boundary part is empty")
     table = gamma1_table(operators)
-    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter)
+    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter, lu_K)
     return c
 
 
@@ -261,13 +279,15 @@ def compute_well_constants(operators: DiscreteOperators, rho: float,
                            safety: float = 1.1) -> WellConstants:
     """Full pipeline: eigenvalue, embedding/trace constants (inflated by
     `safety`), then the threshold formulas; dimension, R and m0 come from
-    the operators' mesh and boundary partition."""
-    lam1 = first_eigenvalue(operators)
+    the operators' mesh and boundary partition.  K is factored once here and
+    the factor is freed on return."""
+    lu = _factor_K(operators)
+    lam1, _ = first_eigenpair(operators, lu)
     p0 = 2.0 * (rho + 1.0)
-    c1 = embedding_constant(operators, 4.0)
-    c0 = c1 if p0 == 4.0 else embedding_constant(operators, p0)
-    c2 = trace_constant(operators, 4.0)
-    c3 = trace_constant(operators, 2.0)
+    c1 = embedding_constant(operators, 4.0, lu_K=lu)
+    c0 = c1 if p0 == 4.0 else embedding_constant(operators, p0, lu_K=lu)
+    c2 = trace_constant(operators, 4.0, lu_K=lu)
+    c3 = trace_constant(operators, 2.0, lu_K=lu)
     part = operators.partition
     return well_constants(
         rho, operators.mesh.dim, safety * c0, safety * c1, safety * c2, safety * c3,

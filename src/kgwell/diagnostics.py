@@ -141,6 +141,16 @@ def pair_flux(a, b, operators: DiscreteOperators) -> float:
     return _quad(T, 0.5 * (a.du + b.du)) + _quad(T, 0.5 * (a.dv + b.dv))
 
 
+def require_fine_sampling(gap: float) -> None:
+    """Reject a sample spacing wider than MAX_SAMPLE_SPACING, which the
+    finite-difference dissipation check cannot use."""
+    if gap > MAX_SAMPLE_SPACING + 1e-12:
+        raise ValueError(
+            f"sample spacing {gap:g} too coarse for a finite-difference "
+            f"derivative; need stride * dt <= {MAX_SAMPLE_SPACING:g}"
+        )
+
+
 def check_dissipation(trajectory, m0: float, slack: float | None = None) -> DissipationReport:
     """Finite-difference check of dE/dt <= -m0 (||u'||^2 + ||v'||^2 on the
     damped boundary), the trace forms being each pair's pair_flux, which the
@@ -151,11 +161,7 @@ def check_dissipation(trajectory, m0: float, slack: float | None = None) -> Diss
     if len(samples) < 2:
         raise ValueError("need at least two samples for a dissipation check")
     gaps = np.diff(trajectory.times())
-    if np.max(gaps) > MAX_SAMPLE_SPACING + 1e-12:
-        raise ValueError(
-            f"sample spacing {np.max(gaps):g} too coarse for a finite-difference "
-            f"derivative; need stride * dt <= {MAX_SAMPLE_SPACING:g}"
-        )
+    require_fine_sampling(np.max(gaps))
     if slack is None:
         dt = trajectory.meta.get("dt", float(np.min(gaps)))
         slack = 10.0 * dt * samples[0].energy.E

@@ -8,6 +8,14 @@ symmetric and A-stable and conserves quadratic invariants of the linear
 problem exactly, so every energy loss along a trajectory is attributable
 to the boundary damping B (plus an O(dt^3) per-step defect from the
 nonlinear coupling).
+
+What the time loop holds: the operators' matrices, the LU factors of the
+step matrix A = M + (dt/2) B + (dt^2/4) K and of M, the coupling's
+quadrature table, the first eigenpair, the GAMMA1 table, and per sample an
+energy row (the first and the last sample also keep their state).  Setup's
+K factor and embedding tables are gone by then (see constants), and the
+coupling integrals run in cell blocks (see assembly), so their temporaries
+are block-sized.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ class SimState:
         if not (len(self.v) == len(self.du) == len(self.dv) == n):
             raise ValueError("state vectors must have equal lengths")
         for name in ("u", "v", "du", "dv"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite entries in {name}")
 
     @staticmethod
@@ -358,10 +366,13 @@ def prepare(config: ScenarioConfig) -> Prepared:
     )
 
 
-def simulate(config: ScenarioConfig | Prepared) -> Trajectory:
+def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> Trajectory:
     """Run a scenario and sample it every `stride` steps (plus t = 0 and the
     final instant).  Proceeds even for inadmissible data; the admissibility
-    report travels in the trajectory metadata."""
+    report travels in the trajectory metadata.  With check_spacing, a sample
+    pair too far apart for the dissipation check raises ValueError
+    (diagnostics.require_fine_sampling) as soon as it is sampled, before the
+    rest of the horizon is simulated."""
     prep = config if isinstance(config, Prepared) else prepare(config)
     cfg = prep.config
     dt = prep.dt
@@ -371,12 +382,15 @@ def simulate(config: ScenarioConfig | Prepared) -> Trajectory:
     spec = prep.spec if cfg.coupling_enabled else None
 
     def sampled_states():
-        state = prep.state0
+        state = sampled = prep.state0
         yield state
         for k in range(1, n_steps + 1):
             state = step(state, dt, prep.operators, spec, opts)
             if k % cfg.stride == 0 or k == n_steps:
+                if check_spacing:
+                    diagnostics.require_fine_sampling(state.t - sampled.t)
                 yield state
+                sampled = state
 
     trajectory = record(sampled_states(), prep.operators, spec, eps1, prep.threshold)
     trajectory.meta = {

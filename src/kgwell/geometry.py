@@ -5,7 +5,9 @@ field m(x) = x - x0, and the split of the boundary into a clamped part
 One simplex path serves every dimension.  With E the edge vectors from a
 cell's vertex 0, volumes are det(E)/d! (signed), facet measures
 sqrt(det(E E^T))/(d-1)! and P1 gradients cofactor(E)/det(E), with Leibniz
-determinants; cells are integrated by quadrature.simplex_quadrature.
+determinants; cells are integrated by quadrature.simplex_quadrature.  A mesh
+is frozen, so it computes its volumes, facet measures and facet quadrature
+once and hands out the same read-only arrays.
 
 Two geometric constants drive every later estimate:
 
@@ -106,6 +108,7 @@ class Mesh:
         lengths = np.linalg.norm(self.facet_normals, axis=1)
         if np.any(np.abs(lengths - 1.0) > 1e-12):
             raise MeshError("facet normals must have unit length")
+        object.__setattr__(self, "_memo", {})
         if np.any(self.element_volumes() <= 0.0):
             raise MeshError("element volumes must be strictly positive")
         object.__setattr__(self, "_facet_owner", self._find_owners())
@@ -124,16 +127,29 @@ class Mesh:
     def n_facets(self) -> int:
         return len(self.facets)
 
+    def _once(self, key, build):
+        """build() on the first call with `key`, its arrays made read-only;
+        the same result on every later call."""
+        if key not in self._memo:
+            result = build()
+            for arr in result if isinstance(result, tuple) else (result,):
+                arr.setflags(write=False)
+            self._memo[key] = result
+        return self._memo[key]
+
     def element_volumes(self) -> np.ndarray:
         """Signed element volumes det(E)/d!, positive when oriented."""
-        return leibniz_det(edge_vectors(self.vertices[self.elements])) / math.factorial(self.dim)
+        return self._once("volumes", lambda: leibniz_det(
+            edge_vectors(self.vertices[self.elements])) / math.factorial(self.dim))
 
     def facet_measures(self) -> np.ndarray:
         """Facet sizes sqrt(det(E E^T))/(d-1)!: edge lengths in 2D, counting
         measure 1 for points."""
-        edges = edge_vectors(self.vertices[self.facets])
-        gram = np.sum(edges[:, :, None, :] * edges[:, None, :, :], axis=-1)
-        return np.sqrt(leibniz_det(gram)) / math.factorial(self.dim - 1)
+        def build():
+            edges = edge_vectors(self.vertices[self.facets])
+            gram = np.sum(edges[:, :, None, :] * edges[:, None, :, :], axis=-1)
+            return np.sqrt(leibniz_det(gram)) / math.factorial(self.dim - 1)
+        return self._once("facet_measures", build)
 
     def facet_owner(self) -> np.ndarray:
         """Index of the unique element owning each boundary facet."""
@@ -146,7 +162,8 @@ class Mesh:
         (nf, nq) absorbing the facet measure, shapes (nq, dim) P1 values of
         the facet's own vertices at the points.
         """
-        return simplex_quadrature(self.vertices[self.facets], self.facet_measures(), degree)
+        return self._once(("facet_quadrature", degree), lambda: simplex_quadrature(
+            self.vertices[self.facets], self.facet_measures(), degree))
 
     def min_diameter(self) -> float:
         """Smallest element diameter (longest vertex-pair distance)."""

@@ -57,14 +57,17 @@ def p1_shapes(ref: np.ndarray) -> np.ndarray:
     return np.column_stack([first, ref])
 
 
+def simplex_weights(k: int, measures: np.ndarray, degree: int):
+    """Rule of `degree` on k-simplices of measures (nc,), without the points:
+    weights (nc, nq) absorbing the measure, and P1 values (nq, k+1) of the
+    cell's own vertices."""
+    ref, w = simplex_rule(k, degree)
+    # reference weights sum to 1/k!, so scale by k! times the measure
+    return w[None, :] * (measures * math.factorial(k))[:, None], p1_shapes(ref)
+
+
 def simplex_quadrature(coords: np.ndarray, measures: np.ndarray, degree: int):
     """Rule of `degree` on k-simplices with vertices coords (nc, k+1, dim) and
-    measures (nc,): points (nc, nq, dim), weights (nc, nq) absorbing the
-    measure, and P1 values (nq, k+1) of the cell's own vertices."""
-    k = coords.shape[1] - 1
-    ref, w = simplex_rule(k, degree)
-    shapes = p1_shapes(ref)
-    pts = np.einsum("qk,ckd->cqd", shapes, coords)
-    # reference weights sum to 1/k!, so scale by k! times the measure
-    wts = w[None, :] * (measures * math.factorial(k))[:, None]
-    return pts, wts, shapes
+    measures (nc,): points (nc, nq, dim), then simplex_weights."""
+    wts, shapes = simplex_weights(coords.shape[1] - 1, measures, degree)
+    return np.einsum("qk,ckd->cqd", shapes, coords), wts, shapes

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from kgwell import (
     write_coo_text,
 )
 from kgwell.assembly import (
+    BLOCK_POINTS,
     VOLUME_QUAD_DEGREE,
     element_quadrature_tables,
     gamma1_table,
@@ -264,3 +267,55 @@ def test_projection_is_galerkin_adjoint_of_evaluation(setup):
                           (gamma1_table(ops), ops.T)):
         np.testing.assert_allclose(table.project(table.values(x) * table.w),
                                    matrix @ x, rtol=1e-13, atol=0)
+
+
+# several blocks of cells, the last one partial (50 cells, or 10 damped facets)
+BLOCKED_MESHES = pytest.mark.parametrize(
+    "setup", [lambda: square_setup(5), lambda: interval_setup(50)],
+    ids=["square5", "interval50"])
+
+
+@BLOCKED_MESHES
+@pytest.mark.parametrize("block_cells", [8, 16])
+def test_blocked_reductions_match_single_pass_bitwise(setup, block_cells):
+    mesh, part, ops = setup()
+    rng = np.random.default_rng(29)
+    u, v = rng.standard_normal((2, ops.n_free))
+    for rho in (1.0, 1.5):
+        spec = CouplingSpec(rho=rho)
+        table = dataclasses.replace(volume_table(ops, spec.quad_degree),
+                                    block_cells=block_cells)
+        assert len(table.conn) > block_cells and len(table.conn) % block_cells
+        # the coupling reads the table the operators cache for the time loop
+        blocked_ops = dataclasses.replace(ops, _caches={("volume", spec.quad_degree): table})
+        _, wdet, shapes = element_quadrature_tables(mesh, spec.quad_degree)
+        fu_ref, fv_ref, e_ref = scatter_add_coupling(mesh.elements, shapes, wdet,
+                                                     ops, u, v, rho)
+        fu, fv = coupling_vectors((u, v), spec, blocked_ops)
+        assert np.array_equal(fu, fu_ref)
+        assert np.array_equal(fv, fv_ref)
+        assert coupling_energy((u, v), spec, blocked_ops) == e_ref
+    g1 = part.gamma1_facets
+    _, fwts, fshapes = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    _, wdet, shapes = element_quadrature_tables(mesh, 6)
+    # 10 damped facets on the square make blocks of 8 and 2; 1 in 1D
+    cases = ((dataclasses.replace(volume_table(ops, 6), block_cells=block_cells),
+              (mesh.elements, shapes, wdet)),
+             (dataclasses.replace(gamma1_table(ops), block_cells=8),
+              (mesh.facets[g1], fshapes, fwts[g1])))
+    for table, ref in cases:
+        for p in (2.0, 4.0, 3.3):
+            norm, grad = _lp(table, u, p)
+            norm_ref, grad_ref = scatter_add_lp(*ref, ops, u, p)
+            assert norm == norm_ref
+            assert np.array_equal(grad, grad_ref)
+
+
+def test_block_size_counts_quadrature_points():
+    _, _, ops = square_setup(4)
+    for degree in (4, 6, 8):
+        table = volume_table(ops, degree)
+        nq = len(table.shapes)
+        assert table.block_cells % 8 == 0
+        assert BLOCK_POINTS - 8 * nq < table.block_cells * nq <= BLOCK_POINTS
+    assert volume_table(ops, 4).block_cells == 4096  # 9 points per triangle

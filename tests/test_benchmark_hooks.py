@@ -5,6 +5,7 @@ would break the benchmark."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import numpy as np
 from kgwell import FieldInit, ScenarioConfig, prepare, simulate
 from kgwell.assembly import element_quadrature_tables
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REPO = Path(__file__).resolve().parent.parent
+PERFBENCH = REPO / "perfbench"
 
 
 def _tracing():
@@ -49,3 +51,31 @@ def test_element_tables_give_what_the_benchmark_child_counts():
     nq = len(shapes)
     assert wdet.size == prep.mesh.n_elements * nq
     assert pts.shape == (prep.mesh.n_elements, nq, 2)
+
+
+def _named_metrics(node):
+    """(key, value) of every object member whose key reads workload/metric."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if "/" in key:
+                yield key, value
+            yield from _named_metrics(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _named_metrics(item)
+
+
+def test_bench_files_name_only_declared_workloads_and_end_to_end_metrics():
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    units = {m["name"]: m["unit"] for m in declared["end_to_end"]}
+    paths = sorted(REPO.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        named = list(_named_metrics(json.loads(path.read_text())))
+        assert named, path.name
+        for key, value in named:
+            workload, metric = key.split("/")
+            assert workload in workloads, f"{path.name}: {key}"
+            assert metric in units, f"{path.name}: {key}"
+            assert value["unit"] == units[metric], f"{path.name}: {key}"

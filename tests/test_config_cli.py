@@ -337,6 +337,39 @@ def test_cli_input_errors_exit_2_with_final_manifest(tmp_path, capsys, case):
         assert not (out_dir / "trajectory.csv").exists()
 
 
+def test_cli_coarse_sampling_stops_at_the_first_sample_pair(tmp_path, capsys, monkeypatch):
+    # stride * dt = 0.2 over a horizon of 500 steps: rejected after the first
+    # `stride` steps, not after the whole horizon
+    import kgwell.dynamics as dynamics
+
+    calls = []
+    real_step = dynamics.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", counting_step)
+    text = DECAY_1D + "time.stride = 100\n" + "time.t_end = 1.0\n"
+    out_dir = tmp_path / "coarse"
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)]) == 2
+    assert "too coarse" in capsys.readouterr().err
+    assert 0 < len(calls) <= 100
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert manifest["exit_code"] == 2
+    assert not (out_dir / "trajectory.csv").exists()
+
+
+def test_cli_coarse_sampling_runs_without_the_dissipation_check(tmp_path):
+    text = DECAY_1D + "time.stride = 100\n"
+    out_dir = tmp_path / "coarse"
+    argv = ["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir),
+            "--no-plot", "--check", "well,equivalence,bound"]
+    assert main(argv) == 0
+    assert (out_dir / "trajectory.csv").exists()
+
+
 def test_cli_sweep_records_bad_value_and_goes_on(tmp_path, capsys):
     path = write_cfg(tmp_path, DECAY_1D)
     out_dir = tmp_path / "sweep"

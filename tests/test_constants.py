@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import kgwell.geometry
 from conftest import interval_setup, square_setup, unconstrained_interval
 from kgwell import (
+    FieldInit,
     Mesh,
+    ScenarioConfig,
     SetupError,
     admissibility,
     assemble_operators,
@@ -17,11 +19,13 @@ from kgwell import (
     embedding_constant,
     first_eigenpair,
     first_eigenvalue,
+    prepare,
     trace_constant,
     validate_hypotheses,
     well_constants,
     well_function,
 )
+import kgwell.constants
 from kgwell.assembly import volume_table
 from kgwell.constants import _lp, _require_accurate_eigenpair
 
@@ -275,3 +279,32 @@ def test_threshold_selection_by_exponent():
                          lambda1=2.4, R=1.0, m0=1.0)
     value2, kind2 = wc2.threshold()
     assert kind2 == "general" and value2 == wc2.lambda_star
+
+
+# 16^2 has 289 vertices (the dense eigensolver), 24^2 has 625 (eigsh)
+@pytest.mark.parametrize("n", [16, 24])
+def test_prepare_factors_K_once_and_keeps_only_the_eigenpair(n, monkeypatch):
+    factored = []
+    real_splu = kgwell.constants.spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A)
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(kgwell.constants.spla, "splu", counting_splu)
+    cfg = ScenarioConfig(name="k", mesh_kind="rectangle", nx=n, ny=n, x0=(-0.1, -0.1),
+                         u0=FieldInit("eigenfunction", 0.1), v0=FieldInit("eigenfunction", 0.1))
+    prep = prepare(cfg)
+    K = prep.operators.K
+    assert len(factored) == 1
+    assert factored[0].shape == K.shape and (factored[0] != K).nnz == 0
+    # the time loop inherits the eigenpair and the boundary-sized GAMMA1
+    # table, not the K factor or the embedding constant's volume table
+    assert set(prep.operators._caches) == {("eigenpair",), ("gamma1",)}
+
+
+def test_constants_without_a_factor_match_the_shared_factor():
+    _, _, ops = square_setup(4)
+    lu = kgwell.constants.spla.splu(ops.K.tocsc())
+    assert embedding_constant(ops, 4.0) == embedding_constant(ops, 4.0, lu_K=lu)
+    assert trace_constant(ops, 2.0) == trace_constant(ops, 2.0, lu_K=lu)

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+
+import kgwell.assembly
+import kgwell.geometry
+from kgwell import FieldInit, ScenarioConfig, prepare, simulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,3 +213,38 @@ def test_mesh_text_rejects_garbage(tmp_path):
     path.write_text("vertices 3\n0 0\n")
     with pytest.raises(MeshError):
         load_mesh_text(path)
+
+
+def test_mesh_geometry_is_computed_once_per_run(monkeypatch):
+    # each vertex gather of a Mesh method is counted: cell edge vectors (for
+    # the volumes and the facet measures) and facet or cell quadrature points
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            key = f"{module.__name__}.{name}"
+            counts[key] = counts.get(key, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(kgwell.geometry, "edge_vectors")
+    count(kgwell.geometry, "simplex_quadrature")
+    count(kgwell.assembly, "simplex_quadrature")
+    cfg = ScenarioConfig(name="g", mesh_kind="rectangle", nx=16, ny=16, x0=(-0.1, -0.1),
+                         dt=0.01, t_end=0.02, stride=1,
+                         u0=FieldInit("eigenfunction", 0.1), v0=FieldInit("eigenfunction", 0.1))
+    prep = prepare(cfg)
+    simulate(prep)
+    assert counts == {
+        "kgwell.geometry.edge_vectors": 2,        # element volumes, facet measures
+        "kgwell.geometry.simplex_quadrature": 1,  # facet quadrature
+        # points only where the radial field needs them: the G assembly;
+        # the volume tables of the constants and the coupling take weights
+        "kgwell.assembly.simplex_quadrature": 1,
+    }
+    mesh = prep.mesh
+    assert mesh.element_volumes() is mesh.element_volumes()
+    with pytest.raises(ValueError):
+        mesh.facet_quadrature()[1][0, 0] = 1.0
