@@ -37,8 +37,9 @@ config = ScenarioConfig(
 print(f"simulating {config.name}: T = {config.t_end}, dt = {config.dt} ...")
 traj = simulate(config)
 wc = traj.meta["constants"]
+threshold, kind = wc.threshold()
 print(f"  admissible: {traj.meta['admissible']}, threshold "
-      f"{traj.meta['threshold']:.4f} ({traj.meta['threshold_kind']} set)")
+      f"{threshold:.4f} ({kind} set)")
 
 results = {
     "well": diag.well_monitor(traj, wc),

@@ -47,7 +47,21 @@ FAILURES = (
 )
 _FAILURE_TYPES = tuple(t for types, _, _ in FAILURES for t in types)
 
-ALL_CHECKS = ("well", "equivalence", "dissipation", "bound")
+#: CLI check name -> (result key, verdict attribute, call).  Checks run in
+#: this order whatever the --check order.  Each call looks its function up
+#: on diagnostics when it runs, so a wrapper installed there after import
+#: (perfbench's tracer) is used.
+CHECKS = {
+    "well": ("well", "invariant_held",
+             lambda traj, prep: diagnostics.well_monitor(traj, prep.constants)),
+    "equivalence": ("equivalence", "ok",
+                    lambda traj, prep: diagnostics.check_equivalence(traj, prep.constants)),
+    "dissipation": ("dissipation", "ok",
+                    lambda traj, prep: diagnostics.check_dissipation(
+                        traj, prep.operators.delta_min)),
+    "bound": ("decay", "bound_satisfied",
+              lambda traj, prep: diagnostics.check_decay_bound(traj, prep.constants)),
+}
 
 _FORMULAS = {
     "rho": "coupling exponent",
@@ -108,15 +122,10 @@ def cmd_constants(cfg: dict[str, str]) -> int:
     prep = prepare(scenario)
     wc = prep.constants
     print(f"{'name':14s} {'value':>24s}  formula")
-    for name in ("rho", "dim", "R", "m0", "lambda1", "c0", "c1", "c2", "c3",
-                 "N", "lambda_star", "N1", "lambda1_star", "P", "D", "tau",
-                 "safety"):
-        val = getattr(wc, name)
-        print(f"{name:14s} {val:>24.16g}  {_FORMULAS[name]}")
+    for name, formula in _FORMULAS.items():
+        print(f"{name:14s} {getattr(wc, name):>24.16g}  {formula}")
     print()
-    premises = {"delta_mdotnu": scenario.delta_kind == "mdotnu"}
-    for line in diagnostics.report_lines(wc, {"admissibility": prep.admissibility,
-                                              "premises": premises}):
+    for line in diagnostics.report_lines(wc, _setup_groups(prep)):
         print(line)
     return EXIT_OK
 
@@ -127,32 +136,11 @@ def cmd_validate(cfg: dict[str, str]) -> int:
     return EXIT_OK if report.valid else EXIT_CHECK_FAILURE
 
 
-def _run_checks(trajectory: Trajectory, prep, selected) -> dict:
-    results: dict = {}
-    wc = prep.constants
-    if "well" in selected:
-        results["well"] = diagnostics.well_monitor(trajectory, wc)
-    if "equivalence" in selected:
-        results["equivalence"] = diagnostics.check_equivalence(trajectory, wc)
-    if "dissipation" in selected:
-        results["dissipation"] = diagnostics.check_dissipation(
-            trajectory, prep.operators.delta_min)
-    if "bound" in selected:
-        results["decay"] = diagnostics.check_decay_bound(trajectory, wc)
-    return results
-
-
-def _checks_passed(results: dict) -> bool:
-    flags = []
-    if "well" in results:
-        flags.append(results["well"].invariant_held)
-    if "equivalence" in results:
-        flags.append(results["equivalence"].ok)
-    if "dissipation" in results:
-        flags.append(results["dissipation"].ok)
-    if "decay" in results:
-        flags.append(results["decay"].bound_satisfied)
-    return all(flags)
+def _setup_groups(prep) -> dict:
+    """Report groups known after setup: the initial data's admissibility and
+    the premises of the decay constants."""
+    return {"admissibility": prep.admissibility,
+            "premises": {"delta_mdotnu": prep.config.delta_kind == "mdotnu"}}
 
 
 def _plot(trajectory: Trajectory, wc, path: Path) -> None:
@@ -182,6 +170,7 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
     }
     _write_manifest(manifest_path, manifest)
     summary: dict = {}
+    selected = [CHECKS[name] for name in CHECKS if name in checks]
     try:
         scenario = scenario_from_config(cfg)
         manifest["scenario"] = scenario.name
@@ -192,7 +181,7 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
         # the dissipation check needs fine sampling: a coarse run stops at
         # its first sample pair, before any output
         trajectory = simulate(prep, check_spacing="dissipation" in checks)
-        results = _run_checks(trajectory, prep, checks)
+        results = {key: run(trajectory, prep) for key, _, run in selected}
     except _FAILURE_TYPES as exc:
         code, status = _failure(exc)
         manifest.update(status=status, exit_code=code, error=str(exc))
@@ -205,10 +194,9 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
     write_trajectory_csv(trajectory, csv_path)
     outputs = [csv_path.name]
 
-    passed = _checks_passed(results)
+    passed = all(getattr(results[key], verdict) for key, verdict, _ in selected)
     wc = prep.constants
-    details = {**results, "admissibility": prep.admissibility,
-               "premises": {"delta_mdotnu": scenario.delta_kind == "mdotnu"}}
+    details = {**results, **_setup_groups(prep)}
 
     report_txt = out_dir / "report.txt"
     report_txt.write_text(
@@ -295,8 +283,8 @@ def _parser() -> argparse.ArgumentParser:
         if with_out:
             p.add_argument("--out", default="out", help="output directory")
             p.add_argument("--no-plot", action="store_true", help="skip the SVG plot")
-            p.add_argument("--check", default=",".join(ALL_CHECKS),
-                           help="comma list from: " + ",".join(ALL_CHECKS))
+            p.add_argument("--check", default=",".join(CHECKS),
+                           help="comma list from: " + ",".join(CHECKS))
 
     common(sub.add_parser("constants", help="print the constants table"), with_out=False)
     common(sub.add_parser("validate", help="check the exponent/dimension hypotheses"),
@@ -313,8 +301,8 @@ def _parser() -> argparse.ArgumentParser:
 def _parse_checks(raw: str):
     checks = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
     for c in checks:
-        if c not in ALL_CHECKS:
-            raise ConfigError(f"unknown check '{c}'; valid: {', '.join(ALL_CHECKS)}")
+        if c not in CHECKS:
+            raise ConfigError(f"unknown check '{c}'; valid: {', '.join(CHECKS)}")
     return checks
 
 

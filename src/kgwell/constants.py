@@ -235,8 +235,10 @@ class WellConstants:
     safety: float = 1.0
 
     def threshold(self) -> tuple[float, str]:
-        """Active well threshold: the rho = 1 set for the regular/decay
-        harness, the general set otherwise."""
+        """(threshold, kind) of the active well: the rho = 1 (regular) set
+        for the regular/decay harness, the general set otherwise.  The one
+        place that choice is made; admissibility, initial amplitudes, the
+        sampled margins and the well monitor all take it from here."""
         if self.rho == 1.0:
             return self.lambda1_star, "regular"
         return self.lambda_star, "general"
@@ -326,16 +328,14 @@ class AdmissibilityReport:
 
 
 def admissibility(u0, v0, u1, v1, constants: WellConstants,
-                  operators: DiscreteOperators,
-                  use_regular: bool | None = None) -> AdmissibilityReport:
-    """Evaluate the well-entry conditions for the given coefficient data.
+                  operators: DiscreteOperators) -> AdmissibilityReport:
+    """Evaluate the well-entry conditions for the given coefficient data in
+    the active well (WellConstants.threshold): L takes N1 and fourth powers
+    in the regular set, N and 2(rho+1)-th powers in the general set.
 
-    The V-norm is sqrt(x K x) and the L2 norm sqrt(x M x).  With
-    use_regular (default: rho == 1) the quadratic-coupling set
-    (N1, lambda1_star, fourth powers) is used, otherwise the general set.
+    The V-norm is sqrt(x K x) and the L2 norm sqrt(x M x).
     """
-    if use_regular is None:
-        use_regular = constants.rho == 1.0
+    lam, kind = constants.threshold()
     K, M = operators.K, operators.M
     nu0 = math.sqrt(max(float(u0 @ (K @ u0)), 0.0))
     nv0 = math.sqrt(max(float(v0 @ (K @ v0)), 0.0))
@@ -343,11 +343,9 @@ def admissibility(u0, v0, u1, v1, constants: WellConstants,
     av1 = math.sqrt(max(float(v1 @ (M @ v1)), 0.0))
     kinetic = 0.5 * (au1 ** 2 + av1 ** 2)
     potential = 0.5 * (nu0 ** 2 + nv0 ** 2)
-    if use_regular:
-        lam, kind = constants.lambda1_star, "regular"
+    if kind == "regular":
         L = kinetic + potential + constants.N1 * (nu0 ** 4 + nv0 ** 4)
     else:
-        lam, kind = constants.lambda_star, "general"
         q = 2.0 * (constants.rho + 1.0)
         L = kinetic + potential + constants.N * (nu0 ** q + nv0 ** q)
     return AdmissibilityReport(

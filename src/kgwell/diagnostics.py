@@ -229,10 +229,7 @@ class WellReport:
 
 def well_monitor(trajectory, constants: WellConstants) -> WellReport:
     """Did both V-norms stay strictly below the active well threshold?"""
-    threshold = trajectory.meta.get("threshold")
-    kind = trajectory.meta.get("threshold_kind")
-    if threshold is None:
-        threshold, kind = constants.threshold()
+    threshold, kind = constants.threshold()
     mu = max(p.energy.norm_u_V for p in trajectory.samples)
     mv = max(p.energy.norm_v_V for p in trajectory.samples)
     return WellReport(
@@ -254,20 +251,12 @@ def _fmt(x) -> str:
 
 
 def report_lines(constants: WellConstants, results: dict) -> list[str]:
-    """Flatten constants and check results into sorted key=value lines."""
+    """Flatten constants and check results into sorted group.key=value lines."""
     out = {}
-    for name in ("rho", "dim", "c0", "c1", "c2", "c3", "lambda1", "R", "m0",
-                 "N", "lambda_star", "N1", "lambda1_star", "P", "D", "tau",
-                 "safety"):
-        out[f"constants.{name}"] = getattr(constants, name)
-    for group, rep in results.items():
+    for group, rep in {"constants": constants, **results}.items():
         if rep is None:
             continue
-        if isinstance(rep, dict):
-            items = rep.items()
-        else:
-            items = vars(rep).items()
-        for key, val in items:
+        for key, val in (rep if isinstance(rep, dict) else vars(rep)).items():
             out[f"{group}.{key}"] = val
     return [f"{k}={_fmt(v)}" for k, v in sorted(out.items())]
 

@@ -86,7 +86,9 @@ class TrajectoryPoint:
 class Trajectory:
     """Sampled run: per sample an energy row and the Gamma1 flux of the pair
     ending there, the states of the first and the last sample, and metadata.
-    record() builds one from any sequence of states."""
+    record() builds one from any sequence of states; simulate() sets meta to
+    dt, n_steps, t_final (the last sample's time), eps1 = 1/(2P), constants,
+    operators and admissible (whether the initial data were)."""
 
     samples: list[TrajectoryPoint]
     meta: dict = field(default_factory=dict)
@@ -183,7 +185,9 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
                 time=state.t,
             )
 
-    # separate copies: views sharing one block raised peak memory ~4% (1D, sampling every step)
+    # separate contiguous copies: with strided views of the (n, 2) block the
+    # products downstream round differently, and trajectory.csv, report.kv
+    # and manifest.json of the 1D and 2D demo configs change in their last bits
     x1 = x0 + dt * p_mid
     p1 = 2.0 * p_mid - p0
     return SimState(state.t + dt, x1[:, 0].copy(), x1[:, 1].copy(),
@@ -271,16 +275,17 @@ class ScenarioConfig:
 
 @dataclass
 class Prepared:
-    """Everything simulate() needs, exposed for tests and notebooks."""
+    """Everything simulate() needs, exposed for tests and notebooks: the
+    config, the mesh, the operators (which hold the boundary partition), the
+    coupling spec, the constants (whose threshold() is the active well), the
+    initial state, its admissibility report, the time step, and the
+    boundary compatibility residuals of (u0, u1) and (v0, v1)."""
 
     config: ScenarioConfig
     mesh: object
-    partition: object
     operators: DiscreteOperators
     spec: CouplingSpec
     constants: WellConstants
-    threshold: float
-    threshold_kind: str
     state0: SimState
     admissibility: object
     dt: float
@@ -349,7 +354,7 @@ def prepare(config: ScenarioConfig) -> Prepared:
                                    delta_floor=config.delta_floor)
     spec = CouplingSpec(rho=config.rho, quad_degree=config.quad_degree)
     constants = compute_well_constants(operators, config.rho, safety=config.safety)
-    threshold, kind = constants.threshold()
+    threshold, _ = constants.threshold()
     u0 = _build_field(config.u0, operators, threshold, velocity=False)
     v0 = _build_field(config.v0, operators, threshold, velocity=False)
     u1 = _build_field(config.u1, operators, threshold, velocity=True)
@@ -358,9 +363,8 @@ def prepare(config: ScenarioConfig) -> Prepared:
     report = admissibility(u0, v0, u1, v1, constants, operators)
     dt = config.dt if config.dt is not None else min(mesh.min_diameter() / 2.0, 0.01)
     return Prepared(
-        config=config, mesh=mesh, partition=partition, operators=operators,
-        spec=spec, constants=constants, threshold=threshold,
-        threshold_kind=kind, state0=state0, admissibility=report, dt=dt,
+        config=config, mesh=mesh, operators=operators, spec=spec,
+        constants=constants, state0=state0, admissibility=report, dt=dt,
         compat_residual_u=_compat_residual(operators, u0, u1),
         compat_residual_v=_compat_residual(operators, v0, v1),
     )
@@ -368,9 +372,9 @@ def prepare(config: ScenarioConfig) -> Prepared:
 
 def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> Trajectory:
     """Run a scenario and sample it every `stride` steps (plus t = 0 and the
-    final instant).  Proceeds even for inadmissible data; the admissibility
-    report travels in the trajectory metadata.  With check_spacing, a sample
-    pair too far apart for the dissipation check raises ValueError
+    final instant).  Proceeds even for inadmissible data; meta["admissible"]
+    says whether they were.  With check_spacing, a sample pair too far apart
+    for the dissipation check raises ValueError
     (diagnostics.require_fine_sampling) as soon as it is sampled, before the
     rest of the horizon is simulated."""
     prep = config if isinstance(config, Prepared) else prepare(config)
@@ -392,25 +396,16 @@ def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> 
                 yield state
                 sampled = state
 
-    trajectory = record(sampled_states(), prep.operators, spec, eps1, prep.threshold)
+    threshold, _ = prep.constants.threshold()
+    trajectory = record(sampled_states(), prep.operators, spec, eps1, threshold)
     trajectory.meta = {
-        "name": cfg.name,
         "dt": dt,
-        "stride": cfg.stride,
         "n_steps": n_steps,
         "t_final": trajectory.samples[-1].energy.t,
         "eps1": eps1,
-        "threshold": prep.threshold,
-        "threshold_kind": prep.threshold_kind,
-        "coupling_enabled": cfg.coupling_enabled,
-        "delta_min": prep.operators.delta_min,
-        "admissible": prep.admissibility.admissible,
-        "compat_residual_u": prep.compat_residual_u,
-        "compat_residual_v": prep.compat_residual_v,
         "constants": prep.constants,
-        "admissibility": prep.admissibility,
-        "config": cfg,
         "operators": prep.operators,
+        "admissible": prep.admissibility.admissible,
     }
     return trajectory
 

@@ -60,7 +60,7 @@ def test_criterion_1_constants_reproduction():
 
 def test_criterion_2_well_invariant(accept_1d_run):
     traj = accept_1d_run
-    lam_reg = traj.meta["threshold"]
+    lam_reg = traj.meta["constants"].threshold()[0]
     lam_gen = traj.meta["constants"].lambda_star
     assert traj.meta["admissible"]
     max_u = max(p.energy.norm_u_V for p in traj.samples)

@@ -209,16 +209,17 @@ def test_admissibility_threshold_is_strict():
 
 
 def test_admissibility_small_amplitude_algebra():
-    # |u0| = |v0| = lambda*/10, zero velocities, rho = 1 (general set):
-    # L = lambda*^2 (1/100 + 1/20000) < lambda*^2 / 4
+    # |u0| = |v0| = lambda*/10, zero velocities, rho = 2 (general set):
+    # N = 1/(4 lambda*^4), so L = lambda*^2 (1/100 + 1/(2 10^6)) < lambda*^2 / 4
     mesh, part, ops = interval_setup(elements=16)
-    wc = compute_well_constants(ops, rho=1.0)
+    wc = compute_well_constants(ops, rho=2.0)
     _, vec = first_eigenpair(ops)
     vnorm = math.sqrt(vec @ (ops.K @ vec))
     u0 = (wc.lambda_star / 10.0 / vnorm) * vec
     z = np.zeros(ops.n_free)
-    rep = admissibility(u0, u0, z, z, wc, ops, use_regular=False)
-    expected = wc.lambda_star ** 2 * (1.0 / 100.0 + 1.0 / 20000.0)
+    rep = admissibility(u0, u0, z, z, wc, ops)
+    assert rep.threshold_kind == "general" and rep.threshold == wc.lambda_star
+    expected = wc.lambda_star ** 2 * (1.0 / 100.0 + 1.0 / 2e6)
     assert np.isclose(rep.L, expected, rtol=1e-10)
     assert rep.admissible
 

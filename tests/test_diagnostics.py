@@ -214,8 +214,7 @@ def test_well_monitor_zero_trajectory():
     wc_like = type("C", (), {"P": 8.0, "tau": 1 / 16,
                              "threshold": lambda self: (1.0, "general")})()
     states = [SimState.zero(ops.n_free, t) for t in (0.0, 0.05)]
-    traj = _manual_trajectory(ops, states, threshold=1.0,
-                              meta={"threshold": 1.0, "threshold_kind": "general"})
+    traj = _manual_trajectory(ops, states, threshold=1.0)
     rep = diag.well_monitor(traj, wc_like)
     assert rep.invariant_held
     assert rep.max_norm_u == 0.0 and rep.max_norm_v == 0.0

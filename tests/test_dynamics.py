@@ -200,13 +200,14 @@ def test_simulate_without_coupling_steps_and_samples_linearly():
     opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     state = prep.state0
     states = []
+    threshold, _ = prep.constants.threshold()
     assert traj.samples[0].energy == diag.full_sample(state, prep.operators, None,
-                                                      traj.meta["eps1"], prep.threshold)
+                                                      traj.meta["eps1"], threshold)
     for p in traj.samples[1:]:
         state = step(state, prep.dt, prep.operators, None, opts)
         states.append(state)
         assert p.energy == diag.full_sample(state, prep.operators, None,
-                                            traj.meta["eps1"], prep.threshold)
+                                            traj.meta["eps1"], threshold)
     for name in ("u", "v", "du", "dv"):
         assert np.array_equal(getattr(traj.samples[-1].state, name), getattr(state, name)), name
     assert all(p.energy.coupling == 0.0 for p in traj.samples)
@@ -231,15 +232,16 @@ def test_streamed_dissipation_matches_stored_states_bitwise(name):
     cfg, ops = prep.config, prep.operators
     opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     eps1 = 1.0 / (2.0 * prep.constants.P)
+    threshold, _ = prep.constants.threshold()
     states = [prep.state0]
     for k in range(1, round(cfg.t_end / prep.dt) + 1):
         states.append(step(states[-1], prep.dt, ops, prep.spec, opts))
     sampled = states[::cfg.stride]
     assert len(sampled) > 2 and sampled[-1] is states[-1]
-    pairs = [(s, diag.full_sample(s, ops, prep.spec, eps1, prep.threshold)) for s in sampled]
+    pairs = [(s, diag.full_sample(s, ops, prep.spec, eps1, threshold)) for s in sampled]
     worst, worst_t = stored_state_dissipation(pairs, ops, ops.delta_min)
     assert worst > -math.inf
-    for traj in (record(sampled, ops, prep.spec, eps1, prep.threshold), simulate(prep)):
+    for traj in (record(sampled, ops, prep.spec, eps1, threshold), simulate(prep)):
         rep = diag.check_dissipation(traj, ops.delta_min, slack=0.0)
         assert rep.worst_residual == worst and rep.worst_t == worst_t
 
@@ -260,7 +262,7 @@ def test_simulate_admissible_well_and_dt_refinement():
                 v0=FieldInit("eigenfunction", 0.1))
     traj1 = simulate(ScenarioConfig(dt=2e-3, stride=5, **base))
     traj2 = simulate(ScenarioConfig(dt=1e-3, stride=10, **base))
-    lam = traj1.meta["threshold"]
+    lam = traj1.meta["constants"].threshold()[0]
     assert traj1.meta["admissible"]
     m1 = max(p.energy.norm_u_V for p in traj1.samples)
     assert m1 < lam
@@ -335,7 +337,7 @@ def test_initial_preset_relative_amplitude():
                          u0=FieldInit("eigenfunction", 0.1))
     prep = prepare(cfg)
     nrm = math.sqrt(prep.state0.u @ (prep.operators.K @ prep.state0.u))
-    assert np.isclose(nrm, 0.1 * prep.threshold)
+    assert np.isclose(nrm, 0.1 * prep.constants.threshold()[0])
 
 
 def test_initial_preset_from_file(tmp_path):
