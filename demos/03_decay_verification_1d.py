@@ -51,7 +51,7 @@ print()
 print(diag.render_report(wc, results, header=f"run: {config.name}"))
 
 csv_path = out / "decay_1d.csv"
-write_trajectory_csv(traj, csv_path)
+write_trajectory_csv(traj, wc, csv_path)
 (out / "decay_1d_report.kv").write_text(
     "\n".join(diag.report_lines(wc, results)) + "\n")
 

@@ -33,7 +33,7 @@ z = np.zeros_like(shape)
 print(f"{'amplitude':>12s} {'potential':>12s} {'coupling':>12s} {'E':>12s} {'E/pot':>8s}")
 for amp in (0.25, 0.5, 1.0, 2.0):
     u = amp * shape
-    s = full_sample(SimState(0.0, u, -u, z, z), ops, spec, eps=0.0, threshold=wc.lambda1_star)
+    s = full_sample(SimState(0.0, u, -u, z, z), ops, spec)
     print(f"{amp:12.3f} {s.potential:12.6f} {s.coupling:12.6f} {s.E:12.6f} "
           f"{s.E / s.potential:8.4f}")
 

@@ -81,9 +81,9 @@ class DiscreteOperators:
     G: sp.csr_matrix
     T: sp.csr_matrix
     delta_min: float
-    #: delta at the GAMMA1 facet quadrature points (n_gamma1, nq), as in B
-    delta_gamma1: np.ndarray
-    _caches: dict = field(default_factory=dict, repr=False)
+    #: not an __init__ argument, so dataclasses.replace starts a copy with an
+    #: empty cache instead of sharing factors of the old matrices
+    _caches: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -132,41 +132,38 @@ def _scatter(n: int, conn: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
 
 
 def boundary_mass_matrix(mesh: Mesh, facet_indices: np.ndarray,
-                         weight=None) -> sp.csr_matrix:
+                         weights: np.ndarray | None = None) -> sp.csr_matrix:
     """Full-node matrix int_F w phi_i phi_j over the listed facets.
 
-    `weight` is None (w = 1) or a callable mapping points (..., dim) to
-    values.  Facet quadrature matches the boundary classification rule.
+    `weights` is None (w = 1) or the values of w at the facet quadrature
+    points, shape (len(facet_indices), nq).  Facet quadrature matches the
+    boundary classification rule.
     """
     n = mesh.n_vertices
     if len(facet_indices) == 0:
         return sp.csr_matrix((n, n))
-    pts, wts, shp = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
-    pts, wts = pts[facet_indices], wts[facet_indices]
-    conn = mesh.facets[facet_indices]
-    w = np.ones(wts.shape) if weight is None else np.asarray(weight(pts), float)
-    local = np.einsum("fq,qi,qj->fij", wts * w, shp, shp)
-    return _scatter(n, conn, local)
+    _, wts, shp = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    wts = wts[facet_indices] if weights is None else wts[facet_indices] * weights
+    local = np.einsum("fq,qi,qj->fij", wts, shp, shp)
+    return _scatter(n, mesh.facets[facet_indices], local)
 
 
-def _delta_values(partition: BoundaryPartition, delta, pts, normals):
+def _delta_values(partition: BoundaryPartition, delta: float | None, pts, normals):
     if delta is None:  # the decay choice delta = m . nu
         return np.einsum("fqd,fd->fq", radial_field(pts, partition.x0), normals)
-    if np.isscalar(delta):
-        return np.full(pts.shape[:2], float(delta))
-    return np.asarray(delta(pts), float)
+    return np.full(pts.shape[:2], float(delta))
 
 
-def assemble_operators(mesh: Mesh, partition: BoundaryPartition, delta=None,
+def assemble_operators(mesh: Mesh, partition: BoundaryPartition,
+                       delta: float | None = None,
                        delta_floor: float = 0.0) -> DiscreteOperators:
     """Assemble M, K, B, G, T with GAMMA0 degrees of freedom eliminated.
 
     Parameters
     ----------
-    delta : None | float | callable
+    delta : None | float
         Damping coefficient on the damped boundary part.  None selects
-        m . nu (required for the decay estimates); a float is a constant;
-        a callable receives points of shape (..., dim).
+        m . nu (required for the decay estimates); a float is a constant.
     delta_floor : float
         Assembly is rejected if delta falls below this floor (and the floor
         must leave delta strictly positive) at any boundary quadrature point.
@@ -194,7 +191,7 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition, delta=None,
             f"boundary; minimum sampled value is {delta_min}"
         )
     T_full = boundary_mass_matrix(mesh, g1)
-    B_full = boundary_mass_matrix(mesh, g1, weight=lambda p, d=dvals: d)
+    B_full = boundary_mass_matrix(mesh, g1, weights=dvals)
 
     dirichlet = partition.dirichlet_vertices()
     free = np.setdiff1d(np.arange(n), dirichlet)
@@ -212,7 +209,6 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition, delta=None,
         G=restrict(G_full),
         T=restrict(T_full),
         delta_min=delta_min,
-        delta_gamma1=dvals,
     )
     return ops
 
@@ -250,34 +246,25 @@ class QuadratureTable:
         free-node fields, evaluated one block of cells at a time.
 
         kernel(*values) gets each field's values (nb, nq) on one block and
-        returns (integrands, projected): two tuples of new (nb, nq) arrays,
-        which reduce may overwrite.  Returns the np.sum of each integrand
-        times w, and the project() of each projected array times w, over all
-        cells.  Each product with w is written block by block into one
-        (ncells, nq) buffer, which is reduced in one call, so every sum adds
-        in the order of a single pass over the cells (projecting block by
-        block would not: BLAS picks its kernel, and with it the rounding, by
-        matrix size).
+        returns (integrands, projected): two tuples of (nb, nq) arrays.
+        Returns the np.sum of each integrand times w, and the project() of
+        each projected array times w, over all cells.  Each product with w is
+        written block by block into one (ncells, nq) buffer, which is reduced
+        in one call, so every sum adds in the order of a single pass over the
+        cells (projecting block by block would not: BLAS picks its kernel,
+        and with it the rounding, by matrix size).
         """
-        padded = [self._padded(x) for x in fields]
-        if len(self.conn) <= self.block_cells:
-            integrands, projected = self._block(kernel, padded, self.conn)
-            for f in integrands + projected:
-                np.multiply(f, self.w, out=f)
-        else:
-            integrands, projected = self._blockwise(kernel, padded)
+        integrands, projected = self._blockwise(kernel, [self._padded(x) for x in fields])
         return [np.sum(f) for f in integrands], [self.project(f) for f in projected]
-
-    def _block(self, kernel, padded, conn):
-        shapes_t = self.shapes.T
-        return kernel(*[x[conn] @ shapes_t for x in padded])
 
     def _blockwise(self, kernel, padded):
         """The kernel's arrays times w over all cells, one block at a time."""
+        shapes_t = self.shapes.T
         buffers = None
         for start in range(0, len(self.conn), self.block_cells):
             cells = slice(start, start + self.block_cells)
-            integrands, projected = self._block(kernel, padded, self.conn[cells])
+            conn = self.conn[cells]
+            integrands, projected = kernel(*[x[conn] @ shapes_t for x in padded])
             if buffers is None:
                 buffers = ([np.empty(self.w.shape) for _ in integrands],
                            [np.empty(self.w.shape) for _ in projected])
@@ -310,12 +297,11 @@ def _coupling_table(operators: DiscreteOperators, spec: CouplingSpec) -> Quadrat
 
 
 def gamma1_table(operators: DiscreteOperators) -> QuadratureTable:
-    """Cached table of the damped facets at the boundary quadrature degree."""
-    def build():
-        g1 = operators.partition.gamma1_facets
-        _, wts, shapes = operators.mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
-        return _table(operators, operators.mesh.facets[g1], shapes, wts[g1])
-    return operators.cache(("gamma1",), build)
+    """Table of the damped facets at the boundary quadrature degree, built
+    per call."""
+    g1 = operators.partition.gamma1_facets
+    _, wts, shapes = operators.mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    return _table(operators, operators.mesh.facets[g1], shapes, wts[g1])
 
 
 def coupling_vectors(uv, spec: CouplingSpec, operators: DiscreteOperators):

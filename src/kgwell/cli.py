@@ -191,7 +191,7 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
         return code, summary
 
     csv_path = out_dir / "trajectory.csv"
-    write_trajectory_csv(trajectory, csv_path)
+    write_trajectory_csv(trajectory, prep.constants, csv_path)
     outputs = [csv_path.name]
 
     passed = all(getattr(results[key], verdict) for key, verdict, _ in selected)

@@ -18,9 +18,9 @@ shrinks the admissible ball and keeps the well test conservative.
 
 Setup-only state ends with setup: compute_well_constants factors K once, as
 a local that the eigenpair solve and every best-constant iteration share,
-and the volume tables of the embedding constants are built per call, so
-neither outlives the computation.  The operators keep only the first
-eigenpair (and the GAMMA1 table), not the K factor.
+and the volume tables of the embedding constants and the GAMMA1 table of
+the trace constants are built per call, so none of them outlives the
+computation.  The operators keep only the first eigenpair, not the K factor.
 """
 
 from __future__ import annotations
@@ -238,7 +238,8 @@ class WellConstants:
         """(threshold, kind) of the active well: the rho = 1 (regular) set
         for the regular/decay harness, the general set otherwise.  The one
         place that choice is made; admissibility, initial amplitudes, the
-        sampled margins and the well monitor all take it from here."""
+        well margins of trajectory.csv and the well monitor all take it from
+        here."""
         if self.rho == 1.0:
             return self.lambda1_star, "regular"
         return self.lambda_star, "general"

@@ -24,12 +24,12 @@ MAX_SAMPLE_SPACING = 0.1
 
 @dataclass(frozen=True)
 class EnergySample:
-    """Energy breakdown at one instant.
+    """Energy breakdown at one instant, a function of the state alone.
 
     E = kinetic + potential + coupling holds by construction; psi is the
-    multiplier functional 2(u', m.grad u) + (n-1)(u', u) + (same in v) and
-    E_eps = E + eps * psi the perturbed energy.  Margins are threshold
-    minus V-norm (positive while the state sits inside the well).
+    multiplier functional 2(u', m.grad u) + (n-1)(u', u) + (same in v).
+    Quantities that also need the run's constants (the perturbed energy
+    E + eps1 psi, the well margins) are formed by their readers.
     """
 
     t: float
@@ -38,9 +38,6 @@ class EnergySample:
     coupling: float
     E: float
     psi: float
-    E_eps: float
-    well_margin_u: float
-    well_margin_v: float
     norm_u_V: float
     norm_v_V: float
     norm_du_L2: float
@@ -64,8 +61,8 @@ def multiplier_functional(state, operators: DiscreteOperators) -> float:
     return psi
 
 
-def full_sample(state, operators: DiscreteOperators, spec: CouplingSpec | None,
-                eps: float, threshold: float) -> EnergySample:
+def full_sample(state, operators: DiscreteOperators,
+                spec: CouplingSpec | None) -> EnergySample:
     """Complete energy record; spec=None means the coupling is switched off
     and its energy contribution is zero."""
     M, K, B = operators.M, operators.K, operators.B
@@ -76,14 +73,10 @@ def full_sample(state, operators: DiscreteOperators, spec: CouplingSpec | None,
     kinetic = 0.5 * (mu + mv)
     potential = 0.5 * (ku + kv)
     coup = 0.0 if spec is None else coupling_energy((state.u, state.v), spec, operators)
-    E = kinetic + potential + coup
-    psi = multiplier_functional(state, operators)
-    nu, nv = math.sqrt(max(ku, 0.0)), math.sqrt(max(kv, 0.0))
     return EnergySample(
         t=state.t, kinetic=kinetic, potential=potential, coupling=coup,
-        E=E, psi=psi, E_eps=E + eps * psi,
-        well_margin_u=threshold - nu, well_margin_v=threshold - nv,
-        norm_u_V=nu, norm_v_V=nv,
+        E=kinetic + potential + coup, psi=multiplier_functional(state, operators),
+        norm_u_V=math.sqrt(max(ku, 0.0)), norm_v_V=math.sqrt(max(kv, 0.0)),
         norm_du_L2=math.sqrt(max(mu, 0.0)), norm_dv_L2=math.sqrt(max(mv, 0.0)),
         flux_u=_quad(B, state.du), flux_v=_quad(B, state.dv),
     )

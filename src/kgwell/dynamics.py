@@ -11,11 +11,13 @@ nonlinear coupling).
 
 What the time loop holds: the operators' matrices, the LU factors of the
 step matrix A = M + (dt/2) B + (dt^2/4) K and of M, the coupling's
-quadrature table, the first eigenpair, the GAMMA1 table, and per sample an
-energy row (the first and the last sample also keep their state).  Setup's
-K factor and embedding tables are gone by then (see constants), and the
-coupling integrals run in cell blocks (see assembly), so their temporaries
-are block-sized.
+quadrature table, the first eigenpair, and per sample an energy row of the
+state alone (the first and the last sample also keep their state).  Setup's
+K factor, embedding tables and GAMMA1 table are gone by then (see
+constants), and the coupling integrals run in cell blocks (see assembly), so
+their temporaries are block-sized.  The columns that also need the run's
+constants, E + eps1 psi and the well margin, are formed by
+write_trajectory_csv.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import diagnostics
-from .assembly import (CouplingSpec, DiscreteOperators, _element_geometry,
-                       assemble_operators, coupling_vectors, gamma1_table)
+from .assembly import CouplingSpec, DiscreteOperators, assemble_operators, coupling_vectors
 from .constants import WellConstants, admissibility, compute_well_constants, first_eigenpair
 from .geometry import build_interval_mesh, build_rectangle_mesh, classify_boundary
 
@@ -87,8 +88,8 @@ class Trajectory:
     """Sampled run: per sample an energy row and the Gamma1 flux of the pair
     ending there, the states of the first and the last sample, and metadata.
     record() builds one from any sequence of states; simulate() sets meta to
-    dt, n_steps, t_final (the last sample's time), eps1 = 1/(2P), constants,
-    operators and admissible (whether the initial data were)."""
+    dt, n_steps, t_final (the last sample's time), constants, operators and
+    admissible (whether the initial data were)."""
 
     samples: list[TrajectoryPoint]
     meta: dict = field(default_factory=dict)
@@ -110,15 +111,14 @@ class Trajectory:
 
 
 def record(states, operators: DiscreteOperators, spec: CouplingSpec | None,
-           eps: float, threshold: float, meta: dict | None = None) -> Trajectory:
+           meta: dict | None = None) -> Trajectory:
     """Trajectory of an iterable of states, read one state at a time: each
-    gets its diagnostics.full_sample row (with eps and threshold) and the
-    pair flux from the state before it, and only the first and the last
-    state are kept."""
+    gets its diagnostics.full_sample row and the pair flux from the state
+    before it, and only the first and the last state are kept."""
     points = []
     prev = None
     for state in states:
-        energy = diagnostics.full_sample(state, operators, spec, eps=eps, threshold=threshold)
+        energy = diagnostics.full_sample(state, operators, spec)
         if prev is None:
             points.append(TrajectoryPoint(energy, 0.0, state))
         else:
@@ -278,8 +278,7 @@ class Prepared:
     """Everything simulate() needs, exposed for tests and notebooks: the
     config, the mesh, the operators (which hold the boundary partition), the
     coupling spec, the constants (whose threshold() is the active well), the
-    initial state, its admissibility report, the time step, and the
-    boundary compatibility residuals of (u0, u1) and (v0, v1)."""
+    initial state, its admissibility report and the time step."""
 
     config: ScenarioConfig
     mesh: object
@@ -289,8 +288,6 @@ class Prepared:
     state0: SimState
     admissibility: object
     dt: float
-    compat_residual_u: float
-    compat_residual_v: float
 
 
 def _build_field(init: FieldInit, operators: DiscreteOperators, threshold: float,
@@ -324,23 +321,6 @@ def _build_field(init: FieldInit, operators: DiscreteOperators, threshold: float
     return (amp / nrm) * vec
 
 
-def _compat_residual(operators: DiscreteOperators, disp: np.ndarray,
-                     vel: np.ndarray) -> float:
-    """L2(Gamma1) residual of the boundary compatibility
-    d(disp)/dnu + delta * vel = 0, reported as a diagnostic only."""
-    mesh = operators.mesh
-    g1 = operators.partition.gamma1_facets
-    if len(g1) == 0:
-        return 0.0
-    owners = mesh.elements[mesh.facet_owner()[g1]]
-    grads, _ = _element_geometry(mesh.vertices[owners])
-    grad_u = np.einsum("fk,fkd->fd", operators.embed(disp)[owners], grads)
-    dn = np.einsum("fd,fd->f", grad_u, mesh.facet_normals[g1])
-    q = gamma1_table(operators)
-    resid = dn[:, None] + operators.delta_gamma1 * q.values(vel)
-    return math.sqrt(float(np.sum(resid ** 2 * q.w)))
-
-
 def prepare(config: ScenarioConfig) -> Prepared:
     """Build mesh, operators, constants and initial data for a scenario."""
     if config.mesh_kind == "interval":
@@ -365,8 +345,6 @@ def prepare(config: ScenarioConfig) -> Prepared:
     return Prepared(
         config=config, mesh=mesh, operators=operators, spec=spec,
         constants=constants, state0=state0, admissibility=report, dt=dt,
-        compat_residual_u=_compat_residual(operators, u0, u1),
-        compat_residual_v=_compat_residual(operators, v0, v1),
     )
 
 
@@ -382,7 +360,6 @@ def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> 
     dt = prep.dt
     n_steps = max(1, round(cfg.t_end / dt))
     opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    eps1 = 1.0 / (2.0 * prep.constants.P)
     spec = prep.spec if cfg.coupling_enabled else None
 
     def sampled_states():
@@ -396,13 +373,11 @@ def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> 
                 yield state
                 sampled = state
 
-    threshold, _ = prep.constants.threshold()
-    trajectory = record(sampled_states(), prep.operators, spec, eps1, threshold)
+    trajectory = record(sampled_states(), prep.operators, spec)
     trajectory.meta = {
         "dt": dt,
         "n_steps": n_steps,
         "t_final": trajectory.samples[-1].energy.t,
-        "eps1": eps1,
         "constants": prep.constants,
         "operators": prep.operators,
         "admissible": prep.admissibility.admissible,
@@ -416,15 +391,20 @@ CSV_COLUMNS = (
 )
 
 
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Fixed-column CSV at full double precision (17 significant digits)."""
+def write_trajectory_csv(trajectory: Trajectory, constants: WellConstants, path) -> None:
+    """Fixed-column CSV at full double precision (17 significant digits).
+    E_eps is the perturbed energy E + eps1 psi with eps1 = 1/(2P), and
+    well_margin the active threshold minus the larger of the two V-norms
+    (positive while the state sits inside the well)."""
+    eps1 = 1.0 / (2.0 * constants.P)
+    thr, _ = constants.threshold()
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for p in trajectory.samples:
             e = p.energy
             row = (
-                e.t, e.E, e.E_eps, e.norm_u_V, e.norm_v_V, e.norm_du_L2,
+                e.t, e.E, e.E + eps1 * e.psi, e.norm_u_V, e.norm_v_V, e.norm_du_L2,
                 e.norm_dv_L2, e.coupling, e.flux_u, e.flux_v,
-                min(e.well_margin_u, e.well_margin_v),
+                min(thr - e.norm_u_V, thr - e.norm_v_V),
             )
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -168,7 +168,7 @@ def test_criterion_8_integrator_properties():
     import scipy.sparse as sp
 
     mesh, _, ops = interval_setup(elements=32)
-    ops0 = dataclasses.replace(ops, B=sp.csr_matrix(ops.B.shape), _caches={})
+    ops0 = dataclasses.replace(ops, B=sp.csr_matrix(ops.B.shape))
     lam, w = first_eigenpair(ops0)
     omega = math.sqrt(lam)
     z = np.zeros_like(w)

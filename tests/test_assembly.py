@@ -71,9 +71,9 @@ def test_multiplier_divergence_identity(setup_fn):
     # so G + G^T must equal the (m . nu)-weighted full-boundary mass minus n M
     mesh, part, ops = setup_fn()
     assert ops.n_free == ops.n_nodes  # identity needs all nodes retained
-    weight = lambda p: np.einsum("fqd,fd->fq", radial_field(p, part.x0),
-                                 mesh.facet_normals)
-    bdry = boundary_mass_matrix(mesh, np.arange(mesh.n_facets), weight=weight)
+    pts = mesh.facet_quadrature()[0]
+    weights = np.einsum("fqd,fd->fq", radial_field(pts, part.x0), mesh.facet_normals)
+    bdry = boundary_mass_matrix(mesh, np.arange(mesh.n_facets), weights=weights)
     lhs = (ops.G + ops.G.T).toarray()
     rhs = bdry.toarray() - mesh.dim * ops.M.toarray()
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
@@ -93,7 +93,7 @@ def test_delta_floor_rejected():
     with pytest.raises(ValueError):
         assemble_operators(mesh, part, delta=0.5, delta_floor=0.6)
     with pytest.raises(ValueError):
-        assemble_operators(mesh, part, delta=lambda p: np.full(p.shape[:2], -1.0))
+        assemble_operators(mesh, part, delta=-1.0)
 
 
 @pytest.mark.parametrize("setup", [lambda: interval_setup(50), lambda: square_setup(8)],
@@ -103,7 +103,6 @@ def test_radial_damping_minimum_is_m0_bitwise(setup):
     # for delta = m . nu the two must agree to the last bit
     _, part, ops = setup()
     assert ops.delta_min == part.m0
-    assert ops.delta_gamma1.shape == gamma1_table(ops).w.shape
 
 
 def test_operator_symmetry_and_positivity():
@@ -287,7 +286,8 @@ def test_blocked_reductions_match_single_pass_bitwise(setup, block_cells):
                                     block_cells=block_cells)
         assert len(table.conn) > block_cells and len(table.conn) % block_cells
         # the coupling reads the table the operators cache for the time loop
-        blocked_ops = dataclasses.replace(ops, _caches={("volume", spec.quad_degree): table})
+        blocked_ops = dataclasses.replace(ops)
+        blocked_ops._caches[("volume", spec.quad_degree)] = table
         _, wdet, shapes = element_quadrature_tables(mesh, spec.quad_degree)
         fu_ref, fv_ref, e_ref = scatter_add_coupling(mesh.elements, shapes, wdet,
                                                      ops, u, v, rho)

@@ -299,9 +299,9 @@ def test_prepare_factors_K_once_and_keeps_only_the_eigenpair(n, monkeypatch):
     K = prep.operators.K
     assert len(factored) == 1
     assert factored[0].shape == K.shape and (factored[0] != K).nnz == 0
-    # the time loop inherits the eigenpair and the boundary-sized GAMMA1
-    # table, not the K factor or the embedding constant's volume table
-    assert set(prep.operators._caches) == {("eigenpair",), ("gamma1",)}
+    # the time loop inherits the eigenpair, not the K factor or the tables
+    # of the embedding and trace constants
+    assert set(prep.operators._caches) == {("eigenpair",)}
 
 
 def test_constants_without_a_factor_match_the_shared_factor():

@@ -25,9 +25,9 @@ def _state(ops, rng=None, scale=1.0):
 
 def test_energy_zero_state():
     mesh, _, ops = interval_setup(8)
-    s = diag.full_sample(SimState.zero(ops.n_free), ops, CouplingSpec(1.0), 0.0, math.nan)
+    s = diag.full_sample(SimState.zero(ops.n_free), ops, CouplingSpec(1.0))
     assert s.kinetic == s.potential == s.coupling == s.E == 0.0
-    assert s.psi == 0.0 and s.E_eps == 0.0
+    assert s.psi == 0.0
 
 
 def test_energy_decomposition_and_homogeneity():
@@ -35,11 +35,11 @@ def test_energy_decomposition_and_homogeneity():
     spec = CouplingSpec(1.0)
     rng = np.random.default_rng(4)
     base = _state(ops, rng)
-    s1 = diag.full_sample(base, ops, spec, 0.0, math.nan)
+    s1 = diag.full_sample(base, ops, spec)
     assert np.isclose(s1.E, s1.kinetic + s1.potential + s1.coupling, rtol=1e-15)
     scale = 1.7
     s2 = diag.full_sample(SimState(0.0, scale * base.u, scale * base.v,
-                                   scale * base.du, scale * base.dv), ops, spec, 0.0, math.nan)
+                                   scale * base.du, scale * base.dv), ops, spec)
     assert np.isclose(s2.kinetic, scale ** 2 * s1.kinetic)
     assert np.isclose(s2.potential, scale ** 2 * s1.potential)
     assert np.isclose(s2.coupling, scale ** 4 * s1.coupling)  # 2 rho + 2
@@ -51,7 +51,7 @@ def test_energy_sign_indefinite_for_opposed_fields():
     rng = np.random.default_rng(5)
     u = rng.uniform(0.3, 1.0, ops.n_free)
     z = np.zeros_like(u)
-    s = diag.full_sample(SimState(0.0, u, -u, z, z), ops, spec, 0.0, math.nan)
+    s = diag.full_sample(SimState(0.0, u, -u, z, z), ops, spec)
     assert s.coupling < 0
     assert s.E < s.potential
     dense = dense_coupling_energy(ops.mesh, ops.embed(u), ops.embed(-u), 1.0)
@@ -66,12 +66,8 @@ def test_perturbed_energy_limits():
     v = rng.uniform(0.2, 1.0, ops.n_free)
     z = np.zeros_like(u)
     # zero velocities: psi vanishes
-    out = diag.full_sample(SimState(0.0, u, v, z, z), ops, spec, eps=0.3, threshold=math.nan)
+    out = diag.full_sample(SimState(0.0, u, v, z, z), ops, spec)
     assert out.psi == 0.0
-    # eps = 0: perturbed energy equals the energy
-    st = SimState(0.0, u, v, 0.5 * u, 0.2 * v)
-    out0 = diag.full_sample(st, ops, spec, eps=0.0, threshold=math.nan)
-    assert out0.E_eps == diag.full_sample(st, ops, spec, 0.0, math.nan).E
 
 
 def test_multiplier_functional_against_dense_quadrature():
@@ -99,8 +95,8 @@ def test_multiplier_functional_takes_dimension_from_mesh():
     assert np.isclose(psi, dense + m_term, rtol=1e-11)
 
 
-def _manual_trajectory(ops, states, spec=None, eps=0.0, threshold=1.0, meta=None):
-    return record(states, ops, spec, eps, threshold, meta)
+def _manual_trajectory(ops, states):
+    return record(states, ops, None)
 
 
 def test_check_equivalence_zero_trajectory():
@@ -206,7 +202,6 @@ def test_well_monitor_inadmissible_data():
     assert not traj.meta["admissible"]
     rep = diag.well_monitor(traj, wc)
     assert not rep.invariant_held
-    assert traj.samples[0].energy.well_margin_u < 0  # violated from t = 0
 
 
 def test_well_monitor_zero_trajectory():
@@ -214,7 +209,7 @@ def test_well_monitor_zero_trajectory():
     wc_like = type("C", (), {"P": 8.0, "tau": 1 / 16,
                              "threshold": lambda self: (1.0, "general")})()
     states = [SimState.zero(ops.n_free, t) for t in (0.0, 0.05)]
-    traj = _manual_trajectory(ops, states, threshold=1.0)
+    traj = _manual_trajectory(ops, states)
     rep = diag.well_monitor(traj, wc_like)
     assert rep.invariant_held
     assert rep.max_norm_u == 0.0 and rep.max_norm_v == 0.0

@@ -21,13 +21,12 @@ from kgwell import (
     step,
     write_trajectory_csv,
 )
-from kgwell.dynamics import _compat_residual, record
+from kgwell.dynamics import record
 
 
 def without_damping(ops):
-    """Same operators with B = 0 and a fresh factorization cache."""
-    zero = sp.csr_matrix(ops.B.shape)
-    return dataclasses.replace(ops, B=zero, _caches={})
+    """Same operators with B = 0 (a new object, so an empty factorization cache)."""
+    return dataclasses.replace(ops, B=sp.csr_matrix(ops.B.shape))
 
 
 def mnorm(ops, x):
@@ -109,6 +108,21 @@ def test_damped_linear_step_dissipation_identity():
     actual = linear_energy(ops, new) - linear_energy(ops, state)
     assert np.isclose(actual, expected, rtol=1e-10)
     assert actual < 0.0  # boundary velocity generically nonzero
+
+
+def test_replaced_operators_do_not_reuse_the_old_step_factor():
+    # a copy with another B must factor its own step matrix, even when the
+    # original already stepped and cached the factor of its own B
+    _, _, ops = interval_setup(20)
+    _, _, fresh = interval_setup(20)
+    rng = np.random.default_rng(11)
+    state = SimState(0.0, *rng.standard_normal((4, ops.n_free)))
+    step(state, 0.01, ops, None)
+    zero = sp.csr_matrix(ops.B.shape)
+    got = step(state, 0.01, dataclasses.replace(ops, B=zero), None)
+    expected = step(state, 0.01, dataclasses.replace(fresh, B=zero), None)
+    for name in ("u", "v", "du", "dv"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
 def test_time_reversal_returns_initial_state():
@@ -200,14 +214,11 @@ def test_simulate_without_coupling_steps_and_samples_linearly():
     opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     state = prep.state0
     states = []
-    threshold, _ = prep.constants.threshold()
-    assert traj.samples[0].energy == diag.full_sample(state, prep.operators, None,
-                                                      traj.meta["eps1"], threshold)
+    assert traj.samples[0].energy == diag.full_sample(state, prep.operators, None)
     for p in traj.samples[1:]:
         state = step(state, prep.dt, prep.operators, None, opts)
         states.append(state)
-        assert p.energy == diag.full_sample(state, prep.operators, None,
-                                            traj.meta["eps1"], threshold)
+        assert p.energy == diag.full_sample(state, prep.operators, None)
     for name in ("u", "v", "du", "dv"):
         assert np.array_equal(getattr(traj.samples[-1].state, name), getattr(state, name)), name
     assert all(p.energy.coupling == 0.0 for p in traj.samples)
@@ -231,17 +242,15 @@ def test_streamed_dissipation_matches_stored_states_bitwise(name):
     prep = prepare(STREAMED_CASES[name])
     cfg, ops = prep.config, prep.operators
     opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    eps1 = 1.0 / (2.0 * prep.constants.P)
-    threshold, _ = prep.constants.threshold()
     states = [prep.state0]
     for k in range(1, round(cfg.t_end / prep.dt) + 1):
         states.append(step(states[-1], prep.dt, ops, prep.spec, opts))
     sampled = states[::cfg.stride]
     assert len(sampled) > 2 and sampled[-1] is states[-1]
-    pairs = [(s, diag.full_sample(s, ops, prep.spec, eps1, threshold)) for s in sampled]
+    pairs = [(s, diag.full_sample(s, ops, prep.spec)) for s in sampled]
     worst, worst_t = stored_state_dissipation(pairs, ops, ops.delta_min)
     assert worst > -math.inf
-    for traj in (record(sampled, ops, prep.spec, eps1, threshold), simulate(prep)):
+    for traj in (record(sampled, ops, prep.spec), simulate(prep)):
         rep = diag.check_dissipation(traj, ops.delta_min, slack=0.0)
         assert rep.worst_residual == worst and rep.worst_t == worst_t
 
@@ -285,7 +294,7 @@ def test_trajectory_validation():
 
     def trajectory(*times):
         states = [SimState(t, s0.u, s0.v, s0.du, s0.dv) for t in times]
-        return record(states, ops, spec, 0.0, 1.0)
+        return record(states, ops, spec)
 
     with pytest.raises(ValueError):
         trajectory(0.5)  # first sample must sit at t = 0
@@ -307,12 +316,52 @@ def test_csv_format_and_determinism(tmp_path):
                          u0=FieldInit("eigenfunction", 0.1),
                          v0=FieldInit("eigenfunction", 0.1))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trajectory_csv(simulate(cfg), p1)
-    write_trajectory_csv(simulate(cfg), p2)
+    for path in (p1, p2):
+        traj = simulate(cfg)
+        write_trajectory_csv(traj, traj.meta["constants"], path)
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == ("t,E,E_eps,norm_u_V,norm_v_V,norm_du_L2,norm_dv_L2,"
                       "coupling_energy,gamma1_flux_u,gamma1_flux_v,well_margin")
+
+
+def _csv_rows(traj, tmp_path):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, traj.meta["constants"], path)
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+
+
+def test_csv_derived_columns_bitwise(tmp_path):
+    # the writer forms E_eps and well_margin from each row and the constants;
+    # u has the larger V-norm at t = 0 in the first run, v in the second
+    for amp_u, amp_v in ((0.2, 0.15), (0.15, 0.2)):
+        cfg = ScenarioConfig(name="csv", elements=16, x0=(0.0,), dt=5e-3, t_end=0.1,
+                             stride=2, u0=FieldInit("eigenfunction", amp_u),
+                             v0=FieldInit("bump", amp_v), u1=FieldInit("bump", 0.1))
+        traj = simulate(cfg)
+        wc = traj.meta["constants"]
+        eps1 = 1.0 / (2.0 * wc.P)
+        thr, _ = wc.threshold()
+        rows = _csv_rows(traj, tmp_path)
+        assert len(rows) == len(traj.samples)
+        assert all(p.energy.psi != 0.0 for p in traj.samples)
+        for row, p in zip(rows, traj.samples):
+            e = p.energy
+            assert row["E_eps"] == e.E + eps1 * e.psi
+            assert row["well_margin"] == min(thr - e.norm_u_V, thr - e.norm_v_V)
+            assert row["well_margin"] > 0.0
+    # zero state: the perturbed energy vanishes with the energy
+    zero = simulate(ScenarioConfig(name="z", elements=8, x0=(0.0,), dt=0.01,
+                                   t_end=0.02, stride=1))
+    assert all(row["E_eps"] == 0.0 for row in _csv_rows(zero, tmp_path))
+    # inadmissible data leave the well from t = 0
+    big = simulate(ScenarioConfig(name="big", elements=16, x0=(0.0,), dt=5e-3,
+                                  t_end=0.05, stride=1,
+                                  u0=FieldInit("eigenfunction", 2.0),
+                                  v0=FieldInit("eigenfunction", 2.0)))
+    assert not big.meta["admissible"]
+    assert _csv_rows(big, tmp_path)[0]["well_margin"] < 0.0
 
 
 def test_initial_presets():
@@ -352,31 +401,3 @@ def test_initial_preset_from_file(tmp_path):
         FieldInit("file")  # path required
     with pytest.raises(ValueError):
         FieldInit("fourier")  # unknown preset
-
-
-def test_compatibility_residual_reported():
-    # zero velocities cannot cancel the normal derivative of the
-    # eigenfunction on the damped end, so the residual is positive
-    cfg = ScenarioConfig(name="c", elements=30, x0=(0.0,), t_end=1.0,
-                         u0=FieldInit("eigenfunction", 0.1))
-    prep = prepare(cfg)
-    assert prep.compat_residual_u > 0.0
-    assert prep.compat_residual_v == 0.0
-
-
-def test_compatibility_residual_2d_velocity_only():
-    # x0 = (-0.1, -0.1): m . nu = 1.1 on both damped sides (x = 1 and y = 1),
-    # so with zero displacement the residual is 1.1 ||vel||_{L2(Gamma1)}
-    _, _, ops = square_setup(4)
-    vel = np.random.default_rng(29).uniform(0.5, 1.5, ops.n_free)
-    resid = _compat_residual(ops, np.zeros(ops.n_free), vel)
-    assert np.isclose(resid, 1.1 * math.sqrt(vel @ (ops.T @ vel)), rtol=1e-12)
-
-
-def test_compatibility_residual_uses_assembled_constant_delta():
-    # 1D, clamped at 0, damped at x = 1 with delta = 0.2 (m . nu would be 1):
-    # with zero displacement the residual is 0.2 |vel(1)|
-    _, _, ops = interval_setup(4, delta=0.2)
-    vel = np.array([0.3, -0.7, 1.3, 0.9])
-    resid = _compat_residual(ops, np.zeros(ops.n_free), vel)
-    assert np.isclose(resid, 0.2 * 0.9, rtol=1e-14)
