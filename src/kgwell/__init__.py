@@ -16,8 +16,6 @@ from .assembly import (
     boundary_mass_matrix,
     coupling_energy,
     coupling_vectors,
-    read_coo_text,
-    write_coo_text,
 )
 from .constants import (
     AdmissibilityReport,

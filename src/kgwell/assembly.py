@@ -338,25 +338,3 @@ def coupling_energy(uv, spec: CouplingSpec, operators: DiscreteOperators) -> flo
     (total,), _ = _coupling_table(operators, spec).reduce(uv, kernel)
     return float(total / (rho + 1.0))
 
-
-def write_coo_text(matrix, path) -> None:
-    """Dump a sparse matrix as 'row col value' lines (row-major order),
-    full double precision, for external cross-checks."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for r, c, x in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {x:.17g}\n")
-
-
-def read_coo_text(path, shape) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(float(parts[2]))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()

@@ -10,14 +10,14 @@ to the boundary damping B (plus an O(dt^3) per-step defect from the
 nonlinear coupling).
 
 What the time loop holds: the operators' matrices, the LU factors of the
-step matrix A = M + (dt/2) B + (dt^2/4) K and of M, the coupling's
-quadrature table, the first eigenpair, and per sample an energy row of the
-state alone (the first and the last sample also keep their state).  Setup's
-K factor, embedding tables and GAMMA1 table are gone by then (see
-constants), and the coupling integrals run in cell blocks (see assembly), so
-their temporaries are block-sized.  The columns that also need the run's
-constants, E + eps1 psi and the well margin, are formed by
-write_trajectory_csv.
+step matrix A = M + (dt/2) B + (dt^2/4) K, the fixed-point residual weights
+(d+2)/l from the row sums l of M, the coupling's quadrature table, the first
+eigenpair, and per sample an energy row of the state alone (the first and
+the last sample also keep their state).  Setup's K factor, embedding tables
+and GAMMA1 table are gone by then (see constants), and the coupling
+integrals run in cell blocks (see assembly), so their temporaries are
+block-sized.  The columns that also need the run's constants, E + eps1 psi
+and the well margin, are formed by write_trajectory_csv.
 """
 
 from __future__ import annotations
@@ -130,13 +130,21 @@ def record(states, operators: DiscreteOperators, spec: CouplingSpec | None,
 
 
 def _step_factorizations(operators: DiscreteOperators, dt: float):
+    """(LU of the step matrix A, residual weights w) with r^T M^-1 r <= sum(w r^2).
+
+    On a P1 d-simplex the consistent mass is at least 1/(d+2) times the
+    row-sum-lumped mass (its local eigenvalues relative to the lumped one are
+    1 and 1/(d+2)), and restricting to free nodes only lowers the row sums l,
+    so M^-1 <= (d+2) diag(l)^-1 and w = (d+2)/l."""
     def build():
         A = (operators.M + (dt / 2.0) * operators.B
              + (dt * dt / 4.0) * operators.K).tocsc()
         return spla.splu(A)
     A_lu = operators.cache(("step_A", dt), build)
-    M_lu = operators.cache(("lu_M",), lambda: spla.splu(operators.M.tocsc()))
-    return A_lu, M_lu
+    weights = operators.cache(
+        ("residual_weights",),
+        lambda: (operators.mesh.dim + 2.0) / np.asarray(operators.M.sum(axis=1)).ravel())
+    return A_lu, weights
 
 
 def step(state: SimState, dt: float, operators: DiscreteOperators,
@@ -147,14 +155,16 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
     u and v share M, K and B, so they advance as the two columns of one
     (n, 2) block.  The midpoint coupling is resolved by fixed-point
     iteration; each pass makes one two-column linear solve, one coupling
-    evaluation and one M^-1 residual solve.  Converged when the residual in
-    the M^-1 inner product (an M-norm of the velocity defect) is below opts.tol.
+    evaluation and one diagonal scaling of the residual.  Converged when the
+    lumped bound sqrt(sum(w r^2)) of _step_factorizations is below opts.tol, so
+    the residual in the M^-1 inner product (an M-norm of the velocity defect)
+    is below opts.tol too.
     """
     if opts is None:
         opts = StepOptions()
     if dt <= 0:
         raise ValueError("dt must be positive")
-    A_lu, M_lu = _step_factorizations(operators, dt)
+    A_lu, weights = _step_factorizations(operators, dt)
     x0 = np.column_stack([state.u, state.v])
     p0 = np.column_stack([state.du, state.dv])
     rhs = operators.M @ p0 - (dt / 2.0) * (operators.K @ x0)
@@ -170,7 +180,7 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
             f_new = np.column_stack(coupling_vectors(x_mid.T, spec, operators))
             r = (dt / 2.0) * (f_new - f)
             f = f_new
-            res_sq = float(np.sum(r * M_lu.solve(r)))
+            res_sq = float(np.sum(r * (weights[:, None] * r)))
             if not np.isfinite(res_sq):
                 raise NonlinearSolveFailure(
                     f"midpoint solve diverged at t = {state.t:.6g} (dt = {dt:g} too large)",

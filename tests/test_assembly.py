@@ -17,8 +17,6 @@ from kgwell import (
     coupling_energy,
     coupling_vectors,
     radial_field,
-    read_coo_text,
-    write_coo_text,
 )
 from kgwell.assembly import (
     BLOCK_POINTS,
@@ -221,14 +219,6 @@ def test_coupling_spec_validation():
         CouplingSpec(rho=2.0, quad_degree=3)  # below ceil(2 rho + 2)
     assert CouplingSpec(rho=0.5).quad_degree == 4
     assert CouplingSpec(rho=3.0).quad_degree == 8
-
-
-def test_coo_text_roundtrip(tmp_path):
-    _, _, ops = interval_setup(5)
-    path = tmp_path / "K.txt"
-    write_coo_text(ops.K, path)
-    loaded = read_coo_text(path, ops.K.shape)
-    np.testing.assert_allclose(loaded.toarray(), ops.K.toarray(), atol=0)
 
 
 @TABLE_MESHES

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import kgwell.diagnostics as diag
 from _oracles import stored_state_dissipation, two_solve_step
@@ -21,7 +23,7 @@ from kgwell import (
     step,
     write_trajectory_csv,
 )
-from kgwell.dynamics import record
+from kgwell.dynamics import _step_factorizations, record
 
 
 def without_damping(ops):
@@ -182,6 +184,35 @@ def test_block_step_matches_two_solve_reference_bitwise(setup, coupling):
     assert np.any(block.u != u)
     for name in ("u", "v", "du", "dv"):
         assert np.array_equal(getattr(block, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(8)],
+                         ids=["interval-16", "square-8"])
+def test_lumped_residual_norm_bounds_the_m_inverse_norm(setup):
+    # the fixed-point stop test uses sum(w r^2), w = (d+2)/l; it must never be
+    # looser than r^T M^-1 r
+    _, _, ops = setup()
+    _, weights = _step_factorizations(ops, 0.01)
+    d = ops.mesh.dim
+    lumped = np.asarray(ops.M.sum(axis=1)).ravel()
+    np.testing.assert_array_equal(weights, (d + 2.0) / lumped)
+    M = ops.M.toarray()
+    rng = np.random.default_rng(5)
+    for r in rng.standard_normal((200, ops.n_free)):
+        assert r @ np.linalg.solve(M, r) <= (d + 2) * (r @ (r / lumped))
+    top = scipy.linalg.eigh(np.diag(lumped), M, eigvals_only=True)[-1]
+    assert 1.0 < top < d + 2
+
+
+def test_simulate_caches_only_the_step_factor():
+    # the time loop keeps one sparse LU: the step matrix's, not one of M
+    cfg = ScenarioConfig(name="coupled", mesh_kind="rectangle", nx=4, ny=4,
+                         x0=(-0.1, -0.1), dt=0.01, t_end=0.05, stride=2,
+                         u0=FieldInit("eigenfunction", 0.2), v0=FieldInit("eigenfunction", 0.2))
+    traj = simulate(cfg)
+    caches = traj.meta["operators"]._caches
+    factors = [key for key, value in caches.items() if isinstance(value, spla.SuperLU)]
+    assert factors == [("step_A", 0.01)]
 
 
 def test_nonlinear_solve_failure_for_huge_dt():
