@@ -245,8 +245,9 @@ class QuadratureTable:
         """Integrals and Galerkin vectors of pointwise functions of the
         free-node fields, evaluated one block of cells at a time.
 
-        kernel(*values) gets each field's values (nb, nq) on one block and
-        returns (integrands, projected): two tuples of (nb, nq) arrays.
+        kernel(*values) gets each field's values (nb, nq) on one block, which
+        it may overwrite, and returns (integrands, projected): two tuples of
+        (nb, nq) arrays.
         Returns the np.sum of each integrand times w, and the project() of
         each projected array times w, over all cells.  Each product with w is
         written block by block into one (ncells, nq) buffer, which is reduced
@@ -304,22 +305,45 @@ def gamma1_table(operators: DiscreteOperators) -> QuadratureTable:
     return _table(operators, operators.mesh.facets[g1], shapes, wts[g1])
 
 
-def coupling_vectors(uv, spec: CouplingSpec, operators: DiscreteOperators):
+def _coupling_kernel(rho: float, energy: bool):
+    """Pointwise kernel of the coupling pass for QuadratureTable.reduce:
+    projected (|u|^rho |v|^rho v, |u|^rho u |v|^rho) and, with `energy`,
+    the integrand (|u|^rho u)(|v|^rho v).  Each product is rounded as in
+    those formulas, left to right, but formed in place where it can be (the
+    kernel owns its inputs), so the energy adds two products to the pass."""
+    def kernel(uq, vq):
+        au = np.abs(uq)
+        av = np.abs(vq)
+        if rho != 1.0:  # pow(x, 1) = x exactly
+            au **= rho
+            av **= rho
+        fv = au * uq
+        au *= av
+        au *= vq
+        if energy:
+            vq *= av
+            vq *= fv
+        fv *= av
+        return ((vq,) if energy else ()), (au, fv)
+
+    return kernel
+
+
+def coupling_vectors(uv, spec: CouplingSpec, operators: DiscreteOperators,
+                     energy: bool = False):
     """Galerkin projections of the coupling nonlinearities for the pair
     uv = (u, v) of free-node vectors.
 
     Returns (F_u, F_v) over free nodes with
       F_u[i] = int |u_h|^rho |v_h|^rho v_h phi_i dx
       F_v[i] = int |u_h|^rho u_h |v_h|^rho phi_i dx
+    and, with energy=True, (F_u, F_v, coupling_energy(uv, ...)) from the same
+    quadrature pass, each bit for bit what the separate calls return.
     """
     rho = spec.rho
-
-    def kernel(uq, vq):
-        au = np.abs(uq) ** rho
-        av = np.abs(vq) ** rho
-        return (), (au * av * vq, au * uq * av)
-
-    _, (fu, fv) = _coupling_table(operators, spec).reduce(uv, kernel)
+    totals, (fu, fv) = _coupling_table(operators, spec).reduce(uv, _coupling_kernel(rho, energy))
+    if energy:
+        return fu, fv, float(totals[0] / (rho + 1.0))
     return fu, fv
 
 
@@ -329,12 +353,6 @@ def coupling_energy(uv, spec: CouplingSpec, operators: DiscreteOperators) -> flo
     Sign-indefinite: v = -u makes it strictly negative for nonzero u.  Its
     gradient with respect to the u coefficients is exactly F_u (the 1/(rho+1)
     prefactor cancels the rho+1 produced by differentiating |u|^rho u).
+    Computed by the coupling_vectors pass, whose vectors it drops.
     """
-    rho = spec.rho
-
-    def kernel(uq, vq):
-        return ((np.abs(uq) ** rho * uq) * (np.abs(vq) ** rho * vq),), ()
-
-    (total,), _ = _coupling_table(operators, spec).reduce(uv, kernel)
-    return float(total / (rho + 1.0))
-
+    return coupling_vectors(uv, spec, operators, energy=True)[2]

@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CouplingSpec, DiscreteOperators, coupling_energy
+from .assembly import CouplingSpec, DiscreteOperators
+# no sample calls it (a state's evaluation carries the coupling energy); the
+# name stays here, where perfbench/tracing.py counts its calls
+from .assembly import coupling_energy  # noqa: F401
 from .constants import WellConstants
 
 #: Ratio checks switch to this absolute slack once E drops below
@@ -46,39 +49,53 @@ class EnergySample:
     flux_v: float
 
 
-def _quad(mat, x) -> float:
-    return float(x @ (mat @ x))
+def _column_dots(vectors, block) -> list[float]:
+    """x_j . block[:, j] for the vectors x_j, each on a contiguous copy of
+    the column: a strided column rounds differently in BLAS."""
+    return [float(x @ col) for x, col in zip(vectors, np.asfortranarray(block).T)]
+
+
+def _psi(velocities, X, operators: DiscreteOperators) -> float:
+    """The multiplier functional of the displacement block X = [u v] and
+    the velocities (u', v')."""
+    n = operators.mesh.dim
+    gu, gv = _column_dots(velocities, operators.G @ X)
+    psi = 2.0 * gu + 2.0 * gv
+    if n != 1:
+        mu, mv = _column_dots(velocities, operators.M @ X)
+        psi += (n - 1) * (mu + mv)
+    return psi
 
 
 def multiplier_functional(state, operators: DiscreteOperators) -> float:
     """psi = 2 u'.(G u) + (n-1) u'.(M u) + 2 v'.(G v) + (n-1) v'.(M v) with
     n the dimension of the operators' mesh."""
-    G, M = operators.G, operators.M
-    n = operators.mesh.dim
-    psi = 2.0 * float(state.du @ (G @ state.u)) + 2.0 * float(state.dv @ (G @ state.v))
-    if n != 1:
-        psi += (n - 1) * (float(state.du @ (M @ state.u)) + float(state.dv @ (M @ state.v)))
-    return psi
+    return _psi((state.du, state.dv), np.column_stack([state.u, state.v]), operators)
 
 
 def full_sample(state, operators: DiscreteOperators,
                 spec: CouplingSpec | None) -> EnergySample:
     """Complete energy record; spec=None means the coupling is switched off
-    and its energy contribution is zero."""
-    M, K, B = operators.M, operators.K, operators.B
-    ku = _quad(K, state.u)
-    kv = _quad(K, state.v)
-    mu = _quad(M, state.du)
-    mv = _quad(M, state.dv)
+    and its energy contribution is zero.
+
+    K X, M P and the coupling energy come from state.evaluation(operators,
+    spec), which a state returned by dynamics.step already holds (any other
+    state is evaluated here, once); the sample itself forms G X, B P and, in
+    2D and up, M X."""
+    ev = state.evaluation(operators, spec)
+    velocities = (state.du, state.dv)
+    ku, kv = _column_dots((state.u, state.v), ev.KX)
+    mu, mv = _column_dots(velocities, ev.MP)
+    flux_u, flux_v = _column_dots(velocities, operators.B @ ev.P)
     kinetic = 0.5 * (mu + mv)
     potential = 0.5 * (ku + kv)
-    coup = 0.0 if spec is None else coupling_energy((state.u, state.v), spec, operators)
+    coup = ev.energy
     return EnergySample(
         t=state.t, kinetic=kinetic, potential=potential, coupling=coup,
-        E=kinetic + potential + coup, psi=multiplier_functional(state, operators),
+        E=kinetic + potential + coup, psi=_psi(velocities, ev.X, operators),
         norm_u_V=math.sqrt(max(ku, 0.0)), norm_v_V=math.sqrt(max(kv, 0.0)),
         norm_du_L2=math.sqrt(max(mu, 0.0)), norm_dv_L2=math.sqrt(max(mv, 0.0)),
-        flux_u=_quad(B, state.du), flux_v=_quad(B, state.dv),
+        flux_u=flux_u, flux_v=flux_v,
     )
 
 
@@ -129,9 +146,11 @@ class DissipationReport:
 
 def pair_flux(a, b, operators: DiscreteOperators) -> float:
     """Damped-boundary trace form ||mid u'||_T^2 + ||mid v'||_T^2 of a sample
-    pair (a, b), with mid the average of the two samples' velocities."""
-    T = operators.T
-    return _quad(T, 0.5 * (a.du + b.du)) + _quad(T, 0.5 * (a.dv + b.dv))
+    pair (a, b), with mid the average of the two samples' velocities, formed
+    as one (n, 2) block with one T product."""
+    mid = (0.5 * (a.du + b.du), 0.5 * (a.dv + b.dv))
+    tu, tv = _column_dots(mid, operators.T @ np.column_stack(mid))
+    return tu + tv
 
 
 def require_fine_sampling(gap: float) -> None:

@@ -12,7 +12,10 @@ nonlinear coupling).
 What the time loop holds: the operators' matrices, the LU factors of the
 step matrix A = M + (dt/2) B + (dt^2/4) K, the fixed-point residual weights
 (d+2)/l from the row sums l of M, the coupling's quadrature table, the first
-eigenpair, and per sample an energy row of the state alone (the first and
+eigenpair, the Evaluation of the newest state (its blocks [u v] and
+[u' v'], K and M times them, and its coupling vectors and energy from one
+quadrature pass, shared by the state's energy row and the next step, which
+drops it), and per sample an energy row of the state alone (the first and
 the last sample also keep their state).  Setup's K factor, embedding tables
 and GAMMA1 table are gone by then (see constants), and the coupling
 integrals run in cell blocks (see assembly), so their temporaries are
@@ -42,15 +45,54 @@ class NonlinearSolveFailure(Exception):
         self.time = time
 
 
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """What a state's sample and the next step both read, for one set of
+    operators and one coupling spec: the blocks X = [u v] and P = [u' v'],
+    the products K X and M P, and, with a spec, F = [F_u F_v] and the
+    coupling energy from one coupling_vectors pass (None and 0.0 without)."""
+
+    operators: DiscreteOperators
+    spec_key: tuple | None
+    X: np.ndarray
+    P: np.ndarray
+    KX: np.ndarray
+    MP: np.ndarray
+    F: np.ndarray | None
+    energy: float
+
+    @staticmethod
+    def of(X: np.ndarray, P: np.ndarray, operators: DiscreteOperators,
+           spec: CouplingSpec | None) -> "Evaluation":
+        F, energy = None, 0.0
+        if spec is not None:
+            fu, fv, energy = coupling_vectors(X.T, spec, operators, energy=True)
+            F = np.column_stack([fu, fv])
+        return Evaluation(operators, _spec_key(spec), X, P, operators.K @ X,
+                          operators.M @ P, F, energy)
+
+
+def _spec_key(spec: CouplingSpec | None):
+    # by value, so a spec changed in place after the evaluation is not matched
+    return None if spec is None else (spec.rho, spec.quad_degree)
+
+
 @dataclass(frozen=True)
 class SimState:
-    """Coefficient vectors over free nodes at one time instant."""
+    """Coefficient vectors over free nodes at one time instant.
+
+    A state keeps the Evaluation of its last evaluation() (step leaves the
+    one of the state it returns) until it is stepped, in a slot that is
+    neither an __init__ argument nor compared, so dataclasses.replace starts
+    without one."""
 
     t: float
     u: np.ndarray
     v: np.ndarray
     du: np.ndarray
     dv: np.ndarray
+    _evaluation: Evaluation | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         n = len(self.u)
@@ -64,6 +106,18 @@ class SimState:
     def zero(n: int, t: float = 0.0) -> "SimState":
         z = np.zeros(n)
         return SimState(t, z, z.copy(), z.copy(), z.copy())
+
+    def evaluation(self, operators: DiscreteOperators,
+                   spec: CouplingSpec | None) -> Evaluation:
+        """The state's Evaluation under operators and spec: the kept one if
+        it was made with these operators and an equal spec, else a new one,
+        which the state keeps."""
+        ev = self._evaluation
+        if ev is None or ev.operators is not operators or ev.spec_key != _spec_key(spec):
+            ev = Evaluation.of(np.column_stack([self.u, self.v]),
+                               np.column_stack([self.du, self.dv]), operators, spec)
+            object.__setattr__(self, "_evaluation", ev)
+        return ev
 
 
 @dataclass
@@ -153,23 +207,42 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
     makes the step one linear solve.
 
     u and v share M, K and B, so they advance as the two columns of one
-    (n, 2) block.  The midpoint coupling is resolved by fixed-point
-    iteration; each pass makes one two-column linear solve, one coupling
-    evaluation and one diagonal scaling of the residual.  Converged when the
-    lumped bound sqrt(sum(w r^2)) of _step_factorizations is below opts.tol, so
-    the residual in the M^-1 inner product (an M-norm of the velocity defect)
-    is below opts.tol too.
+    (n, 2) block.  The right-hand side M P - (dt/2) K X and the first guess F
+    of the midpoint coupling come from the state's evaluation(operators,
+    spec), which the state then drops: a state is sampled before it is
+    stepped, so only the newest state holds one.  The midpoint coupling is
+    resolved by fixed-point iteration; each pass makes one two-column linear
+    solve, one coupling evaluation and one diagonal scaling of the residual.
+    Converged when the lumped bound sqrt(sum(w r^2)) of _step_factorizations
+    is below opts.tol, so the residual in the M^-1 inner product (an M-norm of
+    the velocity defect) is below opts.tol too.  The returned state carries
+    its own Evaluation, made with one more coupling pass that also yields its
+    coupling energy, which its sample and the next step read.
     """
     if opts is None:
         opts = StepOptions()
     if dt <= 0:
         raise ValueError("dt must be positive")
-    A_lu, weights = _step_factorizations(operators, dt)
-    x0 = np.column_stack([state.u, state.v])
-    p0 = np.column_stack([state.du, state.dv])
-    rhs = operators.M @ p0 - (dt / 2.0) * (operators.K @ x0)
+    x1, p1 = _advance(state, dt, operators, spec, opts)
+    # separate contiguous copies: with strided views of the (n, 2) block the
+    # products downstream round differently, and trajectory.csv, report.kv
+    # and manifest.json of the 1D and 2D demo configs change in their last bits
+    out = SimState(state.t + dt, x1[:, 0].copy(), x1[:, 1].copy(),
+                   p1[:, 0].copy(), p1[:, 1].copy())
+    object.__setattr__(out, "_evaluation", Evaluation.of(x1, p1, operators, spec))
+    return out
 
-    f = None if spec is None else np.column_stack(coupling_vectors(x0.T, spec, operators))
+
+def _advance(state: SimState, dt: float, operators: DiscreteOperators,
+             spec: CouplingSpec | None, opts: StepOptions):
+    """The blocks (X, P) one step after the state: step's fixed-point solve.
+    Its temporaries and the dropped evaluation's products are freed on
+    return, before step evaluates the new state."""
+    A_lu, weights = _step_factorizations(operators, dt)
+    ev = state.evaluation(operators, spec)
+    object.__setattr__(state, "_evaluation", None)
+    x0, p0, f = ev.X, ev.P, ev.F
+    rhs = ev.MP - (dt / 2.0) * ev.KX
 
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(opts.max_iter):
@@ -194,14 +267,7 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
                 f"t = {state.t:.6g} (dt = {dt:g} too large)",
                 time=state.t,
             )
-
-    # separate contiguous copies: with strided views of the (n, 2) block the
-    # products downstream round differently, and trajectory.csv, report.kv
-    # and manifest.json of the 1D and 2D demo configs change in their last bits
-    x1 = x0 + dt * p_mid
-    p1 = 2.0 * p_mid - p0
-    return SimState(state.t + dt, x1[:, 0].copy(), x1[:, 1].copy(),
-                    p1[:, 0].copy(), p1[:, 1].copy())
+    return x0 + dt * p_mid, 2.0 * p_mid - p0
 
 
 # ---------------------------------------------------------------------------

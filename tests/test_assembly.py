@@ -132,6 +132,28 @@ def test_coupling_vanishes_with_zero_factor():
     assert coupling_energy((zero, v), spec, ops) == 0.0
 
 
+@pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(8)],
+                         ids=["interval-16", "square-8"])
+@pytest.mark.parametrize("rho", [1.0, 1.5, 0.5, 2.0])
+def test_fused_coupling_pass_equals_separate_passes_bitwise(setup, rho):
+    # rho = 1 skips the pow; 0.5 and 2 take numpy's sqrt and square paths
+    mesh, _, ops = setup()
+    spec = CouplingSpec(rho=rho)
+    _, wdet, shapes = element_quadrature_tables(mesh, spec.quad_degree)
+    rng = np.random.default_rng(31)
+    zero = np.zeros(ops.n_free)
+    u, v = rng.standard_normal((2, ops.n_free))  # interpolants change sign in cells
+    for pair in ((u, v), (zero, zero), (zero, v), (u, zero)):
+        fu, fv, e = coupling_vectors(pair, spec, ops, energy=True)
+        fu_sep, fv_sep = coupling_vectors(pair, spec, ops)
+        assert np.array_equal(fu, fu_sep) and np.array_equal(fv, fv_sep)
+        assert e == coupling_energy(pair, spec, ops)
+        fu_ref, fv_ref, e_ref = scatter_add_coupling(mesh.elements, shapes, wdet, ops,
+                                                     *pair, rho)
+        assert np.array_equal(fu, fu_ref) and np.array_equal(fv, fv_ref)
+        assert e == e_ref
+
+
 def test_coupling_constant_one_gives_unity_weights():
     mesh, _, ops = unconstrained_interval(4)
     spec = CouplingSpec(rho=1.0)

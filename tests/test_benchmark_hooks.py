@@ -79,3 +79,61 @@ def test_bench_files_name_only_declared_workloads_and_end_to_end_metrics():
             assert workload in workloads, f"{path.name}: {key}"
             assert metric in units, f"{path.name}: {key}"
             assert value["unit"] == units[metric], f"{path.name}: {key}"
+
+
+class _CountingLU:
+    """An LU factor that counts its solves: one per fixed-point pass."""
+
+    def __init__(self, lu, counter):
+        self._lu, self._counter = lu, counter
+
+    def solve(self, rhs):
+        self._counter.append(1)
+        return self._lu.solve(rhs)
+
+
+def test_coupled_step_makes_one_coupling_pass_more_than_its_fixed_point_passes(monkeypatch):
+    # perfbench reads fixed_point_iters_per_step as (coupling_vectors calls
+    # inside step - steps) / steps, and the energy rows must need no pass
+    import kgwell.diagnostics
+    import kgwell.dynamics
+
+    in_step, passes = [], []
+    calls = {"vectors": 0, "vectors_in_step": 0, "energy": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "vectors" and in_step:
+                calls["vectors_in_step"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    step, factors = kgwell.dynamics.step, kgwell.dynamics._step_factorizations
+
+    def traced_step(*args, **kwargs):
+        in_step.append(1)
+        try:
+            return step(*args, **kwargs)
+        finally:
+            in_step.pop()
+
+    def counting_factors(operators, dt):
+        lu, weights = factors(operators, dt)
+        return _CountingLU(lu, passes), weights
+
+    monkeypatch.setattr(kgwell.dynamics, "step", traced_step)
+    monkeypatch.setattr(kgwell.dynamics, "_step_factorizations", counting_factors)
+    monkeypatch.setattr(kgwell.dynamics, "coupling_vectors",
+                        counted("vectors", kgwell.dynamics.coupling_vectors))
+    monkeypatch.setattr(kgwell.diagnostics, "coupling_energy",
+                        counted("energy", kgwell.diagnostics.coupling_energy))
+    cfg = ScenarioConfig(name="count", mesh_kind="rectangle", nx=4, ny=4, x0=(-0.1, -0.1),
+                         dt=0.01, t_end=0.06, stride=2, u0=FieldInit("eigenfunction", 0.4),
+                         v0=FieldInit("eigenfunction", 0.4))
+    traj = simulate(cfg)
+    steps = traj.meta["n_steps"]
+    assert steps == 6 and len(passes) > steps  # some steps take a second pass
+    assert calls["vectors_in_step"] == len(passes) + steps
+    assert calls["vectors"] == calls["vectors_in_step"] + 1  # the initial state
+    assert calls["energy"] == 0

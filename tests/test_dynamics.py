@@ -236,6 +236,17 @@ def test_simulate_zero_scenario():
     assert np.isclose(traj.meta["t_final"], 0.5)
 
 
+STREAMED_CASES = {
+    "interval-16": ScenarioConfig(name="i", elements=16, x0=(0.0,), dt=5e-3, t_end=0.3,
+                                  stride=3, u0=FieldInit("eigenfunction", 0.2),
+                                  v0=FieldInit("bump", 0.15)),
+    "square-6": ScenarioConfig(name="s", mesh_kind="rectangle", nx=6, ny=6, x0=(-0.1, -0.1),
+                               dt=0.01, t_end=0.2, stride=2,
+                               u0=FieldInit("eigenfunction", 0.2),
+                               v0=FieldInit("polynomial", 0.1)),
+}
+
+
 def test_simulate_without_coupling_steps_and_samples_linearly():
     cfg = ScenarioConfig(name="off", elements=8, x0=(0.0,), dt=0.01, t_end=0.05,
                          stride=1, coupling_enabled=False,
@@ -257,15 +268,60 @@ def test_simulate_without_coupling_steps_and_samples_linearly():
     assert not np.array_equal(coupled.u, states[0].u)
 
 
-STREAMED_CASES = {
-    "interval-16": ScenarioConfig(name="i", elements=16, x0=(0.0,), dt=5e-3, t_end=0.3,
-                                  stride=3, u0=FieldInit("eigenfunction", 0.2),
-                                  v0=FieldInit("bump", 0.15)),
-    "square-6": ScenarioConfig(name="s", mesh_kind="rectangle", nx=6, ny=6, x0=(-0.1, -0.1),
-                               dt=0.01, t_end=0.2, stride=2,
-                               u0=FieldInit("eigenfunction", 0.2),
-                               v0=FieldInit("polynomial", 0.1)),
-}
+def fresh(state):
+    """The same vectors in a new state, which carries no evaluation."""
+    return SimState(state.t, state.u, state.v, state.du, state.dv)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_CASES))
+def test_simulate_with_coupling_matches_fresh_states_bitwise(name):
+    # rows and states that read each state's evaluation, left by the step
+    # that made it, equal those of states evaluated from scratch
+    prep = prepare(STREAMED_CASES[name])
+    cfg, ops, spec = prep.config, prep.operators, prep.spec
+    traj = simulate(prep)
+    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    state = prep.state0
+    rows = [diag.full_sample(fresh(state), ops, spec)]
+    n_steps = round(cfg.t_end / prep.dt)
+    for k in range(1, n_steps + 1):
+        state = step(fresh(state), prep.dt, ops, spec, opts)
+        if k % cfg.stride == 0 or k == n_steps:
+            rows.append(diag.full_sample(fresh(state), ops, spec))
+    assert [p.energy for p in traj.samples] == rows
+    assert all(row.coupling != 0.0 for row in rows)
+    for vec in ("u", "v", "du", "dv"):
+        assert np.array_equal(getattr(traj.samples[-1].state, vec), getattr(state, vec)), vec
+
+
+@pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(6)],
+                         ids=["interval-16", "square-6"])
+def test_evaluation_of_other_operators_or_spec_is_not_reused(setup):
+    _, _, ops = setup()
+    spec = CouplingSpec(1.0)
+    rng = np.random.default_rng(11)
+    start = SimState(0.0, *(0.3 * rng.standard_normal((4, ops.n_free))))
+    others = {
+        "B doubled": (dataclasses.replace(ops, B=2 * ops.B), spec),
+        "K doubled": (dataclasses.replace(ops, K=2 * ops.K), spec),
+        "uncoupled": (ops, None),
+        "rho 1.5": (ops, CouplingSpec(1.5)),
+        "degree 6": (ops, CouplingSpec(1.0, quad_degree=6)),
+    }
+    for case, (other_ops, other_spec) in others.items():
+        stepped = step(start, 0.01, ops, spec)
+        assert stepped._evaluation is not None
+        ref = step(fresh(stepped), 0.01, other_ops, other_spec)
+        got = step(stepped, 0.01, other_ops, other_spec)
+        for name in ("u", "v", "du", "dv"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (case, name)
+        stepped = step(start, 0.01, ops, spec)
+        assert (diag.full_sample(stepped, other_ops, other_spec)
+                == diag.full_sample(fresh(stepped), other_ops, other_spec)), case
+    stepped = step(start, 0.01, ops, spec)
+    moved = dataclasses.replace(stepped, u=2 * stepped.u)
+    assert moved._evaluation is None
+    assert diag.full_sample(moved, ops, spec) == diag.full_sample(fresh(moved), ops, spec)
 
 
 @pytest.mark.parametrize("name", sorted(STREAMED_CASES))
