@@ -49,54 +49,101 @@ class EnergySample:
     flux_v: float
 
 
-def _column_dots(vectors, block) -> list[float]:
-    """x_j . block[:, j] for the vectors x_j, each on a contiguous copy of
-    the column: a strided column rounds differently in BLAS."""
-    return [float(x @ col) for x, col in zip(vectors, np.asfortranarray(block).T)]
+def energy_rows(times, evaluations, operators: DiscreteOperators, previous=None):
+    """EnergySample rows and damped-boundary pair fluxes of a batch of
+    states, given in time order by their times and their Evaluations under
+    the operators (dynamics.Evaluation: the blocks X = [u v] and P = [u' v'],
+    K X, M P and the coupling energy).
+
+    The flux of a state is the trace form ||mid u'||_T^2 + ||mid v'||_T^2
+    of the sample pair that ends there, mid being the average of the two
+    velocities.  previous is the velocity pair (u', v') of the sample before
+    the batch, or None when the batch starts the trajectory; the first
+    flux is 0.0 then.
+
+    The batch's blocks stand side by side as the columns of one (n, 2k)
+    block (a batch of one uses its own blocks), so each of G X, B P, T mid
+    and, in 2D and up, M X is one sparse product, which rounds every column
+    as a product of that column alone.  Each product's dots are one
+    np.vecdot over C-contiguous rows, which rounds as x @ y (on strided rows
+    it does not).
+    """
+    k = len(evaluations)
+    X = _side_by_side([ev.X for ev in evaluations])
+    P = _side_by_side([ev.P for ev in evaluations])
+    x, p = _rows([X]), _rows([P])
+    ku_kv = np.vecdot(x, _rows([ev.KX for ev in evaluations]))
+    mu_mv = np.vecdot(p, _rows([ev.MP for ev in evaluations]))
+    bu_bv = np.vecdot(p, _rows([operators.B @ P]))
+    psi = _psi(p, X, operators)
+    # midpoint velocities of the sample pairs that end in the batch
+    mid = np.empty((2 * k if previous is not None else 2 * k - 2, p.shape[1]))
+    if previous is not None:
+        np.add(previous[0], p[0], out=mid[0])
+        np.add(previous[1], p[1], out=mid[1])
+    np.add(p[:-2], p[2:], out=mid[len(mid) - (2 * k - 2):])
+    mid *= 0.5
+    fluxes = [] if previous is not None else [0.0]
+    if len(mid):
+        tu_tv = np.vecdot(mid, _rows([operators.T @ mid.T]))
+        fluxes += (tu_tv[0::2] + tu_tv[1::2]).tolist()
+
+    ku, kv, mu, mv = ku_kv[0::2], ku_kv[1::2], mu_mv[0::2], mu_mv[1::2]
+    kinetic = 0.5 * (mu + mv)
+    potential = 0.5 * (ku + kv)
+    coupling = np.array([ev.energy for ev in evaluations])
+    columns = np.vstack([
+        kinetic, potential, coupling, kinetic + potential + coupling, psi,
+        np.sqrt(np.maximum([ku, kv, mu, mv], 0.0)), bu_bv[0::2], bu_bv[1::2],
+    ])
+    rows = [EnergySample(t, *values) for t, values in zip(times, columns.T.tolist())]
+    return rows, fluxes
 
 
-def _psi(velocities, X, operators: DiscreteOperators) -> float:
-    """The multiplier functional of the displacement block X = [u v] and
-    the velocities (u', v')."""
-    n = operators.mesh.dim
-    gu, gv = _column_dots(velocities, operators.G @ X)
-    psi = 2.0 * gu + 2.0 * gv
-    if n != 1:
-        mu, mv = _column_dots(velocities, operators.M @ X)
-        psi += (n - 1) * (mu + mv)
+def _side_by_side(blocks) -> np.ndarray:
+    """The (n, 2) blocks as the columns of one C-ordered (n, 2k) block."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
+def _rows(blocks) -> np.ndarray:
+    """The columns of the (n, m_j) blocks as the C-contiguous rows of one
+    (sum m_j, n) array (concatenate follows its inputs' layout, and the
+    transposed blocks are F-ordered, so the output is given)."""
+    out = np.empty((sum(b.shape[1] for b in blocks), blocks[0].shape[0]))
+    return np.concatenate([b.T for b in blocks], out=out)
+
+
+def _psi(p: np.ndarray, X: np.ndarray, operators: DiscreteOperators) -> np.ndarray:
+    """The multiplier functional 2 u'.(G u) + 2 v'.(G v) plus, in 2D and up,
+    (n-1) (u'.(M u) + v'.(M v)) per state, for the velocity rows p and the
+    side-by-side displacement block X."""
+    dim = operators.mesh.dim
+    g = np.vecdot(p, _rows([operators.G @ X]))
+    psi = 2.0 * g[0::2] + 2.0 * g[1::2]
+    if dim != 1:
+        m = np.vecdot(p, _rows([operators.M @ X]))
+        psi += (dim - 1) * (m[0::2] + m[1::2])
     return psi
-
-
-def multiplier_functional(state, operators: DiscreteOperators) -> float:
-    """psi = 2 u'.(G u) + (n-1) u'.(M u) + 2 v'.(G v) + (n-1) v'.(M v) with
-    n the dimension of the operators' mesh."""
-    return _psi((state.du, state.dv), np.column_stack([state.u, state.v]), operators)
 
 
 def full_sample(state, operators: DiscreteOperators,
                 spec: CouplingSpec | None) -> EnergySample:
-    """Complete energy record; spec=None means the coupling is switched off
-    and its energy contribution is zero.
+    """Complete energy record of one state (its energy_rows row); spec=None
+    means the coupling is switched off and its energy contribution is zero.
 
     K X, M P and the coupling energy come from state.evaluation(operators,
     spec), which a state returned by dynamics.step already holds (any other
-    state is evaluated here, once); the sample itself forms G X, B P and, in
-    2D and up, M X."""
-    ev = state.evaluation(operators, spec)
-    velocities = (state.du, state.dv)
-    ku, kv = _column_dots((state.u, state.v), ev.KX)
-    mu, mv = _column_dots(velocities, ev.MP)
-    flux_u, flux_v = _column_dots(velocities, operators.B @ ev.P)
-    kinetic = 0.5 * (mu + mv)
-    potential = 0.5 * (ku + kv)
-    coup = ev.energy
-    return EnergySample(
-        t=state.t, kinetic=kinetic, potential=potential, coupling=coup,
-        E=kinetic + potential + coup, psi=_psi(velocities, ev.X, operators),
-        norm_u_V=math.sqrt(max(ku, 0.0)), norm_v_V=math.sqrt(max(kv, 0.0)),
-        norm_du_L2=math.sqrt(max(mu, 0.0)), norm_dv_L2=math.sqrt(max(mv, 0.0)),
-        flux_u=flux_u, flux_v=flux_v,
-    )
+    state is evaluated here, once, and keeps the evaluation)."""
+    rows, _ = energy_rows([state.t], [state.evaluation(operators, spec)], operators)
+    return rows[0]
+
+
+def multiplier_functional(state, operators: DiscreteOperators) -> float:
+    """psi = 2 u'.(G u) + (n-1) u'.(M u) + 2 v'.(G v) + (n-1) v'.(M v) with
+    n the dimension of the operators' mesh: full_sample's psi, formed from
+    the state's vectors alone (its Evaluation is neither read nor replaced)."""
+    p = np.array([state.du, state.dv])
+    return float(_psi(p, np.column_stack([state.u, state.v]), operators)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +191,6 @@ class DissipationReport:
     slack: float
 
 
-def pair_flux(a, b, operators: DiscreteOperators) -> float:
-    """Damped-boundary trace form ||mid u'||_T^2 + ||mid v'||_T^2 of a sample
-    pair (a, b), with mid the average of the two samples' velocities, formed
-    as one (n, 2) block with one T product."""
-    mid = (0.5 * (a.du + b.du), 0.5 * (a.dv + b.dv))
-    tu, tv = _column_dots(mid, operators.T @ np.column_stack(mid))
-    return tu + tv
-
-
 def require_fine_sampling(gap: float) -> None:
     """Reject a sample spacing wider than MAX_SAMPLE_SPACING, which the
     finite-difference dissipation check cannot use."""
@@ -165,8 +203,9 @@ def require_fine_sampling(gap: float) -> None:
 
 def check_dissipation(trajectory, m0: float, slack: float | None = None) -> DissipationReport:
     """Finite-difference check of dE/dt <= -m0 (||u'||^2 + ||v'||^2 on the
-    damped boundary), the trace forms being each pair's pair_flux, which the
-    trajectory recorded.  Pass the smallest damping the run assembled
+    damped boundary), the trace forms being the flux of each sample pair at
+    its midpoint velocities (energy_rows), which the trajectory recorded.
+    Pass the smallest damping the run assembled
     (operators.delta_min, which equals the geometric m0 for delta = m . nu)
     as m0.  Sample spacing must not exceed MAX_SAMPLE_SPACING."""
     samples = trajectory.samples

@@ -15,8 +15,11 @@ step matrix A = M + (dt/2) B + (dt^2/4) K, the fixed-point residual weights
 eigenpair, the Evaluation of the newest state (its blocks [u v] and
 [u' v'], K and M times them, and its coupling vectors and energy from one
 quadrature pass, shared by the state's energy row and the next step, which
-drops it), and per sample an energy row of the state alone (the first and
-the last sample also keep their state).  Setup's K factor, embedding tables
+drops it), the pending row batch (the times and Evaluations of sampled
+states whose rows are not formed yet, up to ROW_BATCH_BYTES of blocks: tens
+of states in 1D, none across a step on a 64^2 square and up), and per
+sample an energy row of the state alone (the first and the last sample also
+keep their state).  Setup's K factor, embedding tables
 and GAMMA1 table are gone by then (see constants), and the coupling
 integrals run in cell blocks (see assembly), so their temporaries are
 block-sized.  The columns that also need the run's constants, E + eps1 psi
@@ -70,6 +73,12 @@ class Evaluation:
             F = np.column_stack([fu, fv])
         return Evaluation(operators, _spec_key(spec), X, P, operators.K @ X,
                           operators.M @ P, F, energy)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the blocks it holds."""
+        return sum(b.nbytes for b in (self.X, self.P, self.KX, self.MP, self.F)
+                   if b is not None)
 
 
 def _spec_key(spec: CouplingSpec | None):
@@ -128,9 +137,9 @@ class StepOptions:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """One sample: its energy row, the damped-boundary flux
-    diagnostics.pair_flux of the sample pair that ends here (0.0 at t = 0),
-    and its state, which only the first and the last sample keep."""
+    """One sample: its energy row, the damped-boundary flux of the sample
+    pair that ends here (diagnostics.energy_rows; 0.0 at t = 0), and its
+    state, which only the first and the last sample keep."""
 
     energy: "diagnostics.EnergySample"
     flux: float
@@ -164,22 +173,52 @@ class Trajectory:
         return np.array([p.energy.E for p in self.samples])
 
 
+#: Bytes of Evaluation blocks that record keeps pending before it forms
+#: their states' rows in one diagnostics.energy_rows call.  A coupled state
+#: holds 80 bytes a free node, so a 50-element interval batches 67 states,
+#: while one state of a 64^2 square (4096 free nodes) already reaches the
+#: budget: from there up a batch is a single state, whose row is formed
+#: before the next step.
+ROW_BATCH_BYTES = 256 * 1024
+
+
 def record(states, operators: DiscreteOperators, spec: CouplingSpec | None,
            meta: dict | None = None) -> Trajectory:
-    """Trajectory of an iterable of states, read one state at a time: each
-    gets its diagnostics.full_sample row and the pair flux from the state
-    before it, and only the first and the last state are kept."""
-    points = []
-    prev = None
+    """Trajectory of an iterable of states, read one state at a time.  Each
+    state's time and Evaluation wait in a batch until ROW_BATCH_BYTES of
+    Evaluation blocks are pending; diagnostics.energy_rows then forms the
+    batch's energy rows and pair fluxes at once, the first flux of a batch
+    from the velocities of the sample before it.  Only the first and the
+    last state are kept.  Nothing here holds an Evaluation past its batch,
+    so where one state fills a batch, its Evaluation is freed when the next
+    step drops it, as without batches."""
+    points, times, batch = [], [], []
+    pending = 0
+    first = before = None
+
+    def flush(last):
+        nonlocal pending, before
+        previous = None if before is None else (before.du, before.dv)
+        rows, fluxes = diagnostics.energy_rows(times, batch, operators, previous)
+        points.extend(map(TrajectoryPoint, rows, fluxes))
+        times.clear()
+        batch.clear()
+        pending, before = 0, last
+
     for state in states:
-        energy = diagnostics.full_sample(state, operators, spec)
-        if prev is None:
-            points.append(TrajectoryPoint(energy, 0.0, state))
-        else:
-            points.append(TrajectoryPoint(energy, diagnostics.pair_flux(prev, state, operators)))
-        prev = state
+        if first is None:
+            first = state
+        times.append(state.t)
+        batch.append(state.evaluation(operators, spec))
+        pending += batch[-1].nbytes
+        if pending >= ROW_BATCH_BYTES:
+            flush(state)
+    if batch:
+        flush(state)
+    if points:
+        points[0] = replace(points[0], state=first)
     if len(points) > 1:
-        points[-1] = replace(points[-1], state=prev)
+        points[-1] = replace(points[-1], state=before)
     return Trajectory(points, meta or {})
 
 

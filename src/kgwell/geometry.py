@@ -220,29 +220,20 @@ def build_rectangle_mesh(corner_lo, corner_hi, nx: int, ny: int) -> Mesh:
     ys = np.linspace(lo[1], hi[1], ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            elems.append([v00, v10, v11])
-            elems.append([v00, v11, v01])
-    facets, normals = [], []
-    for i in range(nx):
-        facets.append([vid(i, 0), vid(i + 1, 0)])
-        normals.append([0.0, -1.0])
-        facets.append([vid(i, ny), vid(i + 1, ny)])
-        normals.append([0.0, 1.0])
-    for j in range(ny):
-        facets.append([vid(0, j), vid(0, j + 1)])
-        normals.append([-1.0, 0.0])
-        facets.append([vid(nx, j), vid(nx, j + 1)])
-        normals.append([1.0, 0.0])
-    return Mesh(2, verts, np.array(elems), np.array(facets), np.array(normals))
+    row = nx + 1  # vertex (i, j) is j * row + i
+    v00 = (np.arange(ny)[:, None] * row + np.arange(nx)).ravel()  # cells row by row
+    v10, v01 = v00 + 1, v00 + row
+    v11 = v01 + 1
+    elems = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    i, j = np.arange(nx), np.arange(ny) * row
+    bottom = np.stack([i, i + 1], axis=1)
+    left = np.stack([j, j + row], axis=1)
+    # per cell column the bottom then the top facet, per cell row the left then the right
+    facets = np.concatenate([np.stack([bottom, bottom + ny * row], axis=1).reshape(-1, 2),
+                             np.stack([left, left + nx], axis=1).reshape(-1, 2)])
+    normals = np.concatenate([np.tile([[0.0, -1.0], [0.0, 1.0]], (nx, 1)),
+                              np.tile([[-1.0, 0.0], [1.0, 0.0]], (ny, 1))])
+    return Mesh(2, verts, elems, facets, normals)
 
 
 @dataclass(frozen=True)

@@ -308,3 +308,75 @@ def branched_element_tables(mesh, degree):
     vol = branched_element_volumes(mesh)
     jac = vol if mesh.dim == 1 else 2.0 * vol
     return pts, wts[None, :] * jac[:, None], shapes
+
+
+# -- the rectangle mesh as the library built it with a per-cell loop ----------
+# The vectorized mesh build must give identical vertex, element, facet and
+# normal arrays.
+
+def loop_rectangle_arrays(corner_lo, corner_hi, nx, ny):
+    """(vertices, elements, facets, normals) of the structured triangulation,
+    each cell split along its lo-to-hi diagonal, cells visited row by row."""
+    lo = np.asarray(corner_lo, float)
+    hi = np.asarray(corner_hi, float)
+    xs = np.linspace(lo[0], hi[0], nx + 1)
+    ys = np.linspace(lo[1], hi[1], ny + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    elems = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
+            elems.append([v00, v10, v11])
+            elems.append([v00, v11, v01])
+    facets, normals = [], []
+    for i in range(nx):
+        facets.append([vid(i, 0), vid(i + 1, 0)])
+        normals.append([0.0, -1.0])
+        facets.append([vid(i, ny), vid(i + 1, ny)])
+        normals.append([0.0, 1.0])
+    for j in range(ny):
+        facets.append([vid(0, j), vid(0, j + 1)])
+        normals.append([-1.0, 0.0])
+        facets.append([vid(nx, j), vid(nx, j + 1)])
+        normals.append([1.0, 0.0])
+    return verts, np.array(elems), np.array(facets), np.array(normals)
+
+
+# -- energy rows one state at a time, with plain `x @ y` dots -----------------
+# The rows as the library formed them before rows were formed for a batch of
+# states: each dot on separate contiguous vectors.  Batched rows must agree
+# bitwise.
+
+def per_state_row(state, operators, spec, before=None):
+    """(t, kinetic, potential, coupling, E, psi, |u|_V, |v|_V, |u'|, |v'|,
+    u'.B u', v'.B v') of one state, and the T form of the velocities'
+    average with those of the state `before` (0.0 without one)."""
+    from kgwell.assembly import coupling_energy
+
+    def dot(mat, x, y):
+        return float(x @ np.ascontiguousarray((mat @ np.column_stack([y, y]))[:, 0]))
+
+    ops = operators
+    u, v, du, dv = state.u, state.v, state.du, state.dv
+    ku, kv = dot(ops.K, u, u), dot(ops.K, v, v)
+    mu, mv = dot(ops.M, du, du), dot(ops.M, dv, dv)
+    coup = 0.0 if spec is None else coupling_energy((u, v), spec, ops)
+    psi = 2.0 * dot(ops.G, du, u) + 2.0 * dot(ops.G, dv, v)
+    if ops.mesh.dim != 1:
+        psi += (ops.mesh.dim - 1) * (dot(ops.M, du, u) + dot(ops.M, dv, v))
+    kinetic, potential = 0.5 * (mu + mv), 0.5 * (ku + kv)
+    row = (state.t, kinetic, potential, coup, kinetic + potential + coup, psi,
+           np.sqrt(max(ku, 0.0)), np.sqrt(max(kv, 0.0)),
+           np.sqrt(max(mu, 0.0)), np.sqrt(max(mv, 0.0)),
+           dot(ops.B, du, du), dot(ops.B, dv, dv))
+    flux = 0.0
+    if before is not None:
+        mid_u, mid_v = 0.5 * (before.du + du), 0.5 * (before.dv + dv)
+        flux = dot(ops.T, mid_u, mid_u) + dot(ops.T, mid_v, mid_v)
+    return row, flux

@@ -9,6 +9,7 @@ from conftest import interval_setup, square_setup
 from kgwell import (
     CouplingSpec,
     SimState,
+    step,
     well_function,
 )
 from kgwell.dynamics import record
@@ -93,6 +94,21 @@ def test_multiplier_functional_takes_dimension_from_mesh():
     dense = 2.0 * dense_multiplier_form(mesh, ops.embed(du), ops.embed(u), part.x0,
                                         nsub=2, npts=4)
     assert np.isclose(psi, dense + m_term, rtol=1e-11)
+
+
+@pytest.mark.parametrize("setup", [lambda: interval_setup(12), lambda: square_setup(4)],
+                         ids=["interval-12", "square-4"])
+def test_multiplier_functional_leaves_a_stepped_state_alone(setup):
+    # read-only: the coupled Evaluation that the next step reuses is kept
+    _, _, ops = setup()
+    spec = CouplingSpec(1.0)
+    state = step(_state(ops, scale=0.3), 1e-3, ops, spec)
+    ev = state._evaluation
+    assert ev is not None
+    psi = diag.multiplier_functional(state, ops)
+    assert state._evaluation is ev
+    assert psi == diag.full_sample(state, ops, spec).psi
+    assert state._evaluation is ev
 
 
 def _manual_trajectory(ops, states):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import kgwell.diagnostics as diag
-from _oracles import stored_state_dissipation, two_solve_step
+from _oracles import per_state_row, stored_state_dissipation, two_solve_step
 from conftest import interval_setup, square_setup
 from kgwell import (
     CouplingSpec,
@@ -23,7 +23,8 @@ from kgwell import (
     step,
     write_trajectory_csv,
 )
-from kgwell.dynamics import _step_factorizations, record
+import kgwell.dynamics
+from kgwell.dynamics import ROW_BATCH_BYTES, _step_factorizations, record
 
 
 def without_damping(ops):
@@ -292,6 +293,98 @@ def test_simulate_with_coupling_matches_fresh_states_bitwise(name):
     assert all(row.coupling != 0.0 for row in rows)
     for vec in ("u", "v", "du", "dv"):
         assert np.array_equal(getattr(traj.samples[-1].state, vec), getattr(state, vec)), vec
+
+
+def batch_sizes(monkeypatch):
+    """The number of states of each diagnostics.energy_rows call record makes."""
+    sizes = []
+    rows = diag.energy_rows
+
+    def counted(times, evaluations, operators, previous=None):
+        sizes.append(len(evaluations))
+        return rows(times, evaluations, operators, previous)
+
+    monkeypatch.setattr(diag, "energy_rows", counted)
+    return sizes
+
+
+def per_state_rows(states, ops, spec):
+    """([row tuple], [flux]) of the states, one state at a time with x @ y."""
+    out = [per_state_row(s, ops, spec, before)
+           for s, before in zip(states, [None] + list(states[:-1]))]
+    return [row for row, _ in out], [flux for _, flux in out]
+
+
+def rows_of(traj):
+    return ([dataclasses.astuple(p.energy) for p in traj.samples],
+            [p.flux for p in traj.samples])
+
+
+BATCHED_CASES = {
+    # 49 free nodes, so 67 coupled states a batch: four batches
+    "interval-50-stride-1": ScenarioConfig(name="b", elements=50, x0=(0.0,), dt=1e-3,
+                                           t_end=0.25, stride=1,
+                                           u0=FieldInit("eigenfunction", 0.1),
+                                           v0=FieldInit("bump", 0.12)),
+    "square-6": STREAMED_CASES["square-6"],
+    # 16 free nodes and no coupling vectors, so 256 states a batch: three batches
+    "uncoupled": ScenarioConfig(name="off", elements=16, x0=(0.0,), dt=1e-3, t_end=0.6,
+                                stride=1, coupling_enabled=False,
+                                u0=FieldInit("eigenfunction", 0.3),
+                                v0=FieldInit("bump", 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_CASES))
+def test_batched_rows_equal_per_state_rows_bitwise(name, monkeypatch):
+    prep = prepare(BATCHED_CASES[name])
+    cfg, ops = prep.config, prep.operators
+    spec = prep.spec if cfg.coupling_enabled else None
+    sizes = batch_sizes(monkeypatch)
+    traj = simulate(prep)
+    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    states = [prep.state0]
+    n_steps = round(cfg.t_end / prep.dt)
+    state = prep.state0
+    for k in range(1, n_steps + 1):
+        state = step(fresh(state), prep.dt, ops, spec, opts)
+        if k % cfg.stride == 0 or k == n_steps:
+            states.append(fresh(state))
+    assert rows_of(traj) == per_state_rows(states, ops, spec)
+    assert sum(sizes) == len(states)
+    if cfg.stride == 1:
+        # the flux of a batch's first sample uses the last velocities of the one before
+        per_state = fresh(prep.state0).evaluation(ops, spec).nbytes
+        assert len(sizes) >= 3
+        assert sizes[:-1] == [math.ceil(ROW_BATCH_BYTES / per_state)] * (len(sizes) - 1)
+
+
+@pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(6)],
+                         ids=["interval-16", "square-6"])
+@pytest.mark.parametrize("budget", ["default", "two states"])
+def test_record_of_fresh_states_equals_per_state_rows_bitwise(setup, budget, monkeypatch):
+    _, _, ops = setup()
+    spec = CouplingSpec(1.0)
+    rng = np.random.default_rng(13)
+    states = [SimState(0.01 * k, *(0.3 * rng.standard_normal((4, ops.n_free))))
+              for k in range(7)]
+    if budget == "two states":
+        monkeypatch.setattr(kgwell.dynamics, "ROW_BATCH_BYTES",
+                            2 * fresh(states[0]).evaluation(ops, spec).nbytes)
+    sizes = batch_sizes(monkeypatch)
+    traj = record(states, ops, spec)
+    assert sizes == ([7] if budget == "default" else [2, 2, 2, 1])
+    assert rows_of(traj) == per_state_rows(states, ops, spec)
+    assert traj.samples[0].state is states[0] and traj.samples[-1].state is states[-1]
+    assert [p.energy for p in traj.samples] == [diag.full_sample(s, ops, spec) for s in states]
+
+
+def test_rows_of_a_64_square_are_formed_one_state_at_a_time(monkeypatch):
+    _, _, ops = square_setup(64)
+    sizes = batch_sizes(monkeypatch)
+    for spec in (CouplingSpec(1.0), None):
+        record([SimState.zero(ops.n_free, t) for t in (0.0, 0.1, 0.2)], ops, spec)
+    assert sizes == [1] * 6
 
 
 @pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(6)],

@@ -3,6 +3,7 @@ import pytest
 
 import kgwell.assembly
 import kgwell.geometry
+from _oracles import loop_rectangle_arrays
 from kgwell import FieldInit, ScenarioConfig, prepare, simulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,17 @@ def test_rectangle_perimeter(nx, ny):
     mesh = build_rectangle_mesh((0, 0), (1, 1), nx, ny)
     assert np.isclose(np.sum(mesh.facet_measures()), 4.0)
     assert np.isclose(np.sum(mesh.element_volumes()), 1.0)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 2), (64, 64)])
+def test_rectangle_mesh_arrays_equal_the_per_cell_loop(nx, ny):
+    lo, hi = (0.0, -1.0), (2.0, 0.5)
+    mesh = build_rectangle_mesh(lo, hi, nx, ny)
+    got = (mesh.vertices, mesh.elements, mesh.facets, mesh.facet_normals)
+    for name, array, ref in zip(("vertices", "elements", "facets", "normals"), got,
+                                loop_rectangle_arrays(lo, hi, nx, ny)):
+        assert array.dtype == ref.dtype and array.flags.c_contiguous, name
+        assert np.array_equal(array, ref), name
 
 
 def test_rectangle_rejects_degenerate():
