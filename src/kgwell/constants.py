@@ -16,11 +16,13 @@ they are lower bounds for their continuum counterparts; callers inflate
 them by a safety factor (default 1.1) before forming thresholds, which
 shrinks the admissible ball and keeps the well test conservative.
 
-Setup-only state ends with setup: compute_well_constants factors K once, as
-a local that the eigenpair solve and every best-constant iteration share,
-and the volume tables of the embedding constants and the GAMMA1 table of
-the trace constants are built per call, so none of them outlives the
-computation.  The operators keep only the first eigenpair, not the K factor.
+Setup-only state ends with setup: compute_well_constants factors K once
+(assembly.factor_spd: K is symmetric positive definite once the clamped
+nodes are removed), as a local that the eigenpair solve and every
+best-constant iteration share, and the volume tables of the embedding
+constants and the GAMMA1 table of the trace constants are built per call,
+so none of them outlives the computation.  The operators keep only the first
+eigenpair, not the K factor.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .assembly import DiscreteOperators, QuadratureTable, gamma1_table, volume_table
+from .assembly import (DiscreteOperators, QuadratureTable, factor_spd, gamma1_table,
+                       volume_table)
 
 _DENSE_EIG_LIMIT = 400
 
@@ -60,13 +63,13 @@ def _require_constrained(operators: DiscreteOperators):
 
 
 def _factor_K(operators: DiscreteOperators, lu_K=None):
-    """lu_K, or a new sparse LU factor of K when it is None; SetupError
-    without a clamped part, or for an exactly singular K."""
+    """lu_K, or a new factor_spd of K when it is None; SetupError without a
+    clamped part, or for an exactly singular K."""
     _require_constrained(operators)
     if lu_K is not None:
         return lu_K
     try:
-        return spla.splu(operators.K.tocsc())
+        return factor_spd(operators.K)
     except RuntimeError as exc:  # exactly singular
         raise SetupError(f"eigensolver failed: {exc}") from exc
 
@@ -282,8 +285,9 @@ def compute_well_constants(operators: DiscreteOperators, rho: float,
                            safety: float = 1.1) -> WellConstants:
     """Full pipeline: eigenvalue, embedding/trace constants (inflated by
     `safety`), then the threshold formulas; dimension, R and m0 come from
-    the operators' mesh and boundary partition.  K is factored once here and
-    the factor is freed on return."""
+    the operators' mesh and boundary partition.  K is factored once here, by
+    _factor_K (assembly.factor_spd), and the factor is freed on return; the
+    eigenpair's shift-invert solves and every best-constant iterate use it."""
     lu = _factor_K(operators)
     lam1, _ = first_eigenpair(operators, lu)
     p0 = 2.0 * (rho + 1.0)

@@ -9,21 +9,23 @@ problem exactly, so every energy loss along a trajectory is attributable
 to the boundary damping B (plus an O(dt^3) per-step defect from the
 nonlinear coupling).
 
-What the time loop holds: the operators' matrices, the LU factors of the
-step matrix A = M + (dt/2) B + (dt^2/4) K, the fixed-point residual weights
-(d+2)/l from the row sums l of M, the coupling's quadrature table, the first
-eigenpair, the Evaluation of the newest state (its blocks [u v] and
-[u' v'], K and M times them, and its coupling vectors and energy from one
-quadrature pass, shared by the state's energy row and the next step, which
-drops it), the pending row batch (the times and Evaluations of sampled
-states whose rows are not formed yet, up to ROW_BATCH_BYTES of blocks: tens
-of states in 1D, none across a step on a 64^2 square and up), and per
-sample an energy row of the state alone (the first and the last sample also
-keep their state).  Setup's K factor, embedding tables
-and GAMMA1 table are gone by then (see constants), and the coupling
-integrals run in cell blocks (see assembly), so their temporaries are
-block-sized.  The columns that also need the run's constants, E + eps1 psi
-and the well margin, are formed by write_trajectory_csv.
+What the time loop holds: the operators' matrices, the sparse LU of the
+step matrix A = M + (dt/2) B + (dt^2/4) K (symmetric positive definite, so
+assembly.factor_spd orders it by minimum degree on A + A^T and pivots on
+the diagonal, with less fill than a general column order), the fixed-point
+residual weights (d+2)/l from the row sums l of M, the coupling's
+quadrature table, the first eigenpair, the Evaluation of the newest state
+(its blocks [u v] and [u' v'], K and M times them, and its coupling vectors
+and energy from one quadrature pass, shared by the state's energy row and
+the next step, which drops it), the pending row batch (the times and
+Evaluations of sampled states whose rows are not formed yet, up to
+ROW_BATCH_BYTES of blocks: tens of states in 1D, none across a step on a
+64^2 square and up), and per sample an energy row of the state alone (the
+first and the last sample also keep their state).  Setup's K factor,
+embedding tables and GAMMA1 table are gone by then (see constants), and the
+coupling integrals run in cell blocks (see assembly), so their temporaries
+are block-sized.  The columns that also need the run's constants, E + eps1
+psi and the well margin, are formed by write_trajectory_csv.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import diagnostics
-from .assembly import CouplingSpec, DiscreteOperators, assemble_operators, coupling_vectors
+from .assembly import (CouplingSpec, DiscreteOperators, assemble_operators, coupling_vectors,
+                       factor_spd)
 from .constants import WellConstants, admissibility, compute_well_constants, first_eigenpair
 from .geometry import build_interval_mesh, build_rectangle_mesh, classify_boundary
 
@@ -223,17 +225,18 @@ def record(states, operators: DiscreteOperators, spec: CouplingSpec | None,
 
 
 def _step_factorizations(operators: DiscreteOperators, dt: float):
-    """(LU of the step matrix A, residual weights w) with r^T M^-1 r <= sum(w r^2).
+    """(LU of the step matrix A, residual weights w) with r^T M^-1 r <= sum(w r^2),
+    both cached on the operators.
 
+    A = M + (dt/2) B + (dt^2/4) K is symmetric positive definite (M and K
+    are, B is symmetric positive semidefinite), so assembly.factor_spd
+    factors it.
     On a P1 d-simplex the consistent mass is at least 1/(d+2) times the
     row-sum-lumped mass (its local eigenvalues relative to the lumped one are
     1 and 1/(d+2)), and restricting to free nodes only lowers the row sums l,
     so M^-1 <= (d+2) diag(l)^-1 and w = (d+2)/l."""
-    def build():
-        A = (operators.M + (dt / 2.0) * operators.B
-             + (dt * dt / 4.0) * operators.K).tocsc()
-        return spla.splu(A)
-    A_lu = operators.cache(("step_A", dt), build)
+    A_lu = operators.cache(("step_A", dt), lambda: factor_spd(
+        operators.M + (dt / 2.0) * operators.B + (dt * dt / 4.0) * operators.K))
     weights = operators.cache(
         ("residual_weights",),
         lambda: (operators.mesh.dim + 2.0) / np.asarray(operators.M.sum(axis=1)).ravel())

@@ -310,6 +310,24 @@ def branched_element_tables(mesh, degree):
     return pts, wts[None, :] * jac[:, None], shapes
 
 
+# -- the multiplier matrix as the library assembled it with einsum ------------
+# Forming the multiplier field (m . grad phi_j at each quadrature point) by a
+# batched matmul instead of einsum must give the same G bit for bit.
+
+def einsum_multiplier_matrix(mesh, partition, free):
+    """Free-node G with m . grad phi_j formed by np.einsum."""
+    from kgwell.assembly import (VOLUME_QUAD_DEGREE, _element_geometry, _scatter,
+                                 element_quadrature_tables)
+    from kgwell.geometry import radial_field
+
+    grads, _ = _element_geometry(mesh.vertices[mesh.elements])
+    pts, wdet, shapes = element_quadrature_tables(mesh, VOLUME_QUAD_DEGREE)
+    mfield = np.einsum("eqd,ejd->eqj", radial_field(pts, partition.x0), grads)
+    g_local = np.einsum("eq,qi,eqj->eij", wdet, shapes, mfield)
+    G = _scatter(mesh.n_vertices, mesh.elements, g_local)
+    return G.tocsc()[:, free].tocsr()[free, :]
+
+
 # -- the rectangle mesh as the library built it with a per-cell loop ----------
 # The vectorized mesh build must give identical vertex, element, facet and
 # normal arrays.

@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from _oracles import (
     dense_coupling_energy,
     dense_coupling_vectors,
+    einsum_multiplier_matrix,
     scatter_add_coupling,
     scatter_add_lp,
 )
@@ -22,6 +24,7 @@ from kgwell.assembly import (
     BLOCK_POINTS,
     VOLUME_QUAD_DEGREE,
     element_quadrature_tables,
+    factor_spd,
     gamma1_table,
     volume_table,
 )
@@ -75,6 +78,27 @@ def test_multiplier_divergence_identity(setup_fn):
     lhs = (ops.G + ops.G.T).toarray()
     rhs = bdry.toarray() - mesh.dim * ops.M.toarray()
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+
+@pytest.mark.parametrize("setup", [lambda: interval_setup(50), lambda: square_setup(8),
+                                   lambda: square_setup(64)],
+                         ids=["interval50", "square8", "square64"])
+def test_multiplier_matrix_matches_einsum_assembly_bitwise(setup):
+    mesh, part, ops = setup()
+    G_ref = einsum_multiplier_matrix(mesh, part, ops.free)
+    assert G_ref.shape == ops.G.shape
+    assert (G_ref != ops.G).nnz == 0
+
+
+def test_spd_factor_has_less_fill_than_the_default_order():
+    _, _, ops = square_setup(32)
+    dt = 0.01
+    A = ops.M + (dt / 2.0) * ops.B + (dt * dt / 4.0) * ops.K
+    rhs = np.random.default_rng(31).standard_normal((ops.n_free, 2))
+    for matrix in (ops.K, A):
+        spd, default = factor_spd(matrix), spla.splu(matrix.tocsc())
+        assert spd.L.nnz + spd.U.nnz < default.L.nnz + default.U.nnz
+        np.testing.assert_allclose(matrix @ spd.solve(rhs), rhs, rtol=0, atol=1e-12)
 
 
 def test_damping_scales_linearly_in_delta():

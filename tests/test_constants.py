@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +26,10 @@ from kgwell import (
     well_constants,
     well_function,
 )
+import kgwell.assembly
 import kgwell.constants
-from kgwell.assembly import volume_table
+import kgwell.dynamics
+from kgwell.assembly import factor_spd, volume_table
 from kgwell.constants import _lp, _require_accurate_eigenpair
 
 
@@ -306,6 +309,46 @@ def test_prepare_factors_K_once_and_keeps_only_the_eigenpair(n, monkeypatch):
 
 def test_constants_without_a_factor_match_the_shared_factor():
     _, _, ops = square_setup(4)
-    lu = kgwell.constants.spla.splu(ops.K.tocsc())
+    lu = factor_spd(ops.K)
     assert embedding_constant(ops, 4.0) == embedding_constant(ops, 4.0, lu_K=lu)
     assert trace_constant(ops, 2.0) == trace_constant(ops, 2.0, lu_K=lu)
+
+
+def test_K_and_the_step_matrix_are_factored_by_factor_spd_alone(monkeypatch):
+    spd_calls, splu_calls = [], []
+
+    def counting_spd(A):
+        spd_calls.append(A)
+        return factor_spd(A)
+
+    real_splu = kgwell.assembly.spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        splu_calls.append(kwargs)
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(kgwell.constants, "factor_spd", counting_spd)
+    monkeypatch.setattr(kgwell.dynamics, "factor_spd", counting_spd)
+    monkeypatch.setattr(kgwell.assembly.spla, "splu", counting_splu)
+    cfg = ScenarioConfig(name="f", mesh_kind="rectangle", nx=24, ny=24, x0=(-0.1, -0.1),
+                         dt=0.01, t_end=0.03, stride=1, u0=FieldInit("eigenfunction", 0.3),
+                         v0=FieldInit("eigenfunction", 0.3))
+    prep = prepare(cfg)
+    assert len(spd_calls) == 1
+    kgwell.dynamics.simulate(prep)
+    ops = prep.operators
+    A = ops.M + (prep.dt / 2.0) * ops.B + (prep.dt * prep.dt / 4.0) * ops.K
+    assert len(spd_calls) == 2
+    assert (spd_calls[0] != ops.K).nnz == 0 and (spd_calls[1] != A).nnz == 0
+    assert len(splu_calls) == 2
+    assert all(kw["permc_spec"] == "MMD_AT_PLUS_A" for kw in splu_calls)
+
+
+def test_exactly_singular_K_raises_setup_error():
+    _, _, ops = square_setup(8)
+    K = ops.K.tolil()
+    K[5, :] = 0.0
+    K[:, 5] = 0.0
+    singular = dataclasses.replace(ops, K=K.tocsr())
+    with pytest.raises(SetupError, match="singular"):
+        compute_well_constants(singular, rho=1.0)

@@ -9,7 +9,8 @@ there.  Re-record with
     python tests/test_golden_outputs.py --record
 
 only for a change that is meant to move the numbers, and name that change
-in CHANGES.md.
+in CHANGES.md.  Recording prints each (config, output) whose hash differs
+from the file it replaces, so that entry can list exactly what moved.
 """
 
 from __future__ import annotations
@@ -76,14 +77,40 @@ def test_outputs_match_golden(cfg, tmp_path):
     )
 
 
+def changed_outputs(old: dict, new: dict) -> list[str]:
+    """'config output: old -> new' for each hash (or exit code) of the
+    recording `new` that differs from `old`, or that `old` lacks."""
+    lines = []
+    for name, hashes in sorted(new["configs"].items()):
+        before = old.get("configs", {}).get(name, {})
+        for key, value in sorted(hashes.items()):
+            if before.get(key) != value:
+                lines.append(f"{name} {key}: {before.get(key)} -> {value}")
+    return lines
+
+
+def test_changed_outputs_lists_each_moved_hash():
+    old = {"configs": {"a.cfg": {"report.kv": "1", "energy.svg": "2"}}}
+    new = {"configs": {"a.cfg": {"report.kv": "1", "energy.svg": "3"},
+                       "b.cfg": {"report.kv": "4"}}}
+    assert changed_outputs(old, new) == ["a.cfg energy.svg: 2 -> 3",
+                                         "b.cfg report.kv: None -> 4"]
+    assert changed_outputs(new, new) == []
+
+
 def _record() -> None:
     import tempfile
     configs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in CONFIGS:
             configs[cfg.name] = output_hashes(cfg, Path(tmp) / cfg.stem)
-    GOLDEN.write_text(json.dumps({"versions": _versions(), "configs": configs},
-                                 indent=2, sort_keys=True) + "\n")
+    new = {"versions": _versions(), "configs": configs}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if old.get("versions", new["versions"]) != new["versions"]:
+        print(f"versions: {old['versions']} -> {new['versions']}")
+    for line in changed_outputs(old, new):
+        print(line)
+    GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
