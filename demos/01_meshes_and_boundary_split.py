@@ -9,17 +9,7 @@ constants that control the decay rate:
   m0 = min m . nu over the damped part (the damping floor).
 """
 
-from pathlib import Path
-
-from kgwell import (
-    build_interval_mesh,
-    build_rectangle_mesh,
-    classify_boundary,
-    save_mesh_text,
-)
-
-out = Path("demo_output")
-out.mkdir(exist_ok=True)
+from kgwell import build_interval_mesh, build_rectangle_mesh, classify_boundary
 
 print("== interval (0, 1), star point at the left end ==")
 mesh = build_interval_mesh(0.0, 1.0, 8)
@@ -40,10 +30,6 @@ print(f"  {mesh2.n_elements} triangles, {mesh2.n_facets} boundary edges, "
 print(f"  constants: R = {part2.R:.6f} (far corner), m0 = {part2.m0:.6f}")
 for w in part2.warnings:
     print(f"  note: {w}")
-
-path = out / "square_mesh.txt"
-save_mesh_text(mesh2, path, labels=part2.labels)
-print(f"  mesh written as plain text tables to {path}")
 
 print()
 print("scaling check: dilating domain and star point by s scales R and m0 by s")

@@ -65,9 +65,7 @@ from .geometry import (
     build_interval_mesh,
     build_rectangle_mesh,
     classify_boundary,
-    load_mesh_text,
     radial_field,
-    save_mesh_text,
 )
 
 __version__ = "0.1.0"

@@ -33,8 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import (BOUNDARY_QUAD_DEGREE, BoundaryPartition, Mesh, cofactors,
-                       edge_vectors, leibniz_det, radial_field)
+from .geometry import (BoundaryPartition, Mesh, cofactors, edge_vectors, leibniz_det,
+                       radial_field)
 from .quadrature import simplex_quadrature, simplex_weights
 
 #: Volume quadrature degree for the bilinear forms (mass integrand is
@@ -146,7 +146,7 @@ def boundary_mass_matrix(mesh: Mesh, facet_indices: np.ndarray,
     n = mesh.n_vertices
     if len(facet_indices) == 0:
         return sp.csr_matrix((n, n))
-    _, wts, shp = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    _, wts, shp = mesh.facet_quadrature()
     wts = wts[facet_indices] if weights is None else wts[facet_indices] * weights
     local = np.einsum("fq,qi,qj->fij", wts, shp, shp)
     return _scatter(n, mesh.facets[facet_indices], local)
@@ -186,7 +186,7 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition,
     G_full = _scatter(n, mesh.elements, g_local)
 
     g1 = partition.gamma1_facets
-    fpts, fwts, _ = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    fpts, fwts, _ = mesh.facet_quadrature()
     dvals = _delta_values(partition, delta, fpts[g1], mesh.facet_normals[g1])
     delta_min = float(np.min(dvals)) if dvals.size else float("inf")
     if delta_min <= max(delta_floor, 0.0):
@@ -319,7 +319,7 @@ def gamma1_table(operators: DiscreteOperators) -> QuadratureTable:
     """Table of the damped facets at the boundary quadrature degree, built
     per call."""
     g1 = operators.partition.gamma1_facets
-    _, wts, shapes = operators.mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    _, wts, shapes = operators.mesh.facet_quadrature()
     return _table(operators, operators.mesh.facets[g1], shapes, wts[g1])
 
 

@@ -45,6 +45,11 @@ _DENSE_EIG_LIMIT = 400
 #: 4.6e-9 to 6.6e-9 on the same meshes.
 EIGENPAIR_BACKWARD_ERROR = 1e-12
 
+#: A best-constant iteration stops once its quotient moves less than
+#: BEST_CONSTANT_TOL, and fails after BEST_CONSTANT_MAX_ITER K-solves.
+BEST_CONSTANT_TOL = 1e-9
+BEST_CONSTANT_MAX_ITER = 500
+
 
 class SetupError(Exception):
     """Numerical setup failed (singular operators, eigensolver trouble)."""
@@ -151,17 +156,16 @@ def _lp(table: QuadratureTable, x: np.ndarray, p: float):
     return float(total) ** (1.0 / p), grad
 
 
-def _best_constant(operators: DiscreteOperators, norm_and_grad, tol: float,
-                   max_iter: int, lu_K):
+def _best_constant(operators: DiscreteOperators, norm_and_grad, lu_K):
     """Maximize ||v||_X / ||v||_V over the FE space by inverse iteration on
     the optimality system K v = mu * grad(||v||_X^p / p); one K-solve per
     iterate (with lu_K, or a factor made for this call), stopping when the
-    quotient moves less than `tol`."""
+    quotient moves less than BEST_CONSTANT_TOL."""
     lu = _factor_K(operators, lu_K)
     _, v = first_eigenpair(operators, lu)
     v = v / _vnorm(operators, v)
     quotient, g = norm_and_grad(v)
-    for _ in range(max_iter):
+    for _ in range(BEST_CONSTANT_MAX_ITER):
         gnorm = np.linalg.norm(g)
         if gnorm == 0.0:
             raise ConvergenceError("optimality gradient vanished; trivial trace?")
@@ -171,17 +175,15 @@ def _best_constant(operators: DiscreteOperators, norm_and_grad, tol: float,
             raise ConvergenceError("iteration produced a degenerate iterate")
         v = w / nv
         new_quotient, g = norm_and_grad(v)
-        done = abs(new_quotient - quotient) < tol
+        done = abs(new_quotient - quotient) < BEST_CONSTANT_TOL
         quotient = new_quotient
         if done:
             return quotient, v
     raise ConvergenceError(
-        f"best-constant iteration did not converge within {max_iter} iterations"
-    )
+        f"best-constant iteration did not converge within {BEST_CONSTANT_MAX_ITER} iterations")
 
 
-def embedding_constant(operators: DiscreteOperators, p: float,
-                       tol: float = 1e-9, max_iter: int = 500, lu_K=None) -> float:
+def embedding_constant(operators: DiscreteOperators, p: float, lu_K=None) -> float:
     """Discrete best constant of ||v||_{L^p(Omega)} <= c ||v||_V, with the
     sparse LU factor lu_K of K if given.
 
@@ -191,12 +193,11 @@ def embedding_constant(operators: DiscreteOperators, p: float,
     if p < 2:
         raise ValueError("p must be at least 2")
     table = volume_table(operators, max(4, math.ceil(p) + 2))
-    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter, lu_K)
+    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), lu_K)
     return c
 
 
-def trace_constant(operators: DiscreteOperators, p: float,
-                   tol: float = 1e-9, max_iter: int = 500, lu_K=None) -> float:
+def trace_constant(operators: DiscreteOperators, p: float, lu_K=None) -> float:
     """Discrete best constant of ||w||_{L^p(Gamma1)} <= c ||w||_V, with the
     sparse LU factor lu_K of K if given."""
     if p < 2:
@@ -204,7 +205,7 @@ def trace_constant(operators: DiscreteOperators, p: float,
     if len(operators.partition.gamma1_facets) == 0:
         raise ValueError("damped boundary part is empty")
     table = gamma1_table(operators)
-    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), tol, max_iter, lu_K)
+    c, _ = _best_constant(operators, lambda x: _lp(table, x, p), lu_K)
     return c
 
 
@@ -324,12 +325,12 @@ class AdmissibilityReport:
     vel_v1: float
     threshold: float
     threshold_kind: str
-    norms_below_lambda_star: bool
-    L_below_quarter_lambda_star_sq: bool
+    norms_below_threshold: bool
+    L_below_quarter_threshold_sq: bool
 
     @property
     def admissible(self) -> bool:
-        return self.norms_below_lambda_star and self.L_below_quarter_lambda_star_sq
+        return self.norms_below_threshold and self.L_below_quarter_threshold_sq
 
 
 def admissibility(u0, v0, u1, v1, constants: WellConstants,
@@ -356,8 +357,8 @@ def admissibility(u0, v0, u1, v1, constants: WellConstants,
     return AdmissibilityReport(
         L=L, norm_u0=nu0, norm_v0=nv0, vel_u1=au1, vel_v1=av1,
         threshold=lam, threshold_kind=kind,
-        norms_below_lambda_star=bool(nu0 < lam and nv0 < lam),
-        L_below_quarter_lambda_star_sq=bool(L < 0.25 * lam ** 2),
+        norms_below_threshold=bool(nu0 < lam and nv0 < lam),
+        L_below_quarter_threshold_sq=bool(L < 0.25 * lam ** 2),
     )
 
 

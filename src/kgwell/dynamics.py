@@ -184,8 +184,7 @@ class Trajectory:
 ROW_BATCH_BYTES = 256 * 1024
 
 
-def record(states, operators: DiscreteOperators, spec: CouplingSpec | None,
-           meta: dict | None = None) -> Trajectory:
+def record(states, operators: DiscreteOperators, spec: CouplingSpec | None) -> Trajectory:
     """Trajectory of an iterable of states, read one state at a time.  Each
     state's time and Evaluation wait in a batch until ROW_BATCH_BYTES of
     Evaluation blocks are pending; diagnostics.energy_rows then forms the
@@ -221,7 +220,7 @@ def record(states, operators: DiscreteOperators, spec: CouplingSpec | None,
         points[0] = replace(points[0], state=first)
     if len(points) > 1:
         points[-1] = replace(points[-1], state=before)
-    return Trajectory(points, meta or {})
+    return Trajectory(points)
 
 
 def _step_factorizations(operators: DiscreteOperators, dt: float):

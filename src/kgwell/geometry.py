@@ -7,7 +7,9 @@ cell's vertex 0, volumes are det(E)/d! (signed), facet measures
 sqrt(det(E E^T))/(d-1)! and P1 gradients cofactor(E)/det(E), with Leibniz
 determinants; cells are integrated by quadrature.simplex_quadrature.  A mesh
 is frozen, so it computes its volumes, facet measures and facet quadrature
-once and hands out the same read-only arrays.
+once and hands out the same read-only arrays.  The boundary rule is a fact
+of the mesh: facet_quadrature takes no degree, so the boundary split and
+the assembled boundary integrals sample the same points.
 
 Two geometric constants drive every later estimate:
 
@@ -26,9 +28,9 @@ import numpy as np
 
 from .quadrature import simplex_quadrature
 
-#: Quadrature degree used on boundary facets (classification and later
-#: boundary-matrix assembly must share it so that m0 really bounds the
-#: damping coefficient at the points where it is sampled).
+#: Degree of Mesh.facet_quadrature, the one boundary rule: classification
+#: and boundary-matrix assembly share it, so m0 bounds the damping
+#: coefficient at the points where it is sampled.
 BOUNDARY_QUAD_DEGREE = 5
 
 GAMMA0 = 0
@@ -43,7 +45,7 @@ class MixedFacetError(Exception):
     """m . nu changes sign across the quadrature points of one facet.
 
     Cannot happen on straight facets (m . nu is constant along them) but is
-    checked so imported meshes with exotic normals fail loudly; the caller
+    checked so hand-built meshes with exotic normals fail loudly; the caller
     should refine the mesh.
     """
 
@@ -155,15 +157,15 @@ class Mesh:
         """Index of the unique element owning each boundary facet."""
         return self._facet_owner
 
-    def facet_quadrature(self, degree: int = BOUNDARY_QUAD_DEGREE):
-        """Quadrature on every facet.
+    def facet_quadrature(self):
+        """Quadrature of degree BOUNDARY_QUAD_DEGREE on every facet.
 
         Returns (points, weights, shapes): points (nf, nq, dim), weights
         (nf, nq) absorbing the facet measure, shapes (nq, dim) P1 values of
         the facet's own vertices at the points.
         """
-        return self._once(("facet_quadrature", degree), lambda: simplex_quadrature(
-            self.vertices[self.facets], self.facet_measures(), degree))
+        return self._once("facet_quadrature", lambda: simplex_quadrature(
+            self.vertices[self.facets], self.facet_measures(), BOUNDARY_QUAD_DEGREE))
 
     def min_diameter(self) -> float:
         """Smallest element diameter (longest vertex-pair distance)."""
@@ -292,7 +294,7 @@ def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
         raise ValueError(f"x0 must have {mesh.dim} coordinates")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    pts, _, _ = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    pts, _, _ = mesh.facet_quadrature()
     mdotnu = np.einsum("fqd,fd->fq", radial_field(pts, x0), mesh.facet_normals)
     labels = np.array([_label_from_samples(row) for row in mdotnu], dtype=int)
     gamma1 = labels == GAMMA1
@@ -311,60 +313,3 @@ def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
                 f"{len(touching)} vertex/vertices; facets are attributed wholly to one label"
             )
     return BoundaryPartition(mesh, x0, labels, R, m0, tuple(warnings))
-
-
-# ---------------------------------------------------------------------------
-# plain-text mesh interchange: vertex table, element table, facet table
-# (one whitespace-separated record per line)
-# ---------------------------------------------------------------------------
-
-def save_mesh_text(mesh: Mesh, path, labels: np.ndarray | None = None) -> None:
-    lab = np.full(mesh.n_facets, -1, dtype=int) if labels is None else np.asarray(labels, int)
-    with open(path, "w") as fh:
-        fh.write(f"dim {mesh.dim}\n")
-        fh.write(f"vertices {mesh.n_vertices}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(f"{c:.17g}" for c in v) + "\n")
-        fh.write(f"elements {mesh.n_elements}\n")
-        for e in mesh.elements:
-            fh.write(" ".join(str(i) for i in e) + "\n")
-        fh.write(f"facets {mesh.n_facets}\n")
-        for f, nrm, l in zip(mesh.facets, mesh.facet_normals, lab):
-            cols = [str(i) for i in f] + [f"{c:.17g}" for c in nrm] + [str(l)]
-            fh.write(" ".join(cols) + "\n")
-
-
-def load_mesh_text(path) -> tuple[Mesh, np.ndarray]:
-    """Read a mesh written by save_mesh_text; returns (mesh, facet labels)."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        out = tokens[pos:pos + n]
-        if len(out) != n:
-            raise MeshError("truncated mesh file")
-        pos += n
-        return out
-
-    kw, dim = take(2)
-    if kw != "dim":
-        raise MeshError("mesh file must start with 'dim'")
-    dim = int(dim)
-    kw, nv = take(2)
-    if kw != "vertices":
-        raise MeshError("expected vertex table")
-    verts = np.array([float(t) for t in take(int(nv) * dim)]).reshape(-1, dim)
-    kw, ne = take(2)
-    if kw != "elements":
-        raise MeshError("expected element table")
-    elems = np.array([int(t) for t in take(int(ne) * (dim + 1))]).reshape(-1, dim + 1)
-    kw, nf = take(2)
-    if kw != "facets":
-        raise MeshError("expected facet table")
-    rows = np.array(take(int(nf) * (2 * dim + 1))).reshape(-1, 2 * dim + 1)
-    facets = rows[:, :dim].astype(int)
-    normals = rows[:, dim:2 * dim].astype(float)
-    labels = rows[:, -1].astype(int)
-    return Mesh(dim, verts, elems, facets, normals), labels

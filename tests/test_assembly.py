@@ -29,7 +29,6 @@ from kgwell.assembly import (
     volume_table,
 )
 from kgwell.constants import _lp
-from kgwell.geometry import BOUNDARY_QUAD_DEGREE
 
 # both meshes have clamped vertices, which the tables send to a zero slot
 TABLE_MESHES = pytest.mark.parametrize(
@@ -282,7 +281,7 @@ def test_quadrature_tables_match_scatter_add_bitwise(setup):
         assert np.array_equal(fv, fv_ref)
         assert coupling_energy((u, v), spec, ops) == e_ref
     g1 = part.gamma1_facets
-    _, fwts, fshapes = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    _, fwts, fshapes = mesh.facet_quadrature()
     _, wdet, shapes = element_quadrature_tables(mesh, 6)
     cases = ((volume_table(ops, 6), (mesh.elements, shapes, wdet)),
              (gamma1_table(ops), (mesh.facets[g1], fshapes, fwts[g1])))
@@ -332,7 +331,7 @@ def test_blocked_reductions_match_single_pass_bitwise(setup, block_cells):
         assert np.array_equal(fv, fv_ref)
         assert coupling_energy((u, v), spec, blocked_ops) == e_ref
     g1 = part.gamma1_facets
-    _, fwts, fshapes = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    _, fwts, fshapes = mesh.facet_quadrature()
     _, wdet, shapes = element_quadrature_tables(mesh, 6)
     # 10 damped facets on the square make blocks of 8 and 2; 1 in 1D
     cases = ((dataclasses.replace(volume_table(ops, 6), block_cells=block_cells),

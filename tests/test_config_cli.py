@@ -190,21 +190,15 @@ def test_cli_run_check_subset(tmp_path):
 
 def test_cli_calls_each_check_through_diagnostics_once(tmp_path, monkeypatch):
     # perfbench's tracer wraps kgwell.diagnostics.<check> after import; a
-    # default run must reach each wrapper exactly once from the CLI
-    # (check_decay_bound calls check_equivalence again from inside, which
-    # the depth counter leaves out)
+    # default run must reach each wrapper exactly once, counting the calls
+    # one check might make to another
     names = ("well_monitor", "check_equivalence", "check_dissipation", "check_decay_bound")
     calls = dict.fromkeys(names, 0)
-    depth = [0]
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
-            calls[name] += depth[0] == 0
-            depth[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+            calls[name] += 1
+            return fn(*args, **kwargs)
         return wrapped
 
     for name in names:
@@ -212,6 +206,18 @@ def test_cli_calls_each_check_through_diagnostics_once(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, DECAY_1D)
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_admissibility_keys_name_the_active_threshold(tmp_path):
+    path = write_cfg(tmp_path, DECAY_1D)  # rho = 1: the regular well is active
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out_dir), "--no-plot"]) == 0
+    kv = (out_dir / "report.kv").read_text().splitlines()
+    assert "admissibility.threshold_kind=regular" in kv
+    keys = [line.split("=")[0] for line in kv if line.startswith("admissibility.")]
+    assert "admissibility.norms_below_threshold" in keys
+    assert "admissibility.L_below_quarter_threshold_sq" in keys
+    assert not [key for key in keys if "lambda_star" in key]
 
 
 def test_constants_table_lists_every_field_once(tmp_path):

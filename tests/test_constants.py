@@ -201,13 +201,13 @@ def test_admissibility_threshold_is_strict():
     # comparison of the computed norm against the threshold
     u0 = (wc.lambda1_star / vnorm) * vec
     rep = admissibility(u0, u0, z, z, wc, ops)
-    assert rep.norms_below_lambda_star == (rep.norm_u0 < rep.threshold)
-    assert not rep.L_below_quarter_lambda_star_sq  # L ~ threshold^2 > threshold^2/4
+    assert rep.norms_below_threshold == (rep.norm_u0 < rep.threshold)
+    assert not rep.L_below_quarter_threshold_sq  # L ~ threshold^2 > threshold^2/4
     assert not rep.admissible
     # unambiguously at/above the threshold: inadmissible
     above = (wc.lambda1_star * (1.0 + 1e-9) / vnorm) * vec
     rep2 = admissibility(above, above, z, z, wc, ops)
-    assert not rep2.norms_below_lambda_star
+    assert not rep2.norms_below_threshold
     assert not rep2.admissible
 
 

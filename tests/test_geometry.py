@@ -19,8 +19,6 @@ from kgwell.geometry import (
     build_interval_mesh,
     build_rectangle_mesh,
     classify_boundary,
-    load_mesh_text,
-    save_mesh_text,
 )
 
 
@@ -205,26 +203,6 @@ def test_interval_partition_invariants(x0):
     part = classify_boundary(mesh, x0)
     assert part.m0 > 0
     assert part.R >= part.m0
-
-
-def test_mesh_text_roundtrip(tmp_path):
-    mesh = build_rectangle_mesh((0, 0), (1, 2), 2, 3)
-    part = classify_boundary(mesh, (-0.1, -0.1))
-    path = tmp_path / "mesh.txt"
-    save_mesh_text(mesh, path, labels=part.labels)
-    loaded, labels = load_mesh_text(path)
-    np.testing.assert_allclose(loaded.vertices, mesh.vertices)
-    np.testing.assert_array_equal(loaded.elements, mesh.elements)
-    np.testing.assert_array_equal(loaded.facets, mesh.facets)
-    np.testing.assert_allclose(loaded.facet_normals, mesh.facet_normals)
-    np.testing.assert_array_equal(labels, part.labels)
-
-
-def test_mesh_text_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("vertices 3\n0 0\n")
-    with pytest.raises(MeshError):
-        load_mesh_text(path)
 
 
 def test_mesh_geometry_is_computed_once_per_run(monkeypatch):

@@ -110,7 +110,7 @@ def test_element_tables_match_branched_formulas_bitwise(mesh, degree):
 
 
 def test_facet_quadrature_matches_branched_formulas(mesh):
-    pts, wts, shapes = mesh.facet_quadrature(BOUNDARY_QUAD_DEGREE)
+    pts, wts, shapes = mesh.facet_quadrature()
     ref_pts, ref_wts, ref_shapes = oracle.branched_facet_quadrature(mesh, BOUNDARY_QUAD_DEGREE)
     assert np.array_equal(wts, ref_wts)
     assert np.array_equal(shapes, ref_shapes)
