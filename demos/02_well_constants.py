@@ -19,7 +19,7 @@ from kgwell import (
     classify_boundary,
     compute_well_constants,
     embedding_constant,
-    first_eigenvalue,
+    first_eigenpair,
     trace_constant,
     well_function,
 )
@@ -29,7 +29,7 @@ mesh = build_interval_mesh(0.0, 1.0, 200)
 part = classify_boundary(mesh, 0.0)
 ops = assemble_operators(mesh, part)
 
-lam1 = first_eigenvalue(ops)
+lam1 = first_eigenpair(ops)[0]
 print(f"  first eigenvalue        {lam1:.8f}   (continuum (pi/2)^2 = {(np.pi / 2) ** 2:.8f})")
 c1 = embedding_constant(ops, 4.0)
 print(f"  L4 embedding constant   {c1:.8f}   (< 3^(-1/4) = {3 ** -0.25:.8f})")

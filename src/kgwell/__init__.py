@@ -27,7 +27,6 @@ from .constants import (
     compute_well_constants,
     embedding_constant,
     first_eigenpair,
-    first_eigenvalue,
     trace_constant,
     validate_hypotheses,
     well_constants,

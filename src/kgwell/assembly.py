@@ -9,6 +9,12 @@ GAMMA0 part of the boundary):
 * G  multiplier matrix    int phi_i (m . grad phi_j)    -- not symmetric
 * T  boundary mass        int_{Gamma1} phi_i phi_j
 
+The volume forms M, K and G have polynomial integrands on P1 elements, so
+their element matrices are formed in closed form, in any dimension, from the
+vertices, the volumes and the P1 gradients alone; no volume quadrature
+points enter assembly.  B and T take the facet rule of the mesh, at the
+points where the boundary split samples m . nu.
+
 Nonlinear integrands (coupling |u|^rho |v|^rho v, L^p norms, GAMMA1 traces)
 are evaluated pointwise (they are continuous; no regularization of |.|^rho is
 needed) by fixed Gauss quadrature through a QuadratureTable per cell set: the
@@ -36,10 +42,6 @@ import scipy.sparse.linalg as spla
 from .geometry import (BoundaryPartition, Mesh, cofactors, edge_vectors, leibniz_det,
                        radial_field)
 from .quadrature import simplex_quadrature, simplex_weights
-
-#: Volume quadrature degree for the bilinear forms (mass integrand is
-#: quadratic, multiplier integrand cubic at most; 4 is exact for all).
-VOLUME_QUAD_DEGREE = 4
 
 #: Quadrature points per block of cells in QuadratureTable.reduce: 4096
 #: triangles at 9 points.  Of 256 to 8192 triangles per block, 4096 made
@@ -120,9 +122,32 @@ def _element_geometry(coords: np.ndarray):
     return np.concatenate([grad0, grads], axis=1), det / math.factorial(edges.shape[1])
 
 
+def _element_matrices(coords: np.ndarray, x0):
+    """Exact P1 element matrices (M_e, K_e, G_e), each (nc, d+1, d+1), of
+    d-simplices with vertices coords (nc, d+1, d), for m(x) = x - x0:
+
+      M_e[i, j] = int phi_i phi_j = |e| (1 + delta_ij) / ((d+1)(d+2))
+      K_e[i, j] = |e| grad phi_i . grad phi_j
+      G_e[i, j] = int phi_i m . grad phi_j
+                = grad phi_j . |e| (sum_k m(x_k) + m(x_i)) / ((d+1)(d+2)),
+
+    since m is affine, m = sum_k m(x_k) phi_k, and each gradient constant."""
+    grads, vol = _element_geometry(coords)
+    nloc = coords.shape[1]
+    scale = vol / (nloc * (nloc + 1))
+    m_local = scale[:, None, None] * (1.0 + np.eye(nloc))
+    k_local = np.einsum("e,eid,ejd->eij", vol, grads, grads)
+    m_vertex = radial_field(coords, x0)
+    moments = scale[:, None, None] * (m_vertex.sum(axis=1, keepdims=True) + m_vertex)
+    return m_local, k_local, moments @ grads.transpose(0, 2, 1)
+
+
 def element_quadrature_tables(mesh: Mesh, degree: int):
     """(points, wdet, shapes): global quadrature points (ne, nq, dim),
-    weights times Jacobian (ne, nq), P1 shape values (nq, nloc)."""
+    weights times Jacobian (ne, nq), P1 shape values (nq, nloc).  Setup and
+    the time loop read volume_table, which takes the weights alone; this
+    full table serves the tests' quadrature oracles and perfbench's count of
+    coupling points."""
     coords = mesh.vertices[mesh.elements]
     return simplex_quadrature(coords, mesh.element_volumes(), degree)
 
@@ -173,14 +198,8 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition,
         must leave delta strictly positive) at any boundary quadrature point.
     """
     n = mesh.n_vertices
-    grads, vol = _element_geometry(mesh.vertices[mesh.elements])
-    pts, wdet, shapes = element_quadrature_tables(mesh, VOLUME_QUAD_DEGREE)
-
-    m_local = np.einsum("eq,qi,qj->eij", wdet, shapes, shapes)
-    k_local = np.einsum("e,eid,ejd->eij", vol, grads, grads)
-    mfield = radial_field(pts, partition.x0) @ grads.transpose(0, 2, 1)
-    g_local = np.einsum("eq,qi,eqj->eij", wdet, shapes, mfield)
-
+    m_local, k_local, g_local = _element_matrices(mesh.vertices[mesh.elements],
+                                                  partition.x0)
     M_full = _scatter(n, mesh.elements, m_local)
     K_full = _scatter(n, mesh.elements, k_local)
     G_full = _scatter(n, mesh.elements, g_local)

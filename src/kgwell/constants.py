@@ -11,6 +11,11 @@ Everything here reduces to linear algebra on the assembled operators:
   the perturbation bound P, the boundary flux coefficient D and the decay
   rate tau = min(1/(2P), m0/D).
 
+The L^p norms of the embedding constants are integrated by a volume table
+of degree embedding_degree(p): p itself when p is an even integer, since
+|v|^p is then a polynomial of degree p on P1 elements (9 points a triangle
+for c1), and max(4, ceil(p) + 2) otherwise.
+
 The best constants are maximized over the finite-element space only, so
 they are lower bounds for their continuum counterparts; callers inflate
 them by a safety factor (default 1.1) before forming thresholds, which
@@ -138,10 +143,6 @@ def _require_accurate_eigenpair(K, M, lam: float, x: np.ndarray) -> None:
                          f"{EIGENPAIR_BACKWARD_ERROR:g}")
 
 
-def first_eigenvalue(operators: DiscreteOperators) -> float:
-    return first_eigenpair(operators)[0]
-
-
 def _vnorm(operators: DiscreteOperators, x: np.ndarray) -> float:
     return math.sqrt(max(float(x @ (operators.K @ x)), 0.0))
 
@@ -183,6 +184,15 @@ def _best_constant(operators: DiscreteOperators, norm_and_grad, lu_K):
         f"best-constant iteration did not converge within {BEST_CONSTANT_MAX_ITER} iterations")
 
 
+def embedding_degree(p: float) -> int:
+    """Quadrature degree of the L^p norm in embedding_constant.  For an even
+    integer p, |v|^p and |v|^(p-2) v phi_i are polynomials of degree p on P1
+    elements, and that degree is exact; any other p takes max(4, ceil(p) + 2)."""
+    if p % 2 == 0:
+        return int(p)
+    return max(4, math.ceil(p) + 2)
+
+
 def embedding_constant(operators: DiscreteOperators, p: float, lu_K=None) -> float:
     """Discrete best constant of ||v||_{L^p(Omega)} <= c ||v||_V, with the
     sparse LU factor lu_K of K if given.
@@ -192,7 +202,7 @@ def embedding_constant(operators: DiscreteOperators, p: float, lu_K=None) -> flo
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    table = volume_table(operators, max(4, math.ceil(p) + 2))
+    table = volume_table(operators, embedding_degree(p))
     c, _ = _best_constant(operators, lambda x: _lp(table, x, p), lu_K)
     return c
 

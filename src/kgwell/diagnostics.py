@@ -156,7 +156,7 @@ class EquivalenceReport:
     eps1: float
     worst_low: float   # min of E_eps - E/2  (should be >= -slack)
     worst_high: float  # max of E_eps - 3E/2 (should be <= slack)
-    worst_t: float
+    worst_t: float     # time of worst_low
 
 
 def check_equivalence(trajectory, constants: WellConstants) -> EquivalenceReport:
@@ -178,7 +178,6 @@ def check_equivalence(trajectory, constants: WellConstants) -> EquivalenceReport
             worst_high = high
         if low < -NEAR_ZERO_SLACK or high > NEAR_ZERO_SLACK:
             ok = False
-            worst_t = e.t
     return EquivalenceReport(ok=ok, eps1=eps1, worst_low=worst_low,
                              worst_high=worst_high, worst_t=worst_t)
 

@@ -5,11 +5,12 @@ field m(x) = x - x0, and the split of the boundary into a clamped part
 One simplex path serves every dimension.  With E the edge vectors from a
 cell's vertex 0, volumes are det(E)/d! (signed), facet measures
 sqrt(det(E E^T))/(d-1)! and P1 gradients cofactor(E)/det(E), with Leibniz
-determinants; cells are integrated by quadrature.simplex_quadrature.  A mesh
-is frozen, so it computes its volumes, facet measures and facet quadrature
-once and hands out the same read-only arrays.  The boundary rule is a fact
-of the mesh: facet_quadrature takes no degree, so the boundary split and
-the assembled boundary integrals sample the same points.
+determinants; facets are integrated by quadrature.simplex_quadrature, and
+cells by quadrature.simplex_weights or, for the P1 forms, in closed form.
+A mesh is frozen, so it computes its volumes, facet measures and facet
+quadrature once and hands out the same read-only arrays.  The boundary rule
+is a fact of the mesh: facet_quadrature takes no degree, so the boundary
+split and the assembled boundary integrals sample the same points.
 
 Two geometric constants drive every later estimate:
 

@@ -310,22 +310,31 @@ def branched_element_tables(mesh, degree):
     return pts, wts[None, :] * jac[:, None], shapes
 
 
-# -- the multiplier matrix as the library assembled it with einsum ------------
-# Forming the multiplier field (m . grad phi_j at each quadrature point) by a
-# batched matmul instead of einsum must give the same G bit for bit.
+# -- the mass and multiplier matrices by volume quadrature -------------------
+# The library forms the P1 element matrices in closed form.  Degree-4
+# quadrature integrates the quadratic mass and cubic multiplier integrands
+# exactly too, so the two agree up to round-off.
 
-def einsum_multiplier_matrix(mesh, partition, free):
-    """Free-node G with m . grad phi_j formed by np.einsum."""
-    from kgwell.assembly import (VOLUME_QUAD_DEGREE, _element_geometry, _scatter,
-                                 element_quadrature_tables)
+#: Degree of the quadrature oracle, exact for the P1 mass and multiplier forms.
+VOLUME_ORACLE_DEGREE = 4
+
+
+def quadrature_volume_matrices(mesh, partition, free):
+    """Free-node (M, G) assembled by degree-4 quadrature over the elements."""
+    from kgwell.assembly import _element_geometry, _scatter, element_quadrature_tables
     from kgwell.geometry import radial_field
 
     grads, _ = _element_geometry(mesh.vertices[mesh.elements])
-    pts, wdet, shapes = element_quadrature_tables(mesh, VOLUME_QUAD_DEGREE)
+    pts, wdet, shapes = element_quadrature_tables(mesh, VOLUME_ORACLE_DEGREE)
     mfield = np.einsum("eqd,ejd->eqj", radial_field(pts, partition.x0), grads)
+    m_local = np.einsum("eq,qi,qj->eij", wdet, shapes, shapes)
     g_local = np.einsum("eq,qi,eqj->eij", wdet, shapes, mfield)
-    G = _scatter(mesh.n_vertices, mesh.elements, g_local)
-    return G.tocsc()[:, free].tocsr()[free, :]
+
+    def restrict(local):
+        full = _scatter(mesh.n_vertices, mesh.elements, local)
+        return full.tocsc()[:, free].tocsr()[free, :]
+
+    return restrict(m_local), restrict(g_local)
 
 
 # -- the rectangle mesh as the library built it with a per-cell loop ----------

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from _oracles import (
+    VOLUME_ORACLE_DEGREE,
     dense_coupling_energy,
     dense_coupling_vectors,
-    einsum_multiplier_matrix,
+    quadrature_volume_matrices,
     scatter_add_coupling,
     scatter_add_lp,
 )
@@ -22,13 +23,14 @@ from kgwell import (
 )
 from kgwell.assembly import (
     BLOCK_POINTS,
-    VOLUME_QUAD_DEGREE,
+    _element_matrices,
     element_quadrature_tables,
     factor_spd,
     gamma1_table,
     volume_table,
 )
 from kgwell.constants import _lp
+from kgwell.quadrature import p1_shapes, simplex_rule
 
 # both meshes have clamped vertices, which the tables send to a zero slot
 TABLE_MESHES = pytest.mark.parametrize(
@@ -79,14 +81,74 @@ def test_multiplier_divergence_identity(setup_fn):
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
+# -- closed-form element matrices ---------------------------------------------
+
+def test_closed_form_element_matrices_on_reference_cells():
+    # reference segment and triangle with x0 at vertex 0, so m(x) = x
+    segment = np.array([[[0.0], [1.0]]])
+    triangle = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+    m_seg, k_seg, g_seg = _element_matrices(segment, (0.0,))
+    assert np.array_equal(m_seg[0], [[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+    assert np.array_equal(k_seg[0], [[1.0, -1.0], [-1.0, 1.0]])
+    # int phi_i x phi_j' with int phi_0 x = 1/6, int phi_1 x = 1/3
+    assert np.array_equal(g_seg[0], [[-1 / 6, 1 / 6], [-1 / 3, 1 / 3]])
+    m_tri, k_tri, g_tri = _element_matrices(triangle, (0.0, 0.0))
+    assert np.array_equal(m_tri[0], [[1 / 12, 1 / 24, 1 / 24],
+                                     [1 / 24, 1 / 12, 1 / 24],
+                                     [1 / 24, 1 / 24, 1 / 12]])
+    assert np.array_equal(k_tri[0], [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0],
+                                     [-0.5, 0.0, 0.5]])
+    # int phi_i x = (1/24, 1/24), (1/12, 1/24), (1/24, 1/12); gradients
+    # (-1, -1), (1, 0), (0, 1)
+    np.testing.assert_allclose(g_tri[0], [[-1 / 12, 1 / 24, 1 / 24],
+                                          [-1 / 8, 1 / 12, 1 / 24],
+                                          [-1 / 8, 1 / 24, 1 / 12]], rtol=0, atol=1e-17)
+
+
+def test_closed_form_element_matrices_match_tetrahedron_quadrature():
+    # raw coordinates, no Mesh: the reference tetrahedron and two random ones
+    # against simplex_rule(3, 4), exact for the quadratic and cubic integrands
+    rng = np.random.default_rng(37)
+    coords = np.concatenate([[np.vstack([np.zeros(3), np.eye(3)])],
+                             rng.uniform(-1.0, 1.0, (2, 4, 3))])
+    coords[1:, 1:] += 2.0 * np.eye(3)  # keep the random cells well shaped
+    x0 = np.array([-0.1, 0.2, -0.3])
+    m_local, k_local, g_local = _element_matrices(coords, x0)
+    ref, w = simplex_rule(3, 4)
+    shapes = p1_shapes(ref)
+    for c in range(len(coords)):
+        edges = coords[c, 1:] - coords[c, 0]
+        jac = np.linalg.det(edges)
+        assert jac > 0
+        inv = np.linalg.inv(edges)
+        grads = np.vstack([-inv.sum(axis=1), inv.T])
+        points = shapes @ coords[c]
+        mdotgrad = (points - x0) @ grads.T
+        m_ref = jac * np.einsum("q,qi,qj->ij", w, shapes, shapes)
+        g_ref = jac * np.einsum("q,qi,qj->ij", w, shapes, mdotgrad)
+        np.testing.assert_allclose(m_local[c], m_ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g_local[c], g_ref, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(g_ref)))
+        np.testing.assert_allclose(k_local[c], jac / 6.0 * grads @ grads.T, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(k_local[c])))
+    assert np.isclose(m_local[0].sum(), 1.0 / 6.0, rtol=1e-15)
+
+
+#: Largest |closed form - quadrature| of an assembled M or G entry, relative
+#: to the largest entry: 8 ulps (measured 2.7, 6.1e-16 on square64's G).
+ORACLE_ROUNDOFF = 8 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("setup", [lambda: interval_setup(50), lambda: square_setup(8),
                                    lambda: square_setup(64)],
                          ids=["interval50", "square8", "square64"])
-def test_multiplier_matrix_matches_einsum_assembly_bitwise(setup):
+def test_volume_matrices_match_quadrature_oracle(setup):
     mesh, part, ops = setup()
-    G_ref = einsum_multiplier_matrix(mesh, part, ops.free)
-    assert G_ref.shape == ops.G.shape
-    assert (G_ref != ops.G).nnz == 0
+    for matrix, ref in zip((ops.M, ops.G), quadrature_volume_matrices(mesh, part, ops.free)):
+        assert np.array_equal(matrix.indptr, ref.indptr)
+        assert np.array_equal(matrix.indices, ref.indices)
+        scale = np.max(np.abs(ref.data))
+        assert np.max(np.abs(matrix.data - ref.data)) <= ORACLE_ROUNDOFF * scale
 
 
 def test_spd_factor_has_less_fill_than_the_default_order():
@@ -297,7 +359,7 @@ def test_quadrature_tables_match_scatter_add_bitwise(setup):
 def test_projection_is_galerkin_adjoint_of_evaluation(setup):
     _, _, ops = setup()
     x = np.random.default_rng(23).uniform(0.5, 1.5, ops.n_free)
-    for table, matrix in ((volume_table(ops, VOLUME_QUAD_DEGREE), ops.M),
+    for table, matrix in ((volume_table(ops, VOLUME_ORACLE_DEGREE), ops.M),
                           (gamma1_table(ops), ops.T)):
         np.testing.assert_allclose(table.project(table.values(x) * table.w),
                                    matrix @ x, rtol=1e-13, atol=0)

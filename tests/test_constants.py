@@ -19,7 +19,6 @@ from kgwell import (
     compute_well_constants,
     embedding_constant,
     first_eigenpair,
-    first_eigenvalue,
     prepare,
     trace_constant,
     validate_hypotheses,
@@ -30,28 +29,28 @@ import kgwell.assembly
 import kgwell.constants
 import kgwell.dynamics
 from kgwell.assembly import factor_spd, volume_table
-from kgwell.constants import _lp, _require_accurate_eigenpair
+from kgwell.constants import _best_constant, _lp, _require_accurate_eigenpair, embedding_degree
 
 
 def test_first_eigenvalue_interval():
     _, _, ops = interval_setup(elements=200)
-    lam = first_eigenvalue(ops)
+    lam = first_eigenpair(ops)[0]
     exact = (np.pi / 2) ** 2  # sin(pi x / 2): clamped left, free right
     assert abs(lam - exact) / exact < 1e-3
 
 
 def test_first_eigenvalue_length_scaling():
     _, _, ops = interval_setup(elements=200, a=0.0, b=2.0)
-    lam = first_eigenvalue(ops)
+    lam = first_eigenpair(ops)[0]
     exact = (np.pi / 4) ** 2
     assert abs(lam - exact) / exact < 1e-3
 
 
 def test_eigenvalue_decreases_under_nested_refinement():
-    values = [first_eigenvalue(interval_setup(elements=n)[2]) for n in (25, 50, 100)]
+    values = [first_eigenpair(interval_setup(elements=n)[2])[0] for n in (25, 50, 100)]
     assert values[0] >= values[1] >= values[2] >= (np.pi / 2) ** 2
-    coarse = first_eigenvalue(square_setup(4)[2])
-    fine = first_eigenvalue(square_setup(8)[2])
+    coarse = first_eigenpair(square_setup(4)[2])[0]
+    fine = first_eigenpair(square_setup(8)[2])[0]
     assert coarse >= fine >= np.pi ** 2 / 2
 
 
@@ -87,7 +86,7 @@ def test_first_eigenpair_is_cached_and_read_only():
 def test_eigenvalue_requires_clamped_nodes():
     _, _, ops = unconstrained_interval(5)
     with pytest.raises(SetupError):
-        first_eigenvalue(ops)
+        first_eigenpair(ops)
 
 
 def test_embedding_p4_below_analytic_bound():
@@ -100,7 +99,7 @@ def test_embedding_p4_below_analytic_bound():
 def test_embedding_p2_is_inverse_sqrt_eigenvalue():
     mesh, _, ops = interval_setup(elements=64)
     c = embedding_constant(ops, 2.0)
-    lam = first_eigenvalue(ops)
+    lam = first_eigenpair(ops)[0]
     assert abs(c * c * lam - 1.0) <= 1e-9
 
 
@@ -108,6 +107,35 @@ def test_embedding_rejects_small_p():
     mesh, _, ops = interval_setup(elements=8)
     with pytest.raises(ValueError):
         embedding_constant(ops, 1.5)
+
+
+def test_embedding_degree_is_p_for_even_p():
+    assert [embedding_degree(p) for p in (2.0, 4.0, 6.0)] == [2, 4, 6]
+    assert [embedding_degree(p) for p in (3.0, 3.3, 5.0)] == [5, 6, 7]
+    _, _, ops = square_setup(2)
+    assert len(volume_table(ops, embedding_degree(4.0)).shapes) == 9  # 3 x 3 Gauss points
+
+
+def _constant_at_degree(ops, p, degree):
+    table = volume_table(ops, degree)
+    return _best_constant(ops, lambda x: _lp(table, x, p), None)[0]
+
+
+@pytest.mark.parametrize("setup", [lambda: interval_setup(64), lambda: square_setup(8)],
+                         ids=["interval64", "square8"])
+@pytest.mark.parametrize("p", [4.0, 6.0])
+def test_even_p_embedding_constant_matches_finer_table(setup, p):
+    # both tables integrate the degree-p integrands exactly, so the constants
+    # differ by round-off alone
+    _, _, ops = setup()
+    fine = _constant_at_degree(ops, p, int(p) + 2)
+    assert abs(embedding_constant(ops, p) - fine) <= 1e-13 * fine
+
+
+def test_non_even_p_keeps_its_table_bitwise():
+    # p = 5 (rho = 1.5): |v|^5 is no polynomial, and the degree stays 7
+    _, _, ops = square_setup(8)
+    assert embedding_constant(ops, 5.0) == _constant_at_degree(ops, 5.0, 7)
 
 
 @settings(max_examples=20, deadline=None)

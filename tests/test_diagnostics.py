@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from kgwell import (
     step,
     well_function,
 )
-from kgwell.dynamics import record
+from kgwell.dynamics import Trajectory, TrajectoryPoint, record
 
 
 def _state(ops, rng=None, scale=1.0):
@@ -122,6 +123,20 @@ def test_check_equivalence_zero_trajectory():
     traj = _manual_trajectory(ops, states)
     rep = diag.check_equivalence(traj, wc_like)
     assert rep.ok and rep.eps1 == 1.0 / 16.0
+
+
+def test_check_equivalence_reports_time_of_worst_low():
+    # low-side violations -1e-3 at t = 1 and -1e-6 at t = 2 (E = 0, so
+    # low = eps1 psi with eps1 = 1/16): the worst is the earlier one
+    _, _, ops = interval_setup(6)
+    zero = diag.full_sample(SimState.zero(ops.n_free), ops, None)
+    rows = [dataclasses.replace(zero, t=float(t), psi=psi)
+            for t, psi in enumerate((0.0, -1.6e-2, -1.6e-5, 0.0))]
+    traj = Trajectory([TrajectoryPoint(row, 0.0) for row in rows])
+    rep = diag.check_equivalence(traj, type("C", (), {"P": 8.0})())
+    assert not rep.ok
+    assert rep.worst_low == pytest.approx(-1e-3, rel=1e-12)
+    assert rep.worst_t == 1.0
 
 
 def test_check_equivalence_on_admissible_run(short_admissible_run):

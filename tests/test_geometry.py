@@ -227,12 +227,11 @@ def test_mesh_geometry_is_computed_once_per_run(monkeypatch):
                          u0=FieldInit("eigenfunction", 0.1), v0=FieldInit("eigenfunction", 0.1))
     prep = prepare(cfg)
     simulate(prep)
+    # no element quadrature points at all: M and G are formed in closed form,
+    # and the volume tables of the constants and the coupling take weights
     assert counts == {
         "kgwell.geometry.edge_vectors": 2,        # element volumes, facet measures
         "kgwell.geometry.simplex_quadrature": 1,  # facet quadrature
-        # points only where the radial field needs them: the G assembly;
-        # the volume tables of the constants and the coupling take weights
-        "kgwell.assembly.simplex_quadrature": 1,
     }
     mesh = prep.mesh
     assert mesh.element_volumes() is mesh.element_volumes()

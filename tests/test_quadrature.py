@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from kgwell.assembly import VOLUME_QUAD_DEGREE, _element_geometry, element_quadrature_tables
+from kgwell.assembly import _element_geometry, element_quadrature_tables
 from kgwell.geometry import (BOUNDARY_QUAD_DEGREE, Mesh, build_interval_mesh,
                              build_rectangle_mesh)
 from kgwell.quadrature import p1_shapes, simplex_rule
@@ -102,7 +102,7 @@ def test_gradients_match_branched_formulas_bitwise(mesh):
     assert np.array_equal(sub, grads[some])
 
 
-@pytest.mark.parametrize("degree", [VOLUME_QUAD_DEGREE, 6])
+@pytest.mark.parametrize("degree", [oracle.VOLUME_ORACLE_DEGREE, 6])
 def test_element_tables_match_branched_formulas_bitwise(mesh, degree):
     for new, ref in zip(element_quadrature_tables(mesh, degree),
                         oracle.branched_element_tables(mesh, degree)):
