@@ -147,13 +147,13 @@ def _plot(trajectory: Trajectory, wc, path: Path) -> None:
     times = trajectory.times()
     energies = trajectory.energies()
     floor = 1e-300
-    log_e = [math.log10(max(e, floor)) for e in energies]
-    series = [(times.tolist(), log_e, "log10 E(t)")]
+    log_e = np.fromiter(map(math.log10, np.maximum(energies, floor)), float, len(energies))
+    series = [(times, log_e, "log10 E(t)")]
     e0 = energies[0]
     if e0 > 0:
         rate = wc.tau / 3.0
-        bound = [math.log10(3.0 * e0) - rate * t / math.log(10.0) for t in times]
-        series.append((times.tolist(), bound, "log10 bound"))
+        bound = math.log10(3.0 * e0) - rate * times / math.log(10.0)
+        series.append((times, bound, "log10 bound"))
     line_plot(path, series, title="energy decay", xlabel="t", ylabel="log10 E")
 
 

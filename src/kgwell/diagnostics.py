@@ -6,7 +6,7 @@ the exponential decay bound E(t) <= 3 E(0) exp(-tau t / 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,11 +49,17 @@ class EnergySample:
     flux_v: float
 
 
-def energy_rows(times, evaluations, operators: DiscreteOperators, previous=None):
-    """EnergySample rows and damped-boundary pair fluxes of a batch of
+#: The rows of an energy_rows block and the columns of a trajectory: the
+#: EnergySample fields, then the pair flux.
+COLUMNS = tuple(f.name for f in fields(EnergySample)) + ("flux",)
+
+
+def energy_rows(times, evaluations, operators: DiscreteOperators, previous=None) -> np.ndarray:
+    """The energy rows and damped-boundary pair fluxes of a batch of
     states, given in time order by their times and their Evaluations under
     the operators (dynamics.Evaluation: the blocks X = [u v] and P = [u' v'],
-    K X, M P and the coupling energy).
+    K X, M P and the coupling energy), as one (len(COLUMNS), k) float64
+    block: row j holds COLUMNS[j] of the k states.
 
     The flux of a state is the trace form ||mid u'||_T^2 + ||mid v'||_T^2
     of the sample pair that ends there, mid being the average of the two
@@ -83,21 +89,19 @@ def energy_rows(times, evaluations, operators: DiscreteOperators, previous=None)
         np.add(previous[1], p[1], out=mid[1])
     np.add(p[:-2], p[2:], out=mid[len(mid) - (2 * k - 2):])
     mid *= 0.5
-    fluxes = [] if previous is not None else [0.0]
+    flux = np.zeros(k)
     if len(mid):
         tu_tv = np.vecdot(mid, _rows([operators.T @ mid.T]))
-        fluxes += (tu_tv[0::2] + tu_tv[1::2]).tolist()
+        flux[k - len(mid) // 2:] = tu_tv[0::2] + tu_tv[1::2]
 
     ku, kv, mu, mv = ku_kv[0::2], ku_kv[1::2], mu_mv[0::2], mu_mv[1::2]
     kinetic = 0.5 * (mu + mv)
     potential = 0.5 * (ku + kv)
     coupling = np.array([ev.energy for ev in evaluations])
-    columns = np.vstack([
-        kinetic, potential, coupling, kinetic + potential + coupling, psi,
-        np.sqrt(np.maximum([ku, kv, mu, mv], 0.0)), bu_bv[0::2], bu_bv[1::2],
+    return np.vstack([
+        times, kinetic, potential, coupling, kinetic + potential + coupling, psi,
+        np.sqrt(np.maximum([ku, kv, mu, mv], 0.0)), bu_bv[0::2], bu_bv[1::2], flux,
     ])
-    rows = [EnergySample(t, *values) for t, values in zip(times, columns.T.tolist())]
-    return rows, fluxes
 
 
 def _side_by_side(blocks) -> np.ndarray:
@@ -134,8 +138,8 @@ def full_sample(state, operators: DiscreteOperators,
     K X, M P and the coupling energy come from state.evaluation(operators,
     spec), which a state returned by dynamics.step already holds (any other
     state is evaluated here, once, and keeps the evaluation)."""
-    rows, _ = energy_rows([state.t], [state.evaluation(operators, spec)], operators)
-    return rows[0]
+    block = energy_rows([state.t], [state.evaluation(operators, spec)], operators)
+    return EnergySample(*block[:-1, 0].tolist())
 
 
 def multiplier_functional(state, operators: DiscreteOperators) -> float:
@@ -161,25 +165,18 @@ class EquivalenceReport:
 
 def check_equivalence(trajectory, constants: WellConstants) -> EquivalenceReport:
     """Verify E/2 <= E + eps1 psi <= 3E/2 with eps1 = 1/(2P) at every sample
-    (absolute slack near E = 0)."""
+    (absolute slack near E = 0); worst_t is the time of the first sample
+    where the low margin is least."""
     eps1 = 1.0 / (2.0 * constants.P)
-    worst_low = math.inf
-    worst_high = -math.inf
-    worst_t = 0.0
-    ok = True
-    for p in trajectory.samples:
-        e = p.energy
-        e_eps = e.E + eps1 * e.psi
-        low = e_eps - 0.5 * e.E
-        high = e_eps - 1.5 * e.E
-        if low < worst_low:
-            worst_low, worst_t = low, e.t
-        if high > worst_high:
-            worst_high = high
-        if low < -NEAR_ZERO_SLACK or high > NEAR_ZERO_SLACK:
-            ok = False
-    return EquivalenceReport(ok=ok, eps1=eps1, worst_low=worst_low,
-                             worst_high=worst_high, worst_t=worst_t)
+    E = trajectory.energies()
+    e_eps = E + eps1 * trajectory.column("psi")
+    low = e_eps - 0.5 * E
+    high = e_eps - 1.5 * E
+    worst = int(np.argmin(low))
+    ok = not (np.any(low < -NEAR_ZERO_SLACK) or np.any(high > NEAR_ZERO_SLACK))
+    return EquivalenceReport(ok=ok, eps1=eps1, worst_low=float(low[worst]),
+                             worst_high=float(np.max(high)),
+                             worst_t=float(trajectory.times()[worst]))
 
 
 @dataclass(frozen=True)
@@ -207,24 +204,21 @@ def check_dissipation(trajectory, m0: float, slack: float | None = None) -> Diss
     Pass the smallest damping the run assembled
     (operators.delta_min, which equals the geometric m0 for delta = m . nu)
     as m0.  Sample spacing must not exceed MAX_SAMPLE_SPACING."""
-    samples = trajectory.samples
-    if len(samples) < 2:
+    times = trajectory.times()
+    if len(times) < 2:
         raise ValueError("need at least two samples for a dissipation check")
-    gaps = np.diff(trajectory.times())
+    gaps = np.diff(times)
     require_fine_sampling(np.max(gaps))
+    E = trajectory.energies()
     if slack is None:
         dt = trajectory.meta.get("dt", float(np.min(gaps)))
-        slack = 10.0 * dt * samples[0].energy.E
-    worst = -math.inf
-    worst_t = 0.0
-    for a, b in zip(samples[:-1], samples[1:]):
-        dt_ab = b.energy.t - a.energy.t
-        dE = (b.energy.E - a.energy.E) / dt_ab
-        residual = dE + m0 * b.flux
-        if residual > worst:
-            worst, worst_t = residual, a.energy.t
-    return DissipationReport(ok=worst <= slack, worst_residual=worst,
-                             worst_t=worst_t, slack=slack)
+        slack = 10.0 * dt * float(E[0])
+    # dE/dt + m0 * flux of each sample pair; the worst is the first maximum
+    residual = np.diff(E) / gaps + m0 * trajectory.column("flux")[1:]
+    worst = int(np.argmax(residual))
+    return DissipationReport(ok=bool(residual[worst] <= slack),
+                             worst_residual=float(residual[worst]),
+                             worst_t=float(times[worst]), slack=slack)
 
 
 @dataclass(frozen=True)
@@ -281,8 +275,8 @@ class WellReport:
 def well_monitor(trajectory, constants: WellConstants) -> WellReport:
     """Did both V-norms stay strictly below the active well threshold?"""
     threshold, kind = constants.threshold()
-    mu = max(p.energy.norm_u_V for p in trajectory.samples)
-    mv = max(p.energy.norm_v_V for p in trajectory.samples)
+    mu = float(np.max(trajectory.column("norm_u_V")))
+    mv = float(np.max(trajectory.column("norm_v_V")))
     return WellReport(
         max_norm_u=mu, max_norm_v=mv, threshold=threshold,
         threshold_kind=kind, invariant_held=bool(mu < threshold and mv < threshold),

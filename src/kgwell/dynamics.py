@@ -20,8 +20,10 @@ and energy from one quadrature pass, shared by the state's energy row and
 the next step, which drops it), the pending row batch (the times and
 Evaluations of sampled states whose rows are not formed yet, up to
 ROW_BATCH_BYTES of blocks: tens of states in 1D, none across a step on a
-64^2 square and up), and per sample an energy row of the state alone (the
-first and the last sample also keep their state).  Setup's K factor,
+64^2 square and up), and the trajectory's float64 columns (record), 104
+bytes a sample: the time, the energy row of the state alone and the flux
+of the sample pair ending there; no per-sample object is built, and only
+the first and the last sample keep their state.  Setup's K factor,
 embedding tables and GAMMA1 table are gone by then (see constants), and the
 coupling integrals run in cell blocks (see assembly), so their temporaries
 are block-sized.  The columns that also need the run's constants, E + eps1
@@ -31,7 +33,8 @@ psi and the well margin, are formed by write_trajectory_csv.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,27 +142,59 @@ class StepOptions:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """One sample: its energy row, the damped-boundary flux of the sample
-    pair that ends here (diagnostics.energy_rows; 0.0 at t = 0), and its
-    state, which only the first and the last sample keep."""
+    """One sample as objects: its energy row, the damped-boundary flux of
+    the sample pair that ends here (diagnostics.energy_rows; 0.0 at t = 0),
+    and its state, which only the first and the last sample keep.
+    Trajectory.samples builds them on indexing."""
 
     energy: "diagnostics.EnergySample"
     flux: float
     state: SimState | None = None
 
 
-@dataclass
-class Trajectory:
-    """Sampled run: per sample an energy row and the Gamma1 flux of the pair
-    ending there, the states of the first and the last sample, and metadata.
-    record() builds one from any sequence of states; simulate() sets meta to
-    dt, n_steps, t_final (the last sample's time), constants, operators and
-    admissible (whether the initial data were)."""
+class Samples(Sequence):
+    """Read-only view of a trajectory as TrajectoryPoints, each built when
+    it is indexed (a slice gives a list of them)."""
 
-    samples: list[TrajectoryPoint]
+    def __init__(self, trajectory: "Trajectory"):
+        self._trajectory = trajectory
+
+    def __len__(self) -> int:
+        return self._trajectory.columns.shape[1]
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(n))]
+        i = range(n)[index]  # normalised, IndexError out of range
+        traj = self._trajectory
+        *row, flux = traj.columns[:, i].tolist()
+        state = traj.first if i == 0 else traj.last if i == n - 1 else None
+        return TrajectoryPoint(diagnostics.EnergySample(*row), flux, state)
+
+
+@dataclass(eq=False)
+class Trajectory:
+    """Sampled run as float64 columns, one entry per sample: columns[j] is
+    diagnostics.COLUMNS[j] (the time, the energy row's fields and the Gamma1
+    flux of the sample pair ending there), plus the states of the first and
+    the last sample (the same state for a single sample) and metadata.
+    record() builds one from any sequence of states; simulate() sets meta
+    to dt, n_steps, t_final (the last sample's time), constants, operators
+    and admissible (whether the initial data were).  The columns are
+    read-only; samples is a view that builds per-sample objects on
+    indexing, for inspection."""
+
+    columns: np.ndarray
+    first: SimState | None = None
+    last: SimState | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.columns = np.asarray(self.columns, dtype=float)
+        if self.columns.ndim != 2 or len(self.columns) != len(diagnostics.COLUMNS):
+            raise ValueError(f"columns must be a ({len(diagnostics.COLUMNS)}, n) array")
+        self.columns.setflags(write=False)
         times = self.times()
         if len(times) == 0:
             raise ValueError("trajectory must contain at least one sample")
@@ -168,11 +203,19 @@ class Trajectory:
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
 
+    def column(self, name: str) -> np.ndarray:
+        """The named column (one of diagnostics.COLUMNS), read-only."""
+        return self.columns[diagnostics.COLUMNS.index(name)]
+
     def times(self) -> np.ndarray:
-        return np.array([p.energy.t for p in self.samples])
+        return self.column("t")
 
     def energies(self) -> np.ndarray:
-        return np.array([p.energy.E for p in self.samples])
+        return self.column("E")
+
+    @property
+    def samples(self) -> Samples:
+        return Samples(self)
 
 
 #: Bytes of Evaluation blocks that record keeps pending before it forms
@@ -188,20 +231,27 @@ def record(states, operators: DiscreteOperators, spec: CouplingSpec | None) -> T
     """Trajectory of an iterable of states, read one state at a time.  Each
     state's time and Evaluation wait in a batch until ROW_BATCH_BYTES of
     Evaluation blocks are pending; diagnostics.energy_rows then forms the
-    batch's energy rows and pair fluxes at once, the first flux of a batch
-    from the velocities of the sample before it.  Only the first and the
-    last state are kept.  Nothing here holds an Evaluation past its batch,
-    so where one state fills a batch, its Evaluation is freed when the next
-    step drops it, as without batches."""
-    points, times, batch = [], [], []
+    batch's column block (energy rows and pair fluxes) at once, the first
+    flux of a batch from the velocities of the sample before it, and the
+    block is appended to the trajectory's columns, 104 bytes a sample.
+    Only the first and the last state are kept.
+    Nothing here holds an Evaluation past its batch, so where one state
+    fills a batch, its Evaluation is freed when the next step drops it, as
+    without batches."""
+    times, batch = [], []
     pending = 0
     first = before = None
+    # one row per sample, grown in place (ndarray.resize reallocates), so
+    # the rows never exist twice, as they would when joining the blocks
+    rows = np.empty((0, len(diagnostics.COLUMNS)))
 
     def flush(last):
         nonlocal pending, before
         previous = None if before is None else (before.du, before.dv)
-        rows, fluxes = diagnostics.energy_rows(times, batch, operators, previous)
-        points.extend(map(TrajectoryPoint, rows, fluxes))
+        block = diagnostics.energy_rows(times, batch, operators, previous)
+        n = len(rows)
+        rows.resize((n + block.shape[1], rows.shape[1]), refcheck=False)
+        rows[n:] = block.T
         times.clear()
         batch.clear()
         pending, before = 0, last
@@ -216,11 +266,7 @@ def record(states, operators: DiscreteOperators, spec: CouplingSpec | None) -> T
             flush(state)
     if batch:
         flush(state)
-    if points:
-        points[0] = replace(points[0], state=first)
-    if len(points) > 1:
-        points[-1] = replace(points[-1], state=before)
-    return Trajectory(points)
+    return Trajectory(rows.T, first, before)
 
 
 def _step_factorizations(operators: DiscreteOperators, dt: float):
@@ -494,7 +540,7 @@ def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> 
     trajectory.meta = {
         "dt": dt,
         "n_steps": n_steps,
-        "t_final": trajectory.samples[-1].energy.t,
+        "t_final": float(trajectory.times()[-1]),
         "constants": prep.constants,
         "operators": prep.operators,
         "admissible": prep.admissibility.admissible,
@@ -508,6 +554,10 @@ CSV_COLUMNS = (
 )
 
 
+#: Rows write_trajectory_csv formats from one block of the columns.
+CSV_BLOCK_ROWS = 512
+
+
 def write_trajectory_csv(trajectory: Trajectory, constants: WellConstants, path) -> None:
     """Fixed-column CSV at full double precision (17 significant digits).
     E_eps is the perturbed energy E + eps1 psi with eps1 = 1/(2P), and
@@ -515,13 +565,15 @@ def write_trajectory_csv(trajectory: Trajectory, constants: WellConstants, path)
     (positive while the state sits inside the well)."""
     eps1 = 1.0 / (2.0 * constants.P)
     thr, _ = constants.threshold()
+    col = trajectory.column
+    E, norm_u, norm_v = col("E"), col("norm_u_V"), col("norm_v_V")
+    columns = (col("t"), E, E + eps1 * col("psi"), norm_u, norm_v, col("norm_du_L2"),
+               col("norm_dv_L2"), col("coupling"), col("flux_u"), col("flux_v"),
+               np.minimum(thr - norm_u, thr - norm_v))
+    line = ",".join(["{:.17g}"] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for p in trajectory.samples:
-            e = p.energy
-            row = (
-                e.t, e.E, e.E + eps1 * e.psi, e.norm_u_V, e.norm_v_V, e.norm_du_L2,
-                e.norm_dv_L2, e.coupling, e.flux_u, e.flux_v,
-                min(thr - e.norm_u_V, thr - e.norm_v_V),
-            )
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        # CSV_BLOCK_ROWS rows at a time, so no row list of the whole run is built
+        for lo in range(0, len(E), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns])
+            fh.writelines(line.format(*row) for row in block.tolist())

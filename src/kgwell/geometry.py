@@ -272,14 +272,15 @@ def radial_field(points: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return points - np.asarray(x0, float)
 
 
-def _label_from_samples(mdotnu: np.ndarray) -> int:
-    if np.all(mdotnu > 0.0):
-        return GAMMA1
-    if np.all(mdotnu <= 0.0):
-        return GAMMA0
-    raise MixedFacetError(
-        "m . nu changes sign across the quadrature points of a facet; refine the mesh"
-    )
+def _labels_from_samples(mdotnu: np.ndarray) -> np.ndarray:
+    """Label of each facet from m . nu at its quadrature points, one row per
+    facet: GAMMA1 where every value is positive, GAMMA0 where none is."""
+    damped = np.all(mdotnu > 0.0, axis=1)
+    if not np.all(damped | np.all(mdotnu <= 0.0, axis=1)):
+        raise MixedFacetError(
+            "m . nu changes sign across the quadrature points of a facet; refine the mesh"
+        )
+    return np.where(damped, GAMMA1, GAMMA0)
 
 
 def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
@@ -297,7 +298,7 @@ def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
         raise ValueError("x0 must be finite")
     pts, _, _ = mesh.facet_quadrature()
     mdotnu = np.einsum("fqd,fd->fq", radial_field(pts, x0), mesh.facet_normals)
-    labels = np.array([_label_from_samples(row) for row in mdotnu], dtype=int)
+    labels = _labels_from_samples(mdotnu)
     gamma1 = labels == GAMMA1
     if not np.any(gamma1):
         raise EmptyGamma1Error("no facet has m . nu > 0")

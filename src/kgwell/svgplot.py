@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 #: Plot width and height in pixels, and the most ticks an axis gets.
@@ -29,14 +31,20 @@ def _ticks(lo: float, hi: float):
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="") -> None:
-    """Write a WIDTH x HEIGHT SVG with one polyline per (xs, ys, label) triple."""
+    """Write a WIDTH x HEIGHT SVG with one polyline per (xs, ys, label)
+    triple; points whose y is not finite are left out.  The polylines are
+    written point by point from the arrays, not joined in memory."""
     margin = 64
-    xs_all = [x for xs, _, _ in series for x in xs]
-    ys_all = [y for _, ys, _ in series for y in ys if math.isfinite(y)]
-    if not xs_all or not ys_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    series = [(np.asarray(xs, float), np.asarray(ys, float), label)
+              for xs, ys, label in series]
+    finite = [np.isfinite(ys) for _, ys, _ in series]
+    xs_all = [xs for xs, _, _ in series if len(xs)]
+    ys_all = [ys[keep] for (_, ys, _), keep in zip(series, finite) if keep.any()]
+    if xs_all and ys_all:
+        x_lo, x_hi = float(min(map(np.min, xs_all))), float(max(map(np.max, xs_all)))
+        y_lo, y_hi = float(min(map(np.min, ys_all))), float(max(map(np.max, ys_all)))
+    else:
+        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -74,21 +82,24 @@ def line_plot(path, series, title="", xlabel="", ylabel="") -> None:
     if ylabel:
         parts.append(f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" '
                      f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2})">{ylabel}</text>')
-    for idx, (xs, ys, label) in enumerate(series):
-        color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(
-            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys) if math.isfinite(y)
-        )
-        if pts:
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                         f'stroke-width="1.5"/>')
-        if label:
-            ly = margin + 18 + 16 * idx
-            parts.append(f'<line x1="{WIDTH - margin - 120}" y1="{ly - 4}" '
-                         f'x2="{WIDTH - margin - 96}" y2="{ly - 4}" stroke="{color}" '
-                         f'stroke-width="1.5"/>')
-            parts.append(f'<text x="{WIDTH - margin - 90}" y="{ly}" '
-                         f'font-size="12">{label}</text>')
-    parts.append("</svg>")
     with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.writelines(part + "\n" for part in parts)
+        for idx, ((xs, ys, label), keep) in enumerate(zip(series, finite)):
+            color = _COLORS[idx % len(_COLORS)]
+            n = min(len(xs), len(ys))
+            keep = keep[:n]
+            if keep.any():
+                fh.write('<polyline points="')
+                pts = zip(px(xs[:n][keep]), py(ys[:n][keep]))
+                x, y = next(pts)
+                fh.write(f"{x:.2f},{y:.2f}")
+                fh.writelines(f" {x:.2f},{y:.2f}" for x, y in pts)
+                fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+            if label:
+                ly = margin + 18 + 16 * idx
+                fh.write(f'<line x1="{WIDTH - margin - 120}" y1="{ly - 4}" '
+                         f'x2="{WIDTH - margin - 96}" y2="{ly - 4}" stroke="{color}" '
+                         f'stroke-width="1.5"/>\n')
+                fh.write(f'<text x="{WIDTH - margin - 90}" y="{ly}" '
+                         f'font-size="12">{label}</text>\n')
+        fh.write("</svg>\n")

@@ -7,6 +7,8 @@ evaluated from barycentric coordinates directly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -407,3 +409,199 @@ def per_state_row(state, operators, spec, before=None):
         mid_u, mid_v = 0.5 * (before.du + du), 0.5 * (before.dv + dv)
         flux = dot(ops.T, mid_u, mid_u) + dot(ops.T, mid_v, mid_v)
     return row, flux
+
+
+# -- trajectory outputs one row object at a time ------------------------------
+# The CSV writer, the four checks and the plot as the library wrote them
+# when a trajectory was a list of TrajectoryPoint rows: Python floats, one
+# sample per loop pass.  Columnar outputs must agree byte for byte.
+
+def row_write_trajectory_csv(trajectory, constants, path) -> None:
+    from kgwell.dynamics import CSV_COLUMNS
+
+    eps1 = 1.0 / (2.0 * constants.P)
+    thr, _ = constants.threshold()
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for p in trajectory.samples:
+            e = p.energy
+            row = (
+                e.t, e.E, e.E + eps1 * e.psi, e.norm_u_V, e.norm_v_V, e.norm_du_L2,
+                e.norm_dv_L2, e.coupling, e.flux_u, e.flux_v,
+                min(thr - e.norm_u_V, thr - e.norm_v_V),
+            )
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def _row_times(trajectory):
+    return np.array([p.energy.t for p in trajectory.samples])
+
+
+def _row_energies(trajectory):
+    return np.array([p.energy.E for p in trajectory.samples])
+
+
+def row_check_equivalence(trajectory, constants):
+    from kgwell.diagnostics import NEAR_ZERO_SLACK, EquivalenceReport
+
+    eps1 = 1.0 / (2.0 * constants.P)
+    worst_low = math.inf
+    worst_high = -math.inf
+    worst_t = 0.0
+    ok = True
+    for p in trajectory.samples:
+        e = p.energy
+        e_eps = e.E + eps1 * e.psi
+        low = e_eps - 0.5 * e.E
+        high = e_eps - 1.5 * e.E
+        if low < worst_low:
+            worst_low, worst_t = low, e.t
+        if high > worst_high:
+            worst_high = high
+        if low < -NEAR_ZERO_SLACK or high > NEAR_ZERO_SLACK:
+            ok = False
+    return EquivalenceReport(ok=ok, eps1=eps1, worst_low=worst_low,
+                             worst_high=worst_high, worst_t=worst_t)
+
+
+def row_check_dissipation(trajectory, m0, slack=None):
+    from kgwell.diagnostics import DissipationReport, require_fine_sampling
+
+    samples = trajectory.samples
+    if len(samples) < 2:
+        raise ValueError("need at least two samples for a dissipation check")
+    gaps = np.diff(_row_times(trajectory))
+    require_fine_sampling(np.max(gaps))
+    if slack is None:
+        dt = trajectory.meta.get("dt", float(np.min(gaps)))
+        slack = 10.0 * dt * samples[0].energy.E
+    worst = -math.inf
+    worst_t = 0.0
+    for a, b in zip(samples[:-1], samples[1:]):
+        dt_ab = b.energy.t - a.energy.t
+        dE = (b.energy.E - a.energy.E) / dt_ab
+        residual = dE + m0 * b.flux
+        if residual > worst:
+            worst, worst_t = residual, a.energy.t
+    return DissipationReport(ok=worst <= slack, worst_residual=worst,
+                             worst_t=worst_t, slack=slack)
+
+
+def row_check_decay_bound(trajectory, constants):
+    from kgwell.diagnostics import NEAR_ZERO_SLACK, DecayReport
+
+    times = _row_times(trajectory)
+    energies = _row_energies(trajectory)
+    E0 = float(energies[0])
+    rate = constants.tau / 3.0
+    if E0 <= 0.0:
+        ratio = 0.0 if np.all(energies <= NEAR_ZERO_SLACK) else math.inf
+    else:
+        bound = 3.0 * E0 * np.exp(-rate * times)
+        ratio = float(np.max(energies / bound))
+    window = energies > 1e-12 * max(E0, 0.0)
+    if E0 > 0 and np.count_nonzero(window) >= 2:
+        slope = np.polyfit(times[window], np.log(energies[window]), 1)[0]
+        fitted = -float(slope)
+    else:
+        fitted = math.nan
+    return DecayReport(
+        E0=E0, tau=constants.tau, fitted_rate=fitted,
+        bound_satisfied=bool(ratio <= 1.0 + 1e-12),
+        max_violation_ratio=ratio,
+    )
+
+
+def row_well_monitor(trajectory, constants):
+    from kgwell.diagnostics import WellReport
+
+    threshold, kind = constants.threshold()
+    mu = max(p.energy.norm_u_V for p in trajectory.samples)
+    mv = max(p.energy.norm_v_V for p in trajectory.samples)
+    return WellReport(
+        max_norm_u=mu, max_norm_v=mv, threshold=threshold,
+        threshold_kind=kind, invariant_held=bool(mu < threshold and mv < threshold),
+    )
+
+
+def row_plot_series(trajectory, wc):
+    """The (xs, ys, label) lists kgwell run plotted."""
+    times = _row_times(trajectory)
+    energies = _row_energies(trajectory)
+    floor = 1e-300
+    log_e = [math.log10(max(e, floor)) for e in energies]
+    series = [(times.tolist(), log_e, "log10 E(t)")]
+    e0 = energies[0]
+    if e0 > 0:
+        rate = wc.tau / 3.0
+        bound = [math.log10(3.0 * e0) - rate * t / math.log(10.0) for t in times]
+        series.append((times.tolist(), bound, "log10 bound"))
+    return series
+
+
+def list_line_plot(path, series, title="", xlabel="", ylabel="") -> None:
+    """svgplot.line_plot over Python lists, the polylines joined in memory."""
+    from kgwell.svgplot import _COLORS, HEIGHT, WIDTH, _ticks
+
+    margin = 64
+    xs_all = [x for xs, _, _ in series for x in xs]
+    ys_all = [y for _, ys, _ in series for y in ys if math.isfinite(y)]
+    if not xs_all or not ys_all:
+        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
+    x_lo, x_hi = min(xs_all), max(xs_all)
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+
+    def px(x):
+        return margin + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * margin)
+
+    def py(y):
+        return HEIGHT - margin - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * margin)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<rect x="{margin}" y="{margin}" width="{WIDTH - 2 * margin}" '
+        f'height="{HEIGHT - 2 * margin}" fill="none" stroke="black"/>',
+    ]
+    if title:
+        parts.append(f'<text x="{WIDTH / 2}" y="{margin / 2}" text-anchor="middle" '
+                     f'font-size="16">{title}</text>')
+    for tx in _ticks(x_lo, x_hi):
+        parts.append(f'<line x1="{px(tx):.1f}" y1="{HEIGHT - margin}" '
+                     f'x2="{px(tx):.1f}" y2="{HEIGHT - margin + 5}" stroke="black"/>')
+        parts.append(f'<text x="{px(tx):.1f}" y="{HEIGHT - margin + 18}" '
+                     f'text-anchor="middle" font-size="11">{tx:g}</text>')
+    for ty in _ticks(y_lo, y_hi):
+        parts.append(f'<line x1="{margin - 5}" y1="{py(ty):.1f}" '
+                     f'x2="{margin}" y2="{py(ty):.1f}" stroke="black"/>')
+        parts.append(f'<text x="{margin - 8}" y="{py(ty):.1f}" text-anchor="end" '
+                     f'dominant-baseline="middle" font-size="11">{ty:g}</text>')
+    if xlabel:
+        parts.append(f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+                     f'font-size="13">{xlabel}</text>')
+    if ylabel:
+        parts.append(f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" '
+                     f'font-size="13" transform="rotate(-90 16 {HEIGHT / 2})">{ylabel}</text>')
+    for idx, (xs, ys, label) in enumerate(series):
+        color = _COLORS[idx % len(_COLORS)]
+        pts = " ".join(
+            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys) if math.isfinite(y)
+        )
+        if pts:
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                         f'stroke-width="1.5"/>')
+        if label:
+            ly = margin + 18 + 16 * idx
+            parts.append(f'<line x1="{WIDTH - margin - 120}" y1="{ly - 4}" '
+                         f'x2="{WIDTH - margin - 96}" y2="{ly - 4}" stroke="{color}" '
+                         f'stroke-width="1.5"/>')
+            parts.append(f'<text x="{WIDTH - margin - 90}" y="{ly}" '
+                         f'font-size="12">{label}</text>')
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -13,7 +13,7 @@ from kgwell import (
     step,
     well_function,
 )
-from kgwell.dynamics import Trajectory, TrajectoryPoint, record
+from kgwell.dynamics import Trajectory, record
 
 
 def _state(ops, rng=None, scale=1.0):
@@ -132,7 +132,7 @@ def test_check_equivalence_reports_time_of_worst_low():
     zero = diag.full_sample(SimState.zero(ops.n_free), ops, None)
     rows = [dataclasses.replace(zero, t=float(t), psi=psi)
             for t, psi in enumerate((0.0, -1.6e-2, -1.6e-5, 0.0))]
-    traj = Trajectory([TrajectoryPoint(row, 0.0) for row in rows])
+    traj = Trajectory(np.array([dataclasses.astuple(row) + (0.0,) for row in rows]).T)
     rep = diag.check_equivalence(traj, type("C", (), {"P": 8.0})())
     assert not rep.ok
     assert rep.worst_low == pytest.approx(-1e-3, rel=1e-12)

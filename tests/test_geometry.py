@@ -15,7 +15,7 @@ from kgwell.geometry import (
     Mesh,
     MeshError,
     MixedFacetError,
-    _label_from_samples,
+    _labels_from_samples,
     build_interval_mesh,
     build_rectangle_mesh,
     classify_boundary,
@@ -154,9 +154,9 @@ def test_mixed_facet_label_helper():
     # unreachable through straight facets (m . nu is constant along them),
     # so the decision helper is exercised directly
     with pytest.raises(MixedFacetError):
-        _label_from_samples(np.array([-0.5, 0.5]))
-    assert _label_from_samples(np.array([0.2, 0.7])) == GAMMA1
-    assert _label_from_samples(np.array([0.0, -0.3])) == GAMMA0
+        _labels_from_samples(np.array([[-0.5, 0.5]]))
+    assert _labels_from_samples(np.array([[0.2, 0.7]]))[0] == GAMMA1
+    assert _labels_from_samples(np.array([[0.0, -0.3]]))[0] == GAMMA0
 
 
 def test_empty_gamma1_for_inward_normals():
