@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 
 import kgwell.diagnostics as diag
-from kgwell import FieldInit, ScenarioConfig, simulate, write_trajectory_csv
+from kgwell import FieldInit, ScenarioConfig, prepare, simulate, write_trajectory_csv
 from kgwell.svgplot import line_plot
 
 out = Path("demo_output")
@@ -35,10 +35,11 @@ config = ScenarioConfig(
 )
 
 print(f"simulating {config.name}: T = {config.t_end}, dt = {config.dt} ...")
-traj = simulate(config)
-wc = traj.meta["constants"]
+prep = prepare(config)
+traj = simulate(prep)
+wc = prep.constants
 threshold, kind = wc.threshold()
-print(f"  admissible: {traj.meta['admissible']}, threshold "
+print(f"  admissible: {prep.admissibility.admissible}, threshold "
       f"{threshold:.4f} ({kind} set)")
 
 results = {

@@ -9,10 +9,10 @@ Equivalent shell commands:
                      --param initial.u0_amplitude --values 0.1,0.5,0.9
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 rejected input (bad
-config key or value, unreadable initial-data file, unbuildable mesh or
-boundary split, sampling too coarse for the dissipation check), 3 numerical
-setup failure, 4 nonlinear solver failure; run and sweep finalize
-manifest.json with the matching status in every case.
+config key or value, unbuildable mesh or boundary split, sampling too coarse
+for the dissipation check), 3 numerical setup failure, 4 nonlinear solver
+failure; run and sweep finalize manifest.json with the matching status in
+every case.
 """
 
 from pathlib import Path

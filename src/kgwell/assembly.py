@@ -177,25 +177,25 @@ def boundary_mass_matrix(mesh: Mesh, facet_indices: np.ndarray,
     return _scatter(n, mesh.facets[facet_indices], local)
 
 
-def _delta_values(partition: BoundaryPartition, delta: float | None, pts, normals):
+def _delta_values(partition: BoundaryPartition, delta: float | None) -> np.ndarray:
+    """delta at the facet quadrature points of the damped facets."""
+    mdotnu = partition.mdotnu[partition.gamma1_facets]
     if delta is None:  # the decay choice delta = m . nu
-        return np.einsum("fqd,fd->fq", radial_field(pts, partition.x0), normals)
-    return np.full(pts.shape[:2], float(delta))
+        return mdotnu
+    return np.full(mdotnu.shape, float(delta))
 
 
 def assemble_operators(mesh: Mesh, partition: BoundaryPartition,
-                       delta: float | None = None,
-                       delta_floor: float = 0.0) -> DiscreteOperators:
+                       delta: float | None = None) -> DiscreteOperators:
     """Assemble M, K, B, G, T with GAMMA0 degrees of freedom eliminated.
 
     Parameters
     ----------
     delta : None | float
         Damping coefficient on the damped boundary part.  None selects
-        m . nu (required for the decay estimates); a float is a constant.
-    delta_floor : float
-        Assembly is rejected if delta falls below this floor (and the floor
-        must leave delta strictly positive) at any boundary quadrature point.
+        m . nu (required for the decay estimates), as sampled by the boundary
+        split; a float is a constant.  Assembly is rejected (ValueError)
+        unless delta is positive at every boundary quadrature point.
     """
     n = mesh.n_vertices
     m_local, k_local, g_local = _element_matrices(mesh.vertices[mesh.elements],
@@ -205,13 +205,12 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition,
     G_full = _scatter(n, mesh.elements, g_local)
 
     g1 = partition.gamma1_facets
-    fpts, fwts, _ = mesh.facet_quadrature()
-    dvals = _delta_values(partition, delta, fpts[g1], mesh.facet_normals[g1])
+    dvals = _delta_values(partition, delta)
     delta_min = float(np.min(dvals)) if dvals.size else float("inf")
-    if delta_min <= max(delta_floor, 0.0):
+    if delta_min <= 0.0:
         raise ValueError(
-            f"damping coefficient must stay above {max(delta_floor, 0.0)} on the damped "
-            f"boundary; minimum sampled value is {delta_min}"
+            "damping coefficient must be positive on the damped boundary; "
+            f"minimum sampled value is {delta_min}"
         )
     T_full = boundary_mass_matrix(mesh, g1)
     B_full = boundary_mass_matrix(mesh, g1, weights=dvals)

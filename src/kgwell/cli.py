@@ -1,10 +1,9 @@
 """Command-line surface: constants, validate, run, sweep.
 
 Exit codes: 0 pass, 1 check failure, 2 rejected input (config key or value,
-initial-data file, mesh or boundary split, damping floor, sampling too
-coarse for the dissipation check), 3 numerical setup failure, 4 nonlinear
-solver failure.  FAILURES maps exceptions to codes; run and sweep record
-the failure in manifest.json.
+mesh or boundary split, sampling too coarse for the dissipation check),
+3 numerical setup failure, 4 nonlinear solver failure.  FAILURES maps
+exceptions to codes; run and sweep record the failure in manifest.json.
 """
 
 from __future__ import annotations
@@ -157,8 +156,8 @@ def _plot(trajectory: Trajectory, wc, path: Path) -> None:
     line_plot(path, series, title="energy decay", xlabel="t", ylabel="log10 E")
 
 
-def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> tuple[int, dict]:
-    """Shared by run and sweep; returns (exit code, summary fields)."""
+def _open_manifest(out_dir: Path, cfg: dict[str, str]) -> tuple[Path, dict]:
+    """(path, fields) of the run directory's manifest, written as running."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     manifest = {
@@ -169,6 +168,22 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
         "outputs": [],
     }
     _write_manifest(manifest_path, manifest)
+    return manifest_path, manifest
+
+
+def _finalize_failure(manifest_path: Path, manifest: dict, exc: Exception) -> int:
+    """Record the failure in the manifest; returns its exit code."""
+    code, status = _failure(exc)
+    manifest.update(status=status, exit_code=code, error=str(exc))
+    if isinstance(exc, NonlinearSolveFailure):
+        manifest["failing_time"] = exc.time
+    _write_manifest(manifest_path, manifest)
+    return code
+
+
+def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> tuple[int, dict]:
+    """Shared by run and sweep; returns (exit code, summary fields)."""
+    manifest_path, manifest = _open_manifest(out_dir, cfg)
     summary: dict = {}
     selected = [CHECKS[name] for name in CHECKS if name in checks]
     try:
@@ -183,12 +198,7 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
         trajectory = simulate(prep, check_spacing="dissipation" in checks)
         results = {key: run(trajectory, prep) for key, _, run in selected}
     except _FAILURE_TYPES as exc:
-        code, status = _failure(exc)
-        manifest.update(status=status, exit_code=code, error=str(exc))
-        if isinstance(exc, NonlinearSolveFailure):
-            manifest["failing_time"] = exc.time
-        _write_manifest(manifest_path, manifest)
-        return code, summary
+        return _finalize_failure(manifest_path, manifest, exc), summary
 
     csv_path = out_dir / "trajectory.csv"
     write_trajectory_csv(trajectory, prep.constants, csv_path)
@@ -231,7 +241,13 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
     return code, summary
 
 
-def cmd_run(cfg: dict[str, str], out: str, checks, no_plot: bool) -> int:
+def cmd_run(config_path: str, out: str, raw_checks: str, no_plot: bool) -> int:
+    try:
+        cfg = load_config(config_path)
+        checks = _parse_checks(raw_checks)
+    except ConfigError as exc:
+        # a config that cannot be read still leaves a finalized manifest
+        return _finalize_failure(*_open_manifest(Path(out), {}), exc)
     code, _ = _execute_run(cfg, Path(out), checks, no_plot)
     return code
 
@@ -309,14 +325,14 @@ def _parse_checks(raw: str):
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.command == "run":
+            return cmd_run(args.config, args.out, args.check, args.no_plot)
         cfg = load_config(args.config)
         if args.command == "constants":
             return cmd_constants(cfg)
         if args.command == "validate":
             return cmd_validate(cfg)
         checks = _parse_checks(args.check)
-        if args.command == "run":
-            return cmd_run(cfg, args.out, checks, args.no_plot)
         values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
         return cmd_sweep(cfg, args.out, args.param, values, checks, args.no_plot)
     except _FAILURE_TYPES as exc:

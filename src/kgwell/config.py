@@ -67,10 +67,8 @@ KEYS = {
     "geometry.x0": ("x0", _floats),
     "coupling.rho": ("rho", float),
     "coupling.enabled": ("coupling_enabled", _bool),
-    "coupling.quad_degree": ("quad_degree", int),
     "delta.kind": ("delta_kind", str),
     "delta.value": ("delta_value", float),
-    "delta.floor": ("delta_floor", float),
     "time.dt": ("dt", float),
     "time.t_end": ("t_end", float),
     "time.stride": ("stride", int),
@@ -80,7 +78,7 @@ KEYS = {
     **{f"initial.{name}{suffix}": (f"{name}.{attr}", parse)
        for name in INITIAL_FIELDS
        for suffix, attr, parse in (("", "preset", str), ("_amplitude", "amplitude", float),
-                                   ("_scale", "relative", _relative), ("_file", "path", str))},
+                                   ("_scale", "relative", _relative))},
     "hypotheses.rho": ("hypotheses.rho", float),
     "hypotheses.n": ("hypotheses.n", int),
     "hypotheses.theta": ("hypotheses.theta", float),

@@ -180,10 +180,9 @@ class Trajectory:
     flux of the sample pair ending there), plus the states of the first and
     the last sample (the same state for a single sample) and metadata.
     record() builds one from any sequence of states; simulate() sets meta
-    to dt, n_steps, t_final (the last sample's time), constants, operators
-    and admissible (whether the initial data were).  The columns are
-    read-only; samples is a view that builds per-sample objects on
-    indexing, for inspection."""
+    to what the time loop made, dt and n_steps (the run's setup is the
+    Prepared's).  The columns are read-only; samples is a view that builds
+    per-sample objects on indexing, for inspection."""
 
     columns: np.ndarray
     first: SimState | None = None
@@ -361,24 +360,22 @@ def _advance(state: SimState, dt: float, operators: DiscreteOperators,
 # scenario configuration and the full simulation pipeline
 # ---------------------------------------------------------------------------
 
-FIELD_PRESETS = ("zero", "eigenfunction", "bump", "polynomial", "file")
+FIELD_PRESETS = ("zero", "eigenfunction", "bump", "polynomial")
 
 
 @dataclass
 class FieldInit:
-    """Closed-form initial field: preset name, amplitude, and whether the
-    amplitude is relative to the active well threshold or absolute."""
+    """Closed-form initial field: a preset name of FIELD_PRESETS, amplitude,
+    and whether the amplitude is relative to the active well threshold or
+    absolute."""
 
     preset: str = "zero"
     amplitude: float = 0.1
     relative: bool = True
-    path: str | None = None
 
     def __post_init__(self):
         if self.preset not in FIELD_PRESETS:
             raise ValueError(f"unknown initial preset '{self.preset}'")
-        if self.preset == "file" and not self.path:
-            raise ValueError("preset 'file' needs a path")
 
 
 @dataclass
@@ -395,10 +392,8 @@ class ScenarioConfig:
     ny: int = 8
     x0: tuple[float, ...] = (0.0,)
     rho: float = 1.0
-    quad_degree: int | None = None
     delta_kind: str = "mdotnu"  # mdotnu | constant
     delta_value: float = 1.0
-    delta_floor: float = 0.0
     coupling_enabled: bool = True
     u0: FieldInit = field(default_factory=FieldInit)
     v0: FieldInit = field(default_factory=FieldInit)
@@ -466,16 +461,9 @@ def _build_field(init: FieldInit, operators: DiscreteOperators, threshold: float
         width = np.linalg.norm(mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)) / 6.0
         r2 = np.sum((mesh.vertices - center) ** 2, axis=1)
         vec = np.exp(-r2 / (2.0 * width ** 2))[operators.free]
-    elif init.preset == "polynomial":
+    else:  # polynomial
         lo = mesh.vertices.min(axis=0)
         vec = np.prod(mesh.vertices - lo, axis=1)[operators.free]
-    else:  # file
-        full = np.loadtxt(init.path, dtype=float).ravel()
-        if len(full) != operators.n_nodes:
-            raise ValueError(
-                f"coefficient file has {len(full)} values, mesh has {operators.n_nodes} nodes"
-            )
-        return full[operators.free]
     quad = operators.M if velocity else operators.K
     nrm = math.sqrt(max(float(vec @ (quad @ vec)), 0.0))
     if nrm == 0.0:
@@ -493,9 +481,8 @@ def prepare(config: ScenarioConfig) -> Prepared:
         mesh = build_rectangle_mesh(config.rect_lo, config.rect_hi, config.nx, config.ny)
     partition = classify_boundary(mesh, config.x0)
     delta = None if config.delta_kind == "mdotnu" else config.delta_value
-    operators = assemble_operators(mesh, partition, delta=delta,
-                                   delta_floor=config.delta_floor)
-    spec = CouplingSpec(rho=config.rho, quad_degree=config.quad_degree)
+    operators = assemble_operators(mesh, partition, delta=delta)
+    spec = CouplingSpec(rho=config.rho)
     constants = compute_well_constants(operators, config.rho, safety=config.safety)
     threshold, _ = constants.threshold()
     u0 = _build_field(config.u0, operators, threshold, velocity=False)
@@ -513,9 +500,9 @@ def prepare(config: ScenarioConfig) -> Prepared:
 
 def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> Trajectory:
     """Run a scenario and sample it every `stride` steps (plus t = 0 and the
-    final instant).  Proceeds even for inadmissible data; meta["admissible"]
-    says whether they were.  With check_spacing, a sample pair too far apart
-    for the dissipation check raises ValueError
+    final instant).  Proceeds even for inadmissible data; the Prepared's
+    admissibility report says whether they were.  With check_spacing, a
+    sample pair too far apart for the dissipation check raises ValueError
     (diagnostics.require_fine_sampling) as soon as it is sampled, before the
     rest of the horizon is simulated."""
     prep = config if isinstance(config, Prepared) else prepare(config)
@@ -537,14 +524,7 @@ def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> 
                 sampled = state
 
     trajectory = record(sampled_states(), prep.operators, spec)
-    trajectory.meta = {
-        "dt": dt,
-        "n_steps": n_steps,
-        "t_final": float(trajectory.times()[-1]),
-        "constants": prep.constants,
-        "operators": prep.operators,
-        "admissible": prep.admissibility.admissible,
-    }
+    trajectory.meta = {"dt": dt, "n_steps": n_steps}
     return trajectory
 
 

@@ -242,11 +242,14 @@ def build_rectangle_mesh(corner_lo, corner_hi, nx: int, ny: int) -> Mesh:
 @dataclass(frozen=True)
 class BoundaryPartition:
     """Facet labels (GAMMA0 clamped / GAMMA1 damped) for a given star point,
-    with the geometric constants R and m0."""
+    the samples mdotnu (nf, nq) of m . nu at the facet quadrature points
+    that decided them (read-only; the damping delta = m . nu is assembled
+    from them), and the geometric constants R and m0."""
 
     mesh: Mesh
     x0: np.ndarray
     labels: np.ndarray
+    mdotnu: np.ndarray
     R: float
     m0: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
@@ -298,6 +301,7 @@ def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
         raise ValueError("x0 must be finite")
     pts, _, _ = mesh.facet_quadrature()
     mdotnu = np.einsum("fqd,fd->fq", radial_field(pts, x0), mesh.facet_normals)
+    mdotnu.setflags(write=False)
     labels = _labels_from_samples(mdotnu)
     gamma1 = labels == GAMMA1
     if not np.any(gamma1):
@@ -314,4 +318,4 @@ def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
                 "closures of the clamped and damped boundary parts touch at "
                 f"{len(touching)} vertex/vertices; facets are attributed wholly to one label"
             )
-    return BoundaryPartition(mesh, x0, labels, R, m0, tuple(warnings))
+    return BoundaryPartition(mesh, x0, labels, mdotnu, R, m0, tuple(warnings))

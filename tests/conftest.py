@@ -1,5 +1,7 @@
 import sys
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -8,12 +10,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from kgwell import (
     FieldInit,
     ScenarioConfig,
+    Trajectory,
     assemble_operators,
     build_interval_mesh,
     build_rectangle_mesh,
     classify_boundary,
+    prepare,
     simulate,
 )
+from kgwell.dynamics import Prepared
 
 
 def interval_setup(elements=4, a=0.0, b=1.0, x0=0.0, delta=None):
@@ -73,17 +78,25 @@ ACCEPT_2D = ScenarioConfig(
 )
 
 
-def _timed_simulate(cfg):
-    import time
+class Run(NamedTuple):
+    """A simulated scenario: its setup, its trajectory and the wall time of
+    both."""
+
+    prep: Prepared
+    traj: Trajectory
+    wall_time: float
+
+
+def run_scenario(cfg):
     t0 = time.perf_counter()
-    traj = simulate(cfg)
-    traj.meta["wall_time"] = time.perf_counter() - t0
-    return traj
+    prep = prepare(cfg)
+    traj = simulate(prep)
+    return Run(prep, traj, time.perf_counter() - t0)
 
 
 @pytest.fixture(scope="session")
 def accept_1d_run():
-    return _timed_simulate(ACCEPT_1D)
+    return run_scenario(ACCEPT_1D)
 
 
 @pytest.fixture(scope="session")
@@ -92,12 +105,12 @@ def accept_1d_residual_pair():
     dissipation-identity refinement check."""
     import dataclasses
     short = dataclasses.replace(ACCEPT_1D, t_end=5.0)
-    return (simulate(short), simulate(dataclasses.replace(short, dt=5e-4)))
+    return (run_scenario(short), run_scenario(dataclasses.replace(short, dt=5e-4)))
 
 
 @pytest.fixture(scope="session")
 def accept_2d_run():
-    return _timed_simulate(ACCEPT_2D)
+    return run_scenario(ACCEPT_2D)
 
 
 @pytest.fixture(scope="module")
@@ -107,4 +120,4 @@ def short_admissible_run():
         name="short", elements=40, x0=(0.0,), dt=2e-3, t_end=3.0, stride=5,
         u0=FieldInit("eigenfunction", 0.1), v0=FieldInit("eigenfunction", 0.1),
     )
-    return simulate(cfg)
+    return run_scenario(cfg)

@@ -59,33 +59,32 @@ def test_criterion_1_constants_reproduction():
 
 
 def test_criterion_2_well_invariant(accept_1d_run):
-    traj = accept_1d_run
-    lam_reg = traj.meta["constants"].threshold()[0]
-    lam_gen = traj.meta["constants"].lambda_star
-    assert traj.meta["admissible"]
+    prep, traj, wall_time = accept_1d_run
+    lam_reg = prep.constants.threshold()[0]
+    lam_gen = prep.constants.lambda_star
+    assert prep.admissibility.admissible
     max_u = max(p.energy.norm_u_V for p in traj.samples)
     max_v = max(p.energy.norm_v_V for p in traj.samples)
     for lam in (lam_reg, lam_gen):
         assert max_u < lam and max_v < lam
         assert lam - max_u > 0.5 * lam  # margin beyond half the threshold
         assert lam - max_v > 0.5 * lam
-    assert traj.meta["wall_time"] < 60.0
+    assert wall_time < 60.0
     print(f"criterion 2: PASS - max |u|_V={max_u:.4g}, max |v|_V={max_v:.4g} "
           f"vs threshold {lam_reg:.4g}, margin {(lam_reg - max_u) / lam_reg:.0%} "
-          f"[{traj.meta['wall_time']:.1f}s]")
+          f"[{wall_time:.1f}s]")
 
 
 def test_criterion_3_dissipation_identity(accept_1d_run, accept_1d_residual_pair):
-    traj = accept_1d_run
-    ops = traj.meta["operators"]
-    dt = traj.meta["dt"]
+    prep, traj, _ = accept_1d_run
+    ops, dt = prep.operators, prep.dt
     E0 = traj.energies()[0]
     worst = _identity_worst_residual(traj, ops)
     bound = 10.0 * dt * E0
     assert worst <= bound
     run_dt, run_half = accept_1d_residual_pair
-    w1 = _identity_worst_residual(run_dt, run_dt.meta["operators"])
-    w2 = _identity_worst_residual(run_half, run_half.meta["operators"])
+    w1 = _identity_worst_residual(run_dt.traj, run_dt.prep.operators)
+    w2 = _identity_worst_residual(run_half.traj, run_half.prep.operators)
     ratio = w1 / w2
     assert ratio >= 3.0
     print(f"criterion 3: PASS - worst residual {worst:.3e} <= 10 dt E0 = "
@@ -93,8 +92,7 @@ def test_criterion_3_dissipation_identity(accept_1d_run, accept_1d_residual_pair
 
 
 def test_criterion_4_decay_bound(accept_1d_run):
-    traj = accept_1d_run
-    wc = traj.meta["constants"]
+    traj, wc = accept_1d_run.traj, accept_1d_run.prep.constants
     assert wc.tau / 3.0 == 1.0 / 48.0
     report = diag.check_decay_bound(traj, wc)
     assert report.bound_satisfied
@@ -106,8 +104,7 @@ def test_criterion_4_decay_bound(accept_1d_run):
 
 
 def test_criterion_5_perturbed_energy_equivalence(accept_1d_run):
-    traj = accept_1d_run
-    wc = traj.meta["constants"]
+    traj, wc = accept_1d_run.traj, accept_1d_run.prep.constants
     rep = diag.check_equivalence(traj, wc)
     assert rep.eps1 == 1.0 / 16.0  # 1/(2P) with P = 8
     assert rep.ok  # slack 1e-12 inside the check
@@ -238,8 +235,8 @@ def test_criterion_9_hypothesis_validator():
 
 
 def test_criterion_10_two_dimensional_smoke(accept_2d_run):
-    traj = accept_2d_run
-    wc = traj.meta["constants"]
+    prep, traj, wall_time = accept_2d_run
+    wc = prep.constants
     # the dimension-dependent terms of P and D are active in 2D
     assert wc.dim == 2
     assert np.isclose(wc.P, 4.0 * (2.0 * wc.R + 0.5 + 0.5 / wc.lambda1))
@@ -247,7 +244,7 @@ def test_criterion_10_two_dimensional_smoke(accept_2d_run):
     assert np.isclose(wc.D, wc.R ** 3 + wc.R + wc.R ** 2 * wc.c3 ** 2)
     assert np.isclose(wc.m0, 1.1)
     assert np.isclose(wc.R, math.hypot(1.1, 1.1))
-    assert traj.meta["admissible"]
+    assert prep.admissibility.admissible
 
     well = diag.well_monitor(traj, wc)
     equiv = diag.check_equivalence(traj, wc)
@@ -257,7 +254,7 @@ def test_criterion_10_two_dimensional_smoke(accept_2d_run):
     assert equiv.ok
     assert dissip.ok
     assert decay.bound_satisfied
-    assert traj.meta["wall_time"] < 300.0
+    assert wall_time < 300.0
     print(f"criterion 10: PASS - 2D constants (P={wc.P:.3f}, D={wc.D:.3f}, "
           f"tau={wc.tau:.4f}); well/equivalence/dissipation/decay all hold "
-          f"[{traj.meta['wall_time']:.1f}s]")
+          f"[{wall_time:.1f}s]")

@@ -171,12 +171,11 @@ def test_damping_scales_linearly_in_delta():
             getattr(ops2, name).toarray(), getattr(ops1, name).toarray(), atol=1e-15)
 
 
-def test_delta_floor_rejected():
+def test_nonpositive_delta_rejected():
     mesh, part, _ = interval_setup(elements=3)
-    with pytest.raises(ValueError):
-        assemble_operators(mesh, part, delta=0.5, delta_floor=0.6)
-    with pytest.raises(ValueError):
-        assemble_operators(mesh, part, delta=-1.0)
+    for delta in (0.0, -0.5):
+        with pytest.raises(ValueError, match="must be positive"):
+            assemble_operators(mesh, part, delta=delta)
 
 
 @pytest.mark.parametrize("setup", [lambda: interval_setup(50), lambda: square_setup(8)],

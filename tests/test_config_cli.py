@@ -17,6 +17,7 @@ from kgwell.config import (
     scenario_from_config,
 )
 from kgwell.constants import WellConstants
+from kgwell.dynamics import FIELD_PRESETS
 
 DECAY_1D = """\
 scenario.name = decay-1d
@@ -343,25 +344,19 @@ def test_cli_records_delta_premise(tmp_path, capsys, extra, held):
         out_dir / "report.txt").read_text().splitlines()
 
 
-def _file_values(tmp_path, count):
-    path = tmp_path / "u0.txt"
-    np.savetxt(path, np.zeros(count))
-    return path
-
+#: Keys that are no longer settable: an old config that sets one is rejected
+#: as setting an unknown key, not run without it.
+REMOVED_KEYS = ("coupling.quad_degree", "delta.floor",
+                *(f"initial.{name}_file" for name in INITIAL_FIELDS))
 
 #: (subcommand, config edit) pairs that must be rejected as input errors.
 INPUT_ERRORS = {
-    "u0_file_wrong_length": ("run", lambda tmp: "initial.u0 = file\ninitial.u0_file = "
-                             f"{_file_values(tmp, 7)}\n"),
-    "u0_file_missing": ("run", lambda tmp: "initial.u0 = file\ninitial.u0_file = "
-                        f"{tmp / 'absent.txt'}\n"),
-    "delta_floor_above_delta": ("run", lambda tmp: "delta.floor = 2.0\n"),
     "zero_elements": ("run", lambda tmp: "mesh.elements = 0\n"),
     "b_not_above_a": ("run", lambda tmp: "mesh.b = 0.0\n"),
-    "quad_degree_too_low": ("run", lambda tmp: "coupling.quad_degree = 1\n"),
     "negative_rho": ("run", lambda tmp: "coupling.rho = -1.0\n"),
     "sampling_too_coarse": ("run", lambda tmp: "time.stride = 100\n"),
     "hypotheses_n_zero": ("validate", lambda tmp: "hypotheses.n = 0\n"),
+    **{f"removed_{key}": ("run", lambda tmp, key=key: f"{key} = 1\n") for key in REMOVED_KEYS},
 }
 
 
@@ -375,7 +370,10 @@ def test_cli_input_errors_exit_2_with_final_manifest(tmp_path, capsys, case):
     if command == "run":
         argv += ["--out", str(out_dir), "--no-plot"]
     assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if case.startswith("removed_"):
+        assert "unknown config key" in err
     if command == "run":
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["status"] == "config_error"
@@ -436,10 +434,15 @@ def test_readme_config_table_lists_exactly_the_known_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Configuration format", 1)[1].split("\n## ", 1)[0]
     listed = set()
+    presets = None
     for row in section.splitlines():
         if not row.startswith("| `"):
             continue
-        for key in re.findall(r"`([a-z_]+\.[a-z0-9_]+)`", row.split("|")[1]):
+        cells = row.split("|")
+        for key in re.findall(r"`([a-z_]+\.[a-z0-9_]+)`", cells[1]):
             # an initial.u0* row stands for the same key of all four fields
             listed |= {key.replace("u0", name, 1) for name in INITIAL_FIELDS}
+        if cells[1].strip().startswith("`initial.u0` "):
+            presets = re.findall(r"`([a-z]+)`", cells[2])
     assert listed == set(KEYS)
+    assert presets == list(FIELD_PRESETS)

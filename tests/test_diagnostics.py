@@ -140,22 +140,22 @@ def test_check_equivalence_reports_time_of_worst_low():
 
 
 def test_check_equivalence_on_admissible_run(short_admissible_run):
-    wc = short_admissible_run.meta["constants"]
-    rep = diag.check_equivalence(short_admissible_run, wc)
+    traj, wc = short_admissible_run.traj, short_admissible_run.prep.constants
+    rep = diag.check_equivalence(traj, wc)
     assert rep.ok
 
 
 def test_psi_bounded_by_P_times_E(short_admissible_run):
-    wc = short_admissible_run.meta["constants"]
-    for p in short_admissible_run.samples:
+    traj, wc = short_admissible_run.traj, short_admissible_run.prep.constants
+    for p in traj.samples:
         assert abs(p.energy.psi) <= wc.P * p.energy.E + 1e-12
 
 
 def test_admissible_run_lower_bounds(short_admissible_run):
     # positivity chain: A >= 0, the well profile nonnegative, and the energy
     # dominating a quarter of the quadratic terms
-    wc = short_admissible_run.meta["constants"]
-    for p in short_admissible_run.samples:
+    traj, wc = short_admissible_run.traj, short_admissible_run.prep.constants
+    for p in traj.samples:
         e = p.energy
         A = 0.5 * e.potential + e.coupling
         assert A >= -1e-13
@@ -197,8 +197,8 @@ def test_check_dissipation_rejects_coarse_sampling():
 
 
 def test_check_dissipation_on_admissible_run(short_admissible_run):
-    wc = short_admissible_run.meta["constants"]
-    rep = diag.check_dissipation(short_admissible_run, wc.m0)
+    traj, wc = short_admissible_run.traj, short_admissible_run.prep.constants
+    rep = diag.check_dissipation(traj, wc.m0)
     assert rep.ok
 
 
@@ -213,8 +213,8 @@ def test_decay_report_zero_initial_energy():
 
 
 def test_decay_report_on_admissible_run(short_admissible_run):
-    wc = short_admissible_run.meta["constants"]
-    rep = diag.check_decay_bound(short_admissible_run, wc)
+    traj, wc = short_admissible_run.traj, short_admissible_run.prep.constants
+    rep = diag.check_decay_bound(traj, wc)
     assert rep.bound_satisfied
     assert rep.max_violation_ratio <= 1.0
     assert rep.fitted_rate >= wc.tau / 3.0
@@ -222,14 +222,15 @@ def test_decay_report_on_admissible_run(short_admissible_run):
 
 def test_well_monitor_inadmissible_data():
     from conftest import ScenarioConfig, FieldInit
-    from kgwell import simulate
+    from kgwell import prepare, simulate
     cfg = ScenarioConfig(name="big", elements=16, x0=(0.0,), dt=5e-3,
                          t_end=0.05, stride=1,
                          u0=FieldInit("eigenfunction", 2.0),
                          v0=FieldInit("eigenfunction", 2.0))
-    traj = simulate(cfg)
-    wc = traj.meta["constants"]
-    assert not traj.meta["admissible"]
+    prep = prepare(cfg)
+    traj = simulate(prep)
+    wc = prep.constants
+    assert not prep.admissibility.admissible
     rep = diag.well_monitor(traj, wc)
     assert not rep.invariant_held
 
@@ -246,20 +247,20 @@ def test_well_monitor_zero_trajectory():
 
 
 def test_well_monitor_on_admissible_run(short_admissible_run):
-    wc = short_admissible_run.meta["constants"]
-    rep = diag.well_monitor(short_admissible_run, wc)
+    traj, wc = short_admissible_run.traj, short_admissible_run.prep.constants
+    rep = diag.well_monitor(traj, wc)
     assert rep.invariant_held
     assert rep.threshold_kind == "regular"
     assert rep.max_norm_u < rep.threshold
 
 
 def test_report_rendering(short_admissible_run):
-    wc = short_admissible_run.meta["constants"]
+    traj, wc = short_admissible_run.traj, short_admissible_run.prep.constants
     results = {
-        "well": diag.well_monitor(short_admissible_run, wc),
-        "equivalence": diag.check_equivalence(short_admissible_run, wc),
-        "dissipation": diag.check_dissipation(short_admissible_run, wc.m0),
-        "decay": diag.check_decay_bound(short_admissible_run, wc),
+        "well": diag.well_monitor(traj, wc),
+        "equivalence": diag.check_equivalence(traj, wc),
+        "dissipation": diag.check_dissipation(traj, wc.m0),
+        "decay": diag.check_decay_bound(traj, wc),
     }
     text = diag.render_report(wc, results, header="short run")
     assert "well invariant: held" in text

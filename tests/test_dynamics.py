@@ -210,8 +210,9 @@ def test_simulate_caches_only_the_step_factor():
     cfg = ScenarioConfig(name="coupled", mesh_kind="rectangle", nx=4, ny=4,
                          x0=(-0.1, -0.1), dt=0.01, t_end=0.05, stride=2,
                          u0=FieldInit("eigenfunction", 0.2), v0=FieldInit("eigenfunction", 0.2))
-    traj = simulate(cfg)
-    caches = traj.meta["operators"]._caches
+    prep = prepare(cfg)
+    simulate(prep)
+    caches = prep.operators._caches
     factors = [key for key, value in caches.items() if isinstance(value, spla.SuperLU)]
     assert factors == [("step_A", 0.01)]
 
@@ -234,7 +235,9 @@ def test_simulate_zero_scenario():
     traj = simulate(cfg)
     assert traj.samples[0].energy.t == 0.0
     np.testing.assert_allclose(traj.energies(), 0.0, atol=1e-30)
-    assert np.isclose(traj.meta["t_final"], 0.5)
+    assert np.isclose(traj.times()[-1], 0.5)
+    # what the time loop made; the run's setup lives on its Prepared alone
+    assert set(traj.meta) == {"dt", "n_steps"}
 
 
 STREAMED_CASES = {
@@ -442,17 +445,18 @@ def test_simulate_keeps_only_first_and_last_state():
     kept = [p.state is not None for p in traj.samples]
     assert kept == [True] + [False] * (len(kept) - 2) + [True]
     assert len(kept) == 6
-    assert traj.samples[-1].state.t == traj.meta["t_final"]
+    assert traj.samples[-1].state.t == traj.times()[-1]
 
 
 def test_simulate_admissible_well_and_dt_refinement():
     base = dict(name="well", elements=40, x0=(0.0,), t_end=2.0,
                 u0=FieldInit("eigenfunction", 0.1),
                 v0=FieldInit("eigenfunction", 0.1))
-    traj1 = simulate(ScenarioConfig(dt=2e-3, stride=5, **base))
+    prep1 = prepare(ScenarioConfig(dt=2e-3, stride=5, **base))
+    traj1 = simulate(prep1)
     traj2 = simulate(ScenarioConfig(dt=1e-3, stride=10, **base))
-    lam = traj1.meta["constants"].threshold()[0]
-    assert traj1.meta["admissible"]
+    lam = prep1.constants.threshold()[0]
+    assert prep1.admissibility.admissible
     m1 = max(p.energy.norm_u_V for p in traj1.samples)
     assert m1 < lam
     # max norm away from the shared initial instant: dt-refinement oracle
@@ -462,7 +466,7 @@ def test_simulate_admissible_well_and_dt_refinement():
 
 
 def test_energy_monotone_under_radial_damping(short_admissible_run):
-    E = short_admissible_run.energies()
+    E = short_admissible_run.traj.energies()
     assert np.all(np.diff(E) <= 1e-9 * E[0])
     assert E[-1] < E[0]
 
@@ -497,17 +501,17 @@ def test_csv_format_and_determinism(tmp_path):
                          v0=FieldInit("eigenfunction", 0.1))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (p1, p2):
-        traj = simulate(cfg)
-        write_trajectory_csv(traj, traj.meta["constants"], path)
+        prep = prepare(cfg)
+        write_trajectory_csv(simulate(prep), prep.constants, path)
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == ("t,E,E_eps,norm_u_V,norm_v_V,norm_du_L2,norm_dv_L2,"
                       "coupling_energy,gamma1_flux_u,gamma1_flux_v,well_margin")
 
 
-def _csv_rows(traj, tmp_path):
+def _csv_rows(traj, constants, tmp_path):
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, traj.meta["constants"], path)
+    write_trajectory_csv(traj, constants, path)
     header, *lines = path.read_text().splitlines()
     return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
 
@@ -519,11 +523,12 @@ def test_csv_derived_columns_bitwise(tmp_path):
         cfg = ScenarioConfig(name="csv", elements=16, x0=(0.0,), dt=5e-3, t_end=0.1,
                              stride=2, u0=FieldInit("eigenfunction", amp_u),
                              v0=FieldInit("bump", amp_v), u1=FieldInit("bump", 0.1))
-        traj = simulate(cfg)
-        wc = traj.meta["constants"]
+        prep = prepare(cfg)
+        traj = simulate(prep)
+        wc = prep.constants
         eps1 = 1.0 / (2.0 * wc.P)
         thr, _ = wc.threshold()
-        rows = _csv_rows(traj, tmp_path)
+        rows = _csv_rows(traj, wc, tmp_path)
         assert len(rows) == len(traj.samples)
         assert all(p.energy.psi != 0.0 for p in traj.samples)
         for row, p in zip(rows, traj.samples):
@@ -532,16 +537,17 @@ def test_csv_derived_columns_bitwise(tmp_path):
             assert row["well_margin"] == min(thr - e.norm_u_V, thr - e.norm_v_V)
             assert row["well_margin"] > 0.0
     # zero state: the perturbed energy vanishes with the energy
-    zero = simulate(ScenarioConfig(name="z", elements=8, x0=(0.0,), dt=0.01,
-                                   t_end=0.02, stride=1))
-    assert all(row["E_eps"] == 0.0 for row in _csv_rows(zero, tmp_path))
+    zero = prepare(ScenarioConfig(name="z", elements=8, x0=(0.0,), dt=0.01,
+                                  t_end=0.02, stride=1))
+    assert all(row["E_eps"] == 0.0
+               for row in _csv_rows(simulate(zero), zero.constants, tmp_path))
     # inadmissible data leave the well from t = 0
-    big = simulate(ScenarioConfig(name="big", elements=16, x0=(0.0,), dt=5e-3,
-                                  t_end=0.05, stride=1,
-                                  u0=FieldInit("eigenfunction", 2.0),
-                                  v0=FieldInit("eigenfunction", 2.0)))
-    assert not big.meta["admissible"]
-    assert _csv_rows(big, tmp_path)[0]["well_margin"] < 0.0
+    big = prepare(ScenarioConfig(name="big", elements=16, x0=(0.0,), dt=5e-3,
+                                 t_end=0.05, stride=1,
+                                 u0=FieldInit("eigenfunction", 2.0),
+                                 v0=FieldInit("eigenfunction", 2.0)))
+    assert not big.admissibility.admissible
+    assert _csv_rows(simulate(big), big.constants, tmp_path)[0]["well_margin"] < 0.0
 
 
 def test_initial_presets():
@@ -559,6 +565,9 @@ def test_initial_presets():
     assert np.all(prep.state0.v > 0)
     assert np.isclose(math.sqrt(prep.state0.du @ (ops.M @ prep.state0.du)), 0.5)
     assert np.isclose(math.sqrt(prep.state0.u @ (ops.K @ prep.state0.u)), 0.3)
+    for unknown in ("fourier", "file"):  # "file": an old config fails loudly
+        with pytest.raises(ValueError, match="unknown initial preset"):
+            FieldInit(unknown)
 
 
 def test_initial_preset_relative_amplitude():
@@ -567,17 +576,3 @@ def test_initial_preset_relative_amplitude():
     prep = prepare(cfg)
     nrm = math.sqrt(prep.state0.u @ (prep.operators.K @ prep.state0.u))
     assert np.isclose(nrm, 0.1 * prep.constants.threshold()[0])
-
-
-def test_initial_preset_from_file(tmp_path):
-    path = tmp_path / "coeffs.txt"
-    values = np.linspace(0.0, 1.0, 11) ** 2
-    np.savetxt(path, values)
-    cfg = ScenarioConfig(name="f", elements=10, x0=(0.0,), t_end=1.0,
-                         u0=FieldInit("file", path=str(path)))
-    prep = prepare(cfg)
-    np.testing.assert_allclose(prep.state0.u, values[prep.operators.free])
-    with pytest.raises(ValueError):
-        FieldInit("file")  # path required
-    with pytest.raises(ValueError):
-        FieldInit("fourier")  # unknown preset

@@ -126,5 +126,5 @@ def test_default_run_builds_no_sample_objects(tmp_path, monkeypatch):
     assert built == {"EnergySample": 0, "TrajectoryPoint": 0}
     # the wrappers count: indexing the samples view builds one of each
     traj = simulate(RUNS["zero"])
-    assert traj.samples[-1].energy.t == traj.meta["t_final"]
+    assert traj.samples[-1].energy.t == traj.times()[-1]
     assert built == {"EnergySample": 1, "TrajectoryPoint": 1}
