@@ -39,7 +39,6 @@ from .diagnostics import (
     check_dissipation,
     check_equivalence,
     full_sample,
-    multiplier_functional,
     well_monitor,
 )
 from .dynamics import (

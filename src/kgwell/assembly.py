@@ -50,13 +50,14 @@ from .quadrature import simplex_quadrature, simplex_weights
 BLOCK_POINTS = 36864
 
 
-@dataclass
+@dataclass(frozen=True)
 class CouplingSpec:
     """Exponent and quadrature exactness degree for the coupling terms.
 
     The default degree max(4, ceil(2 rho + 2)) integrates the quartic
     rho = 1 integrand of P1 data exactly on elements where the interpolants
-    do not change sign.
+    do not change sign.  Frozen, so an Evaluation made under a spec stays
+    valid for every equal spec.
     """
 
     rho: float
@@ -67,7 +68,7 @@ class CouplingSpec:
             raise ValueError(f"rho must be positive, got {self.rho}")
         minimum = math.ceil(2 * self.rho + 2)
         if self.quad_degree is None:
-            self.quad_degree = max(4, minimum)
+            object.__setattr__(self, "quad_degree", max(4, minimum))
         elif self.quad_degree < minimum:
             raise ValueError(
                 f"quadrature degree {self.quad_degree} below exactness heuristic {minimum}"

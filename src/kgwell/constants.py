@@ -44,10 +44,10 @@ from .assembly import (DiscreteOperators, QuadratureTable, factor_spd, gamma1_ta
 
 _DENSE_EIG_LIMIT = 400
 
-#: Largest normwise backward error of an accepted first eigenpair.  Accurate
-#: pairs measure 5.3e-17 to 8.4e-16 (1D with 50 to 6400 elements, squares 8^2
-#: to 256^2); a random 1e-8 relative perturbation of the vector measures
-#: 4.6e-9 to 6.6e-9 on the same meshes.
+#: Largest normwise backward error of an accepted first eigenpair.  The
+#: solvers' own pairs measure 1.2e-16 to 1.3e-15 (1D with 20 to 6400 elements,
+#: squares 6^2 to 256^2); a random 1e-8 relative perturbation of the vector
+#: measures 4.3e-9 to 6.5e-9 on the same meshes.
 EIGENPAIR_BACKWARD_ERROR = 1e-12
 
 #: A best-constant iteration stops once its quotient moves less than
@@ -87,38 +87,27 @@ def _factor_K(operators: DiscreteOperators, lu_K=None):
 def first_eigenpair(operators: DiscreteOperators, lu_K=None) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of K x = lambda M x, checked by its backward error,
     solved once per operators and cached (the vector is read-only).  lu_K is
-    a sparse LU factor of K to solve with; without it, K is factored for the
-    solve and the factor dropped."""
+    a sparse LU factor of K for the shift-invert solves; without it, K is
+    factored for the solve and the factor dropped."""
     return operators.cache(("eigenpair",), lambda: _solve_first_eigenpair(
         operators, _factor_K(operators, lu_K)))
 
 
 def _solve_first_eigenpair(operators: DiscreteOperators, lu) -> tuple[float, np.ndarray]:
+    """The solver's own pair (dense eigh up to _DENSE_EIG_LIMIT free nodes,
+    shift-invert eigsh above), accepted by _require_accurate_eigenpair."""
     K, M = operators.K, operators.M
     n = operators.n_free
     try:
         if n <= _DENSE_EIG_LIMIT:
             vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
-            lam, x = float(vals[0]), vecs[:, 0]
         else:
             # shift-invert at sigma = 0 with the K factor, so eigsh does not
             # factor K again
             OPinv = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
             vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM",
                                     v0=np.ones(n), OPinv=OPinv)
-            lam, x = float(vals[0]), vecs[:, 0]
-        # polish by inverse iteration; on fine meshes the residual relative
-        # to ||M x|| has a roundoff floor near eps/h^2 above this target, and
-        # all 20 passes run
-        for _ in range(20):
-            residual = np.linalg.norm(K @ x - lam * (M @ x)) / np.linalg.norm(M @ x)
-            if residual < 1e-11 * max(1.0, lam):
-                break
-            y = lu.solve(M @ x)
-            x = y / math.sqrt(float(y @ (M @ y)))
-            lam = float(x @ (K @ x)) / float(x @ (M @ x))
-    except SetupError:
-        raise
+        lam, x = float(vals[0]), vecs[:, 0]
     except Exception as exc:  # singular mass/stiffness surfaces here
         raise SetupError(f"eigensolver failed: {exc}") from exc
     if not (np.isfinite(lam) and lam > 0):

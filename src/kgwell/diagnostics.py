@@ -142,14 +142,6 @@ def full_sample(state, operators: DiscreteOperators,
     return EnergySample(*block[:-1, 0].tolist())
 
 
-def multiplier_functional(state, operators: DiscreteOperators) -> float:
-    """psi = 2 u'.(G u) + (n-1) u'.(M u) + 2 v'.(G v) + (n-1) v'.(M v) with
-    n the dimension of the operators' mesh: full_sample's psi, formed from
-    the state's vectors alone (its Evaluation is neither read nor replaced)."""
-    p = np.array([state.du, state.dv])
-    return float(_psi(p, np.column_stack([state.u, state.v]), operators)[0])
-
-
 # ---------------------------------------------------------------------------
 # trajectory checks
 # ---------------------------------------------------------------------------

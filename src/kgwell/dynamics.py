@@ -61,7 +61,7 @@ class Evaluation:
     coupling energy from one coupling_vectors pass (None and 0.0 without)."""
 
     operators: DiscreteOperators
-    spec_key: tuple | None
+    spec: CouplingSpec | None
     X: np.ndarray
     P: np.ndarray
     KX: np.ndarray
@@ -76,7 +76,7 @@ class Evaluation:
         if spec is not None:
             fu, fv, energy = coupling_vectors(X.T, spec, operators, energy=True)
             F = np.column_stack([fu, fv])
-        return Evaluation(operators, _spec_key(spec), X, P, operators.K @ X,
+        return Evaluation(operators, spec, X, P, operators.K @ X,
                           operators.M @ P, F, energy)
 
     @property
@@ -84,11 +84,6 @@ class Evaluation:
         """Bytes of the blocks it holds."""
         return sum(b.nbytes for b in (self.X, self.P, self.KX, self.MP, self.F)
                    if b is not None)
-
-
-def _spec_key(spec: CouplingSpec | None):
-    # by value, so a spec changed in place after the evaluation is not matched
-    return None if spec is None else (spec.rho, spec.quad_degree)
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,7 @@ class SimState:
         it was made with these operators and an equal spec, else a new one,
         which the state keeps."""
         ev = self._evaluation
-        if ev is None or ev.operators is not operators or ev.spec_key != _spec_key(spec):
+        if ev is None or ev.operators is not operators or ev.spec != spec:
             ev = Evaluation.of(np.column_stack([self.u, self.v]),
                                np.column_stack([self.du, self.dv]), operators, spec)
             object.__setattr__(self, "_evaluation", ev)

@@ -45,6 +45,17 @@ def unconstrained_interval(elements=4):
     return mesh, part, ops
 
 
+class CountingLU:
+    """An LU factor that appends to counter on each solve."""
+
+    def __init__(self, lu, counter):
+        self._lu, self._counter = lu, counter
+
+    def solve(self, rhs):
+        self._counter.append(1)
+        return self._lu.solve(rhs)
+
+
 ACCEPT_1D = ScenarioConfig(
     name="accept-1d",
     mesh_kind="interval",

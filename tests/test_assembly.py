@@ -325,6 +325,8 @@ def test_coupling_spec_validation():
         CouplingSpec(rho=2.0, quad_degree=3)  # below ceil(2 rho + 2)
     assert CouplingSpec(rho=0.5).quad_degree == 4
     assert CouplingSpec(rho=3.0).quad_degree == 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CouplingSpec(rho=1.0).quad_degree = 6  # an Evaluation keys on it by value
 
 
 @TABLE_MESHES

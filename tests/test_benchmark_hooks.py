@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import CountingLU
 from kgwell import FieldInit, ScenarioConfig, prepare, simulate
 from kgwell.assembly import element_quadrature_tables
 
@@ -81,17 +82,6 @@ def test_bench_files_name_only_declared_workloads_and_end_to_end_metrics():
             assert value["unit"] == units[metric], f"{path.name}: {key}"
 
 
-class _CountingLU:
-    """An LU factor that counts its solves: one per fixed-point pass."""
-
-    def __init__(self, lu, counter):
-        self._lu, self._counter = lu, counter
-
-    def solve(self, rhs):
-        self._counter.append(1)
-        return self._lu.solve(rhs)
-
-
 def test_coupled_step_makes_one_coupling_pass_more_than_its_fixed_point_passes(monkeypatch):
     # perfbench reads fixed_point_iters_per_step as (coupling_vectors calls
     # inside step - steps) / steps, and the energy rows must need no pass
@@ -120,7 +110,7 @@ def test_coupled_step_makes_one_coupling_pass_more_than_its_fixed_point_passes(m
 
     def counting_factors(operators, dt):
         lu, weights = factors(operators, dt)
-        return _CountingLU(lu, passes), weights
+        return CountingLU(lu, passes), weights  # one solve per fixed-point pass
 
     monkeypatch.setattr(kgwell.dynamics, "step", traced_step)
     monkeypatch.setattr(kgwell.dynamics, "_step_factorizations", counting_factors)

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgwell.geometry
-from conftest import interval_setup, square_setup, unconstrained_interval
+from conftest import CountingLU, interval_setup, square_setup, unconstrained_interval
 from kgwell import (
     FieldInit,
     Mesh,
@@ -72,6 +73,38 @@ def test_eigenpair_backward_error_contract(elements):
     perturbed = x * (1.0 + 1e-8 * rng.standard_normal(len(x)))
     with pytest.raises(SetupError, match="backward error"):
         _require_accurate_eigenpair(ops.K, ops.M, lam, perturbed)
+
+
+def test_dense_eigenpair_makes_no_solve_of_its_own():
+    # 400 free nodes take the dense eigh path, which needs no K factor
+    _, _, ops = interval_setup(elements=400)
+    assert ops.n_free == kgwell.constants._DENSE_EIG_LIMIT
+    solves = []
+    first_eigenpair(ops, lu_K=CountingLU(factor_spd(ops.K), solves))
+    assert solves == []
+
+
+def test_dense_eigenpair_is_the_eigh_pair_bitwise():
+    _, _, ops = interval_setup(elements=100)
+    lam, x = first_eigenpair(ops)
+    vals, vecs = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray())
+    ref = vecs[:, 0]
+    ref = -ref if ref[np.argmax(np.abs(ref))] < 0 else ref
+    assert lam == float(vals[0])
+    assert np.array_equal(x, ref)
+
+
+@pytest.mark.parametrize("elements", [20, 100, 400, 1600])
+def test_first_eigenvalue_matches_the_discrete_closed_form(elements):
+    # the P1 eigenvalue of -u'' on (0, 1) with u(0) = 0 and u'(1) = 0 is
+    # 12 sin^2(pi h/4) / (h^2 (2 + cos(pi h/2))); 400 elements take eigh,
+    # 1600 shift-invert eigsh.  Round-off allows eps lambda_max / lambda1
+    # relative, and 12/h^2 bounds lambda_max of 1D P1
+    _, _, ops = interval_setup(elements=elements)
+    h = 1.0 / elements
+    exact = 12.0 * math.sin(math.pi * h / 4) ** 2 / (h ** 2 * (2.0 + math.cos(math.pi * h / 2)))
+    lam = first_eigenpair(ops)[0]
+    assert abs(lam - exact) / exact < 10 * np.finfo(float).eps * (12.0 / h ** 2) / exact
 
 
 def test_first_eigenpair_is_cached_and_read_only():

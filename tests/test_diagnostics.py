@@ -78,7 +78,7 @@ def test_multiplier_functional_against_dense_quadrature():
     u = rng.standard_normal(ops.n_free)
     z = np.zeros_like(u)
     st = SimState(0.0, u, z, u, z)  # du = u, v = dv = 0, n = 1
-    psi = diag.multiplier_functional(st, ops)
+    psi = diag.full_sample(st, ops, None).psi
     dense = 2.0 * dense_multiplier_form(mesh, ops.embed(u), ops.embed(u), [0.0])
     assert np.isclose(psi, dense, rtol=1e-11)
 
@@ -89,7 +89,7 @@ def test_multiplier_functional_takes_dimension_from_mesh():
     rng = np.random.default_rng(8)
     u, du = rng.standard_normal((2, ops.n_free))
     z = np.zeros_like(u)
-    psi = diag.multiplier_functional(SimState(0.0, u, z, du, z), ops)
+    psi = diag.full_sample(SimState(0.0, u, z, du, z), ops, None).psi
     m_term = float(du @ (ops.M @ u))
     assert abs(m_term) > 0.01 * abs(psi)  # far above rtol: dropping (n-1) fails
     dense = 2.0 * dense_multiplier_form(mesh, ops.embed(du), ops.embed(u), part.x0,
@@ -99,16 +99,14 @@ def test_multiplier_functional_takes_dimension_from_mesh():
 
 @pytest.mark.parametrize("setup", [lambda: interval_setup(12), lambda: square_setup(4)],
                          ids=["interval-12", "square-4"])
-def test_multiplier_functional_leaves_a_stepped_state_alone(setup):
+def test_full_sample_leaves_a_stepped_state_alone(setup):
     # read-only: the coupled Evaluation that the next step reuses is kept
     _, _, ops = setup()
     spec = CouplingSpec(1.0)
     state = step(_state(ops, scale=0.3), 1e-3, ops, spec)
     ev = state._evaluation
     assert ev is not None
-    psi = diag.multiplier_functional(state, ops)
-    assert state._evaluation is ev
-    assert psi == diag.full_sample(state, ops, spec).psi
+    diag.full_sample(state, ops, spec)
     assert state._evaluation is ev
 
 
