@@ -74,6 +74,18 @@ class CouplingSpec:
                 f"quadrature degree {self.quad_degree} below exactness heuristic {minimum}"
             )
 
+    def lipschitz(self, a):
+        """A Euclidean Lipschitz constant, (2 rho + 1) a^(2 rho), of the
+        pointwise coupling (u, v) -> (|u|^rho |v|^rho v, |u|^rho u |v|^rho) on
+        |u|, |v| <= a, for rho >= 1: its Jacobian is symmetric, with diagonal
+        entries of at most rho a^(2 rho) and off-diagonal ones of at most
+        (rho + 1) a^(2 rho), so its spectral norm is at most their sum.  inf
+        for rho < 1, where the Jacobian entry rho |u|^(rho-1) |v|^(rho+1) is
+        unbounded near u = 0, and where a^(2 rho) overflows; nan for a = nan."""
+        if self.rho < 1.0:
+            return math.inf
+        return (2.0 * self.rho + 1.0) * np.float64(a) ** (2.0 * self.rho)
+
 
 @dataclass
 class DiscreteOperators:

@@ -23,11 +23,11 @@ shrinks the admissible ball and keeps the well test conservative.
 
 Setup-only state ends with setup: compute_well_constants factors K once
 (assembly.factor_spd: K is symmetric positive definite once the clamped
-nodes are removed), as a local that the eigenpair solve and every
-best-constant iteration share, and the volume tables of the embedding
-constants and the GAMMA1 table of the trace constants are built per call,
-so none of them outlives the computation.  The operators keep only the first
-eigenpair, not the K factor.
+nodes are removed), as a local that the eigenpair's shift-invert solve
+(above _DENSE_EIG_LIMIT free nodes) and every best-constant iteration share,
+and the volume tables of the embedding constants and the GAMMA1 table of the
+trace constants are built per call, so none of them outlives the
+computation.  The operators keep only the first eigenpair, not the K factor.
 """
 
 from __future__ import annotations
@@ -88,18 +88,22 @@ def first_eigenpair(operators: DiscreteOperators, lu_K=None) -> tuple[float, np.
     """Smallest eigenpair of K x = lambda M x, checked by its backward error,
     solved once per operators and cached (the vector is read-only).  lu_K is
     a sparse LU factor of K for the shift-invert solves; without it, K is
-    factored for the solve and the factor dropped."""
-    return operators.cache(("eigenpair",), lambda: _solve_first_eigenpair(
-        operators, _factor_K(operators, lu_K)))
+    factored for them and the factor dropped.  The dense path needs no
+    factor and makes none."""
+    return operators.cache(("eigenpair",), lambda: _solve_first_eigenpair(operators, lu_K))
 
 
-def _solve_first_eigenpair(operators: DiscreteOperators, lu) -> tuple[float, np.ndarray]:
+def _solve_first_eigenpair(operators: DiscreteOperators, lu_K) -> tuple[float, np.ndarray]:
     """The solver's own pair (dense eigh up to _DENSE_EIG_LIMIT free nodes,
-    shift-invert eigsh above), accepted by _require_accurate_eigenpair."""
+    shift-invert eigsh above, with lu_K or a factor made for it), accepted by
+    _require_accurate_eigenpair."""
     K, M = operators.K, operators.M
     n = operators.n_free
+    dense = n <= _DENSE_EIG_LIMIT
+    _require_constrained(operators)
+    lu = None if dense else _factor_K(operators, lu_K)
     try:
-        if n <= _DENSE_EIG_LIMIT:
+        if dense:
             vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         else:
             # shift-invert at sigma = 0 with the K factor, so eigsh does not

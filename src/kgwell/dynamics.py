@@ -7,7 +7,12 @@ by the implicit midpoint rule on the first-order form.  The scheme is
 symmetric and A-stable and conserves quadratic invariants of the linear
 problem exactly, so every energy loss along a trajectory is attributable
 to the boundary damping B (plus an O(dt^3) per-step defect from the
-nonlinear coupling).
+nonlinear coupling).  The midpoint coupling is resolved by fixed-point
+passes; a pass whose residual bound (the coupling's Lipschitz constant at
+the iterates' amplitude times the iterate's change, _residual_bound) is
+already below the solver tolerance stops without its coupling evaluation,
+and that stop is the one the evaluated residual test would make, so every
+output is that of evaluating every pass.
 
 What the time loop holds: the operators' matrices, the sparse LU of the
 step matrix A = M + (dt/2) B + (dt^2/4) K (symmetric positive definite, so
@@ -293,12 +298,15 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
     spec), which the state then drops: a state is sampled before it is
     stepped, so only the newest state holds one.  The midpoint coupling is
     resolved by fixed-point iteration; each pass makes one two-column linear
-    solve, one coupling evaluation and one diagonal scaling of the residual.
-    Converged when the lumped bound sqrt(sum(w r^2)) of _step_factorizations
-    is below opts.tol, so the residual in the M^-1 inner product (an M-norm of
-    the velocity defect) is below opts.tol too.  The returned state carries
-    its own Evaluation, made with one more coupling pass that also yields its
-    coupling energy, which its sample and the next step read.
+    solve, then one coupling evaluation and one diagonal scaling of the
+    residual.  Converged when the lumped bound sqrt(sum(w r^2)) of
+    _step_factorizations is below opts.tol, so the residual in the M^-1 inner
+    product (an M-norm of the velocity defect) is below opts.tol too.  A pass
+    whose residual bound (see _advance) is already below opts.tol stops
+    without its coupling evaluation; the evaluated test would stop there
+    too, so the result is that of evaluating every pass.  The returned state
+    carries its own Evaluation, made with one more coupling pass that also
+    yields its coupling energy, which its sample and the next step read.
     """
     if opts is None:
         opts = StepOptions()
@@ -314,16 +322,60 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
     return out
 
 
+def _residual_bound(x_prev: np.ndarray, x_mid: np.ndarray, dt: float, dim: int,
+                    spec: CouplingSpec, weights: np.ndarray) -> float:
+    """_advance's bound of the lumped residual of the pass from x_prev to
+    x_mid on a mesh of dimension d, formed without a coupling evaluation.
+    inf or nan where G is inf or delta is not finite."""
+    a = max(np.abs(x_prev).max(initial=0.0), np.abs(x_mid).max(initial=0.0))
+    delta = x_mid - x_prev
+    return (dim + 2.0) * (dt / 2.0) * spec.lipschitz(a) * math.sqrt(
+        float(np.sum(delta * delta / weights[:, None])))
+
+
 def _advance(state: SimState, dt: float, operators: DiscreteOperators,
              spec: CouplingSpec | None, opts: StepOptions):
     """The blocks (X, P) one step after the state: step's fixed-point solve.
     Its temporaries and the dropped evaluation's products are freed on
-    return, before step evaluates the new state."""
+    return, before step evaluates the new state.
+
+    Pass k solves for p_mid with f = F(x_prev) (x_prev is the state's X on
+    the first pass, the previous pass's x_mid after) and forms
+    x_mid = X + (dt/2) p_mid.  Before evaluating F(x_mid), it forms
+    _residual_bound,
+
+        bound = (d+2) (dt/2) G sqrt(sum(delta^2 / w)),  delta = x_mid - x_prev,
+
+    with G = spec.lipschitz(a) and a the largest nodal |x| of x_prev and
+    x_mid, and stops with this p_mid when bound < opts.tol.  Otherwise it
+    evaluates F(x_mid) and stops when res = sqrt(sum(w r^2)) < opts.tol,
+    with r = (dt/2) (F(x_mid) - f).  The bound holds, res <= bound, with
+    l = (d+2)/w the row sums of M:
+    * M <= diag(l), since diag(l) - M is symmetric, diagonally dominant and
+      has a nonnegative diagonal (M has no negative entry).  So
+      sum(w r^2) = (d+2) r^T diag(l)^-1 r <= (d+2) r^T M^-1 r, and
+      ||delta||_M^2 <= sum(l delta^2) = (d+2) sum(delta^2 / w).
+    * ||F(x) - F(y)||_{M^-1} <= G ||x - y||_M: for any z, z . (F(x) - F(y))
+      is a sum over the coupling rule, whose weights are positive, of z_h
+      times the pointwise coupling difference.  The P1 values at the points
+      are convex combinations of nodal ones, so |u_h|, |v_h| <= a there and
+      the difference is at most G |x_h - y_h|; Cauchy-Schwarz over the rule,
+      which is exact at degree 2, gives ||z||_M G ||x - y||_M.
+    Chained: res <= sqrt(d+2) ||r||_{M^-1} <= sqrt(d+2) (dt/2) G ||delta||_M
+    <= bound.
+    So a pass that the bound stops is one that the evaluated test would
+    also stop, up to the round-off of res itself, with the same p_mid: the
+    result, the pass count that max_iter limits and every
+    NonlinearSolveFailure are those of the evaluated test alone.  For
+    rho < 1, G is inf and every pass is evaluated; a non-finite x_mid makes
+    the bound inf or nan, so its pass is evaluated too, and fails there.
+    """
     A_lu, weights = _step_factorizations(operators, dt)
     ev = state.evaluation(operators, spec)
     object.__setattr__(state, "_evaluation", None)
     x0, p0, f = ev.X, ev.P, ev.F
     rhs = ev.MP - (dt / 2.0) * ev.KX
+    dim, x_prev = operators.mesh.dim, x0
 
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(opts.max_iter):
@@ -331,6 +383,8 @@ def _advance(state: SimState, dt: float, operators: DiscreteOperators,
             if f is None:
                 break
             x_mid = x0 + (dt / 2.0) * p_mid
+            if _residual_bound(x_prev, x_mid, dt, dim, spec, weights) < opts.tol:
+                break
             f_new = np.column_stack(coupling_vectors(x_mid.T, spec, operators))
             r = (dt / 2.0) * (f_new - f)
             f = f_new
@@ -342,6 +396,7 @@ def _advance(state: SimState, dt: float, operators: DiscreteOperators,
                 )
             if math.sqrt(res_sq) < opts.tol:
                 break
+            x_prev = x_mid
         else:
             raise NonlinearSolveFailure(
                 f"midpoint solve needed more than {opts.max_iter} iterations at "

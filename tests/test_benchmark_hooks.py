@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import CountingLU
 from kgwell import FieldInit, ScenarioConfig, prepare, simulate
 from kgwell.assembly import element_quadrature_tables
 
@@ -82,48 +81,80 @@ def test_bench_files_name_only_declared_workloads_and_end_to_end_metrics():
             assert value["unit"] == units[metric], f"{path.name}: {key}"
 
 
-def test_coupled_step_makes_one_coupling_pass_more_than_its_fixed_point_passes(monkeypatch):
-    # perfbench reads fixed_point_iters_per_step as (coupling_vectors calls
-    # inside step - steps) / steps, and the energy rows must need no pass
+def test_coupled_step_evaluates_every_pass_its_bound_does_not_stop(monkeypatch):
+    # each step solves once per fixed-point pass and evaluates the coupling
+    # after every solve but one the residual bound stops on, then once for
+    # the state it returns, so coupling_vectors calls inside step are
+    # solves + steps - certified stops (perfbench reads
+    # fixed_point_iters_per_step as (calls inside step - steps) / steps);
+    # the energy rows need no pass
     import kgwell.diagnostics
     import kgwell.dynamics
 
-    in_step, passes = [], []
-    calls = {"vectors": 0, "vectors_in_step": 0, "energy": 0}
+    events = []  # per step: "solve", "pass" (fixed point), "state" (returned)
+    calls = {"vectors": 0, "energy": 0}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            if name == "vectors" and in_step:
-                calls["vectors_in_step"] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    class LoggingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            events[-1].append("solve")
+            return self._lu.solve(rhs)
 
     step, factors = kgwell.dynamics.step, kgwell.dynamics._step_factorizations
+    vectors, energy = kgwell.dynamics.coupling_vectors, kgwell.diagnostics.coupling_energy
+    in_step = []
 
     def traced_step(*args, **kwargs):
+        events.append([])
         in_step.append(1)
         try:
             return step(*args, **kwargs)
         finally:
             in_step.pop()
 
-    def counting_factors(operators, dt):
+    def logging_factors(operators, dt):
         lu, weights = factors(operators, dt)
-        return CountingLU(lu, passes), weights  # one solve per fixed-point pass
+        return LoggingLU(lu), weights
+
+    def counted_vectors(*args, **kwargs):
+        calls["vectors"] += 1
+        if in_step:
+            events[-1].append("state" if kwargs.get("energy") else "pass")
+        return vectors(*args, **kwargs)
+
+    def counted_energy(*args, **kwargs):
+        calls["energy"] += 1
+        return energy(*args, **kwargs)
 
     monkeypatch.setattr(kgwell.dynamics, "step", traced_step)
-    monkeypatch.setattr(kgwell.dynamics, "_step_factorizations", counting_factors)
-    monkeypatch.setattr(kgwell.dynamics, "coupling_vectors",
-                        counted("vectors", kgwell.dynamics.coupling_vectors))
-    monkeypatch.setattr(kgwell.diagnostics, "coupling_energy",
-                        counted("energy", kgwell.diagnostics.coupling_energy))
+    monkeypatch.setattr(kgwell.dynamics, "_step_factorizations", logging_factors)
+    monkeypatch.setattr(kgwell.dynamics, "coupling_vectors", counted_vectors)
+    monkeypatch.setattr(kgwell.diagnostics, "coupling_energy", counted_energy)
+    # dt = 0.05 at this amplitude: the bound stops the second pass of the
+    # first two steps; the later steps stop on their evaluated second pass
     cfg = ScenarioConfig(name="count", mesh_kind="rectangle", nx=4, ny=4, x0=(-0.1, -0.1),
-                         dt=0.01, t_end=0.06, stride=2, u0=FieldInit("eigenfunction", 0.4),
+                         dt=0.05, t_end=0.3, stride=2, u0=FieldInit("eigenfunction", 0.4),
                          v0=FieldInit("eigenfunction", 0.4))
     traj = simulate(cfg)
     steps = traj.meta["n_steps"]
-    assert steps == 6 and len(passes) > steps  # some steps take a second pass
-    assert calls["vectors_in_step"] == len(passes) + steps
-    assert calls["vectors"] == calls["vectors_in_step"] + 1  # the initial state
+    assert steps == 6 and len(events) == steps
+    certified = evaluated = 0
+    for log in events:
+        # evaluated passes, maybe a last one stopped by its bound, the state
+        *passes, returned = log
+        assert returned == "state"
+        if passes[-1] == "solve":
+            certified += 1
+            passes.pop()
+        else:
+            evaluated += 1
+        assert passes == ["solve", "pass"] * (len(passes) // 2)
+    assert certified > 0 and evaluated > 0
+    solves = sum(log.count("solve") for log in events)
+    in_step_calls = sum(log.count("pass") + log.count("state") for log in events)
+    assert solves > steps  # some steps take a second pass
+    assert in_step_calls == solves + steps - certified
+    assert calls["vectors"] == in_step_calls + 1  # the initial state
     assert calls["energy"] == 0

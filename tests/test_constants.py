@@ -84,6 +84,22 @@ def test_dense_eigenpair_makes_no_solve_of_its_own():
     assert solves == []
 
 
+@pytest.mark.parametrize("elements, factors", [(400, 0), (401, 1)], ids=["eigh", "eigsh"])
+def test_eigenpair_factors_K_only_for_shift_invert(monkeypatch, elements, factors):
+    # 400 free nodes take the dense eigh path, which needs no K factor;
+    # 401 take shift-invert eigsh, which factors K when given none
+    made = []
+
+    def counting_spd(A):
+        made.append(A)
+        return factor_spd(A)
+
+    monkeypatch.setattr(kgwell.constants, "factor_spd", counting_spd)
+    _, _, ops = interval_setup(elements=elements)
+    first_eigenpair(ops)
+    assert len(made) == factors
+
+
 def test_dense_eigenpair_is_the_eigh_pair_bitwise():
     _, _, ops = interval_setup(elements=100)
     lam, x = first_eigenpair(ops)

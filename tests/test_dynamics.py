@@ -6,6 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgwell.diagnostics as diag
 from _oracles import per_state_row, stored_state_dissipation, two_solve_step
@@ -23,6 +25,7 @@ from kgwell import (
     step,
     write_trajectory_csv,
 )
+import kgwell.assembly
 import kgwell.dynamics
 from kgwell.dynamics import ROW_BATCH_BYTES, _step_factorizations, record
 
@@ -170,14 +173,33 @@ def test_second_order_convergence_against_analytic_mode():
     assert 3.5 <= ratio <= 4.5
 
 
-@pytest.mark.parametrize("coupling", [True, False], ids=["coupled", "linear"])
+@pytest.mark.parametrize("rho", [1.0, 0.5, 2.0, None],
+                         ids=["coupled", "coupled-rho0.5", "coupled-rho2", "linear"])
 @pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(8)],
                          ids=["interval-16", "square-8"])
-def test_block_step_matches_two_solve_reference_bitwise(setup, coupling):
+def test_block_step_matches_two_solve_reference_bitwise(monkeypatch, setup, rho):
+    # the reference evaluates the coupling on every fixed-point pass, so the
+    # block step's passes stopped by the residual bound change no bit.  The
+    # block step makes a coupling pass for the state it returns, the
+    # reference one for the state it starts from.  On these rough data the
+    # bound stops passes at rho = 2 (at rho = 1 it exceeds the last passes'
+    # residuals 8-fold, and stops none at this tol); rho < 1 has no bound
     _, _, ops = setup()
     rng = np.random.default_rng(7)
     u, v, du, dv = 0.3 * rng.standard_normal((4, ops.n_free))
-    spec, opts = CouplingSpec(1.0) if coupling else None, StepOptions()
+    spec, opts = None if rho is None else CouplingSpec(rho), StepOptions()
+    calls = {"block": 0, "ref": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kgwell.dynamics, "coupling_vectors",
+                        counted("block", kgwell.dynamics.coupling_vectors))
+    monkeypatch.setattr(kgwell.assembly, "coupling_vectors",
+                        counted("ref", kgwell.assembly.coupling_vectors))
     block = ref = SimState(0.0, u, v, du, dv)
     for _ in range(20):
         block = step(block, 0.01, ops, spec, opts)
@@ -185,6 +207,87 @@ def test_block_step_matches_two_solve_reference_bitwise(setup, coupling):
     assert np.any(block.u != u)
     for name in ("u", "v", "du", "dv"):
         assert np.array_equal(getattr(block, name), getattr(ref, name)), name
+    certified = calls["ref"] + 1 - calls["block"]  # the block's first state too
+    if rho is None:
+        assert calls == {"block": 0, "ref": 0}
+    elif rho < 1:
+        assert certified == 0
+    elif rho == 2.0:
+        assert certified > 0
+
+
+BOUND_MESHES = {"interval-16": lambda: interval_setup(16)[2],
+                "square-8": lambda: square_setup(8)[2]}
+
+
+def passes_with_bounds(ops, spec, state, dt, opts):
+    """One step with every fixed-point pass evaluated: the residual bound
+    _advance forms on each pass, and the lumped residual sqrt(sum(w r^2))
+    that the pass's coupling evaluation gives."""
+    bounds, forces = [], [state.evaluation(ops, spec).F]
+    real_bound, real_vectors = kgwell.dynamics._residual_bound, kgwell.dynamics.coupling_vectors
+
+    def recording_bound(*args):
+        bounds.append(real_bound(*args))
+        return math.inf  # no pass stops on its bound
+
+    def recording_vectors(uv, spec, operators, energy=False):
+        out = real_vectors(uv, spec, operators, energy)
+        if not energy:
+            forces.append(np.column_stack(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kgwell.dynamics, "_residual_bound", recording_bound)
+        mp.setattr(kgwell.dynamics, "coupling_vectors", recording_vectors)
+        try:
+            step(state, dt, ops, spec, opts)
+        except NonlinearSolveFailure:
+            pass
+    assert len(forces) == len(bounds) + 1
+    _, w = _step_factorizations(ops, dt)
+    residuals = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for before, after in zip(forces, forces[1:]):
+            r = (dt / 2.0) * (after - before)
+            residuals.append(math.sqrt(float(np.sum(r * (w[:, None] * r)))))
+    return bounds, residuals
+
+
+@settings(max_examples=80, deadline=None)
+@given(mesh=st.sampled_from(sorted(BOUND_MESHES)), rho=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       amplitude=st.floats(min_value=1e-3, max_value=1.0),
+       dt=st.sampled_from([1e-3, 1e-2, 1e-1]), smooth=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_residual_bound_is_at_least_the_evaluated_residual(mesh, rho, amplitude, dt, smooth,
+                                                           seed):
+    # rough data leave the bound 8 to 300 times the residual; multiples of
+    # the first eigenvector bring it within 1.5 to 2 times at rho = 1
+    ops = BOUND_MESHES[mesh]()
+    rng = np.random.default_rng(seed)
+    if smooth:
+        _, phi = first_eigenpair(ops)
+        blocks = np.outer(rng.uniform(-1.0, 1.0, 4), phi / np.abs(phi).max())
+    else:
+        blocks = rng.uniform(-1.0, 1.0, (4, ops.n_free))
+    state = SimState(0.0, *(amplitude * blocks))
+    bounds, residuals = passes_with_bounds(ops, CouplingSpec(rho), state, dt,
+                                           StepOptions(tol=1e-12, max_iter=8))
+    assert bounds
+    for bound, res in zip(bounds, residuals):
+        if math.isfinite(res):
+            assert bound >= res
+
+
+@pytest.mark.parametrize("mesh", sorted(BOUND_MESHES))
+def test_rho_below_one_bounds_no_pass(mesh):
+    # the coupling is not Lipschitz for rho < 1, so every bound is inf and
+    # every pass is evaluated
+    ops, spec = BOUND_MESHES[mesh](), CouplingSpec(0.5)
+    rng = np.random.default_rng(3)
+    state = SimState(0.0, *(0.3 * rng.standard_normal((4, ops.n_free))))
+    bounds, _ = passes_with_bounds(ops, spec, state, 0.01, StepOptions())
+    assert len(bounds) > 1 and all(b == math.inf for b in bounds)
 
 
 @pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(8)],
