@@ -27,7 +27,7 @@ from kgwell import (
 print("== raw constants on (0, 1), clamped at x = 0 ==")
 mesh = build_interval_mesh(0.0, 1.0, 200)
 part = classify_boundary(mesh, 0.0)
-ops = assemble_operators(mesh, part)
+ops = assemble_operators(part)
 
 lam1 = first_eigenpair(ops)[0]
 print(f"  first eigenvalue        {lam1:.8f}   (continuum (pi/2)^2 = {(np.pi / 2) ** 2:.8f})")
@@ -56,7 +56,7 @@ print()
 print("== 2D: the dimension-dependent terms switch on ==")
 mesh2 = build_rectangle_mesh((0, 0), (1, 1), 8, 8)
 part2 = classify_boundary(mesh2, (-0.1, -0.1))
-ops2 = assemble_operators(mesh2, part2)
+ops2 = assemble_operators(part2)
 wc2 = compute_well_constants(ops2, rho=1.0)
 print(f"  P = {wc2.P:.4f} = 4(2R + 1/2 + 1/(2 lambda1)) with R = {wc2.R:.4f}, "
       f"lambda1 = {wc2.lambda1:.4f}")

@@ -32,7 +32,7 @@ from kgwell import (
 
 mesh = build_interval_mesh(0.0, 1.0, 32)
 part = classify_boundary(mesh, 0.0)
-ops = assemble_operators(mesh, part)
+ops = assemble_operators(part)
 undamped = dataclasses.replace(ops, B=sp.csr_matrix(ops.B.shape))
 
 lam, w = first_eigenpair(undamped)

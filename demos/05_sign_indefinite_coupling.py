@@ -20,10 +20,11 @@ from kgwell import (
     first_eigenpair,
     full_sample,
 )
+from kgwell.assembly import volume_table
 
 mesh = build_interval_mesh(0.0, 1.0, 64)
 part = classify_boundary(mesh, 0.0)
-ops = assemble_operators(mesh, part)
+ops = assemble_operators(part)
 spec = CouplingSpec(rho=1.0)
 wc = compute_well_constants(ops, rho=1.0)
 _, shape = first_eigenpair(ops)
@@ -47,6 +48,9 @@ print()
 amp = 0.5
 u = amp * shape
 e = coupling_energy((u, -u), spec, ops)
-refined = coupling_energy((u, -u), CouplingSpec(1.0, quad_degree=10), ops)
+# the same integral, (1/2) int (|u| u)(|v| v) dx at rho = 1, on a degree-10 rule
+(total,), _ = volume_table(ops, 10).reduce(
+    (u, -u), lambda uq, vq: (((np.abs(uq) * uq) * (np.abs(vq) * vq),), ()))
+refined = total / 2.0
 print(f"quadrature sanity at amplitude {amp}: fixed rule {e:.12e}, "
       f"degree-10 rule {refined:.12e} (difference {abs(e - refined):.1e})")

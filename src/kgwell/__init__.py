@@ -19,7 +19,6 @@ from .assembly import (
 )
 from .constants import (
     AdmissibilityReport,
-    ConvergenceError,
     SetupError,
     ValidationReport,
     WellConstants,
@@ -56,10 +55,8 @@ from .dynamics import (
 )
 from .geometry import (
     BoundaryPartition,
-    EmptyGamma1Error,
     Mesh,
     MeshError,
-    MixedFacetError,
     build_interval_mesh,
     build_rectangle_mesh,
     classify_boundary,

@@ -52,27 +52,24 @@ BLOCK_POINTS = 36864
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Exponent and quadrature exactness degree for the coupling terms.
+    """Exponent rho of the coupling terms, the spec's one field.
 
-    The default degree max(4, ceil(2 rho + 2)) integrates the quartic
-    rho = 1 integrand of P1 data exactly on elements where the interpolants
-    do not change sign.  Frozen, so an Evaluation made under a spec stays
-    valid for every equal spec.
+    quad_degree, the exactness degree of the coupling's quadrature, is
+    derived from rho: max(4, ceil(2 rho + 2)) integrates the quartic rho = 1
+    integrand of P1 data exactly on elements where the interpolants do not
+    change sign.  Frozen, so an Evaluation made under a spec stays valid for
+    every equal spec.
     """
 
     rho: float
-    quad_degree: int | None = None
 
     def __post_init__(self):
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        minimum = math.ceil(2 * self.rho + 2)
-        if self.quad_degree is None:
-            object.__setattr__(self, "quad_degree", max(4, minimum))
-        elif self.quad_degree < minimum:
-            raise ValueError(
-                f"quadrature degree {self.quad_degree} below exactness heuristic {minimum}"
-            )
+
+    @property
+    def quad_degree(self) -> int:
+        return max(4, math.ceil(2 * self.rho + 2))
 
     def lipschitz(self, a):
         """A Euclidean Lipschitz constant, (2 rho + 1) a^(2 rho), of the
@@ -89,9 +86,9 @@ class CouplingSpec:
 
 @dataclass
 class DiscreteOperators:
-    """Assembled matrices over free nodes plus the free-node index map."""
+    """Assembled matrices over free nodes plus the free-node index map, on
+    the mesh of the boundary partition they were assembled from."""
 
-    mesh: Mesh
     partition: BoundaryPartition
     free: np.ndarray
     M: sp.csr_matrix
@@ -103,6 +100,10 @@ class DiscreteOperators:
     #: not an __init__ argument, so dataclasses.replace starts a copy with an
     #: empty cache instead of sharing factors of the old matrices
     _caches: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.partition.mesh
 
     @property
     def n_free(self) -> int:
@@ -198,18 +199,23 @@ def _delta_values(partition: BoundaryPartition, delta: float | None) -> np.ndarr
     return np.full(mdotnu.shape, float(delta))
 
 
-def assemble_operators(mesh: Mesh, partition: BoundaryPartition,
+def assemble_operators(partition: BoundaryPartition,
                        delta: float | None = None) -> DiscreteOperators:
-    """Assemble M, K, B, G, T with GAMMA0 degrees of freedom eliminated.
+    """Assemble M, K, B, G, T on the mesh of the boundary split, with its
+    GAMMA0 degrees of freedom eliminated.
 
     Parameters
     ----------
+    partition : BoundaryPartition
+        The split of classify_boundary; its mesh is the one assembled, so
+        the operators and the split cannot belong to different meshes.
     delta : None | float
         Damping coefficient on the damped boundary part.  None selects
         m . nu (required for the decay estimates), as sampled by the boundary
         split; a float is a constant.  Assembly is rejected (ValueError)
         unless delta is positive at every boundary quadrature point.
     """
+    mesh = partition.mesh
     n = mesh.n_vertices
     m_local, k_local, g_local = _element_matrices(mesh.vertices[mesh.elements],
                                                   partition.x0)
@@ -234,8 +240,7 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition,
     def restrict(A):
         return sp.csr_matrix(A.tocsc()[:, free].tocsr()[free, :])
 
-    ops = DiscreteOperators(
-        mesh=mesh,
+    return DiscreteOperators(
         partition=partition,
         free=free,
         M=restrict(M_full),
@@ -245,7 +250,6 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition,
         T=restrict(T_full),
         delta_min=delta_min,
     )
-    return ops
 
 
 def factor_spd(A: sp.spmatrix) -> spla.SuperLU:

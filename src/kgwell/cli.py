@@ -25,9 +25,9 @@ from .config import (
     load_config,
     scenario_from_config,
 )
-from .constants import ConvergenceError, SetupError, validate_hypotheses
+from .constants import SetupError, validate_hypotheses
 from .dynamics import NonlinearSolveFailure, Trajectory, prepare, simulate, write_trajectory_csv
-from .geometry import EmptyGamma1Error, MeshError, MixedFacetError
+from .geometry import MeshError
 from .svgplot import line_plot
 
 EXIT_OK = 0
@@ -39,9 +39,8 @@ EXIT_SOLVER_FAILURE = 4
 #: (exception types, exit code, manifest status); the only place an
 #: exception is turned into an exit code.
 FAILURES = (
-    ((ConfigError, ValueError, OSError, MeshError, MixedFacetError, EmptyGamma1Error),
-     EXIT_CONFIG_ERROR, "config_error"),
-    ((SetupError, ConvergenceError), EXIT_SETUP_FAILURE, "setup_failure"),
+    ((ConfigError, ValueError, OSError, MeshError), EXIT_CONFIG_ERROR, "config_error"),
+    ((SetupError,), EXIT_SETUP_FAILURE, "setup_failure"),
     ((NonlinearSolveFailure,), EXIT_SOLVER_FAILURE, "solver_failure"),
 )
 _FAILURE_TYPES = tuple(t for types, _, _ in FAILURES for t in types)

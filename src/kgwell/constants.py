@@ -57,11 +57,8 @@ BEST_CONSTANT_MAX_ITER = 500
 
 
 class SetupError(Exception):
-    """Numerical setup failed (singular operators, eigensolver trouble)."""
-
-
-class ConvergenceError(Exception):
-    """A best-constant fixed-point iteration did not settle within its cap."""
+    """Numerical setup failed (singular operators, eigensolver trouble, a
+    best-constant iteration that does not settle within its cap)."""
 
 
 def _require_constrained(operators: DiscreteOperators):
@@ -162,18 +159,18 @@ def _best_constant(operators: DiscreteOperators, norm_and_grad, lu_K):
     for _ in range(BEST_CONSTANT_MAX_ITER):
         gnorm = np.linalg.norm(g)
         if gnorm == 0.0:
-            raise ConvergenceError("optimality gradient vanished; trivial trace?")
+            raise SetupError("optimality gradient vanished; trivial trace?")
         w = lu.solve(g)
         nv = _vnorm(operators, w)
         if not np.isfinite(nv) or nv == 0.0:
-            raise ConvergenceError("iteration produced a degenerate iterate")
+            raise SetupError("iteration produced a degenerate iterate")
         v = w / nv
         new_quotient, g = norm_and_grad(v)
         done = abs(new_quotient - quotient) < BEST_CONSTANT_TOL
         quotient = new_quotient
         if done:
             return quotient, v
-    raise ConvergenceError(
+    raise SetupError(
         f"best-constant iteration did not converge within {BEST_CONSTANT_MAX_ITER} iterations")
 
 

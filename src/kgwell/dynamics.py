@@ -47,7 +47,7 @@ from . import diagnostics
 from .assembly import (CouplingSpec, DiscreteOperators, assemble_operators, coupling_vectors,
                        factor_spd)
 from .constants import WellConstants, admissibility, compute_well_constants, first_eigenpair
-from .geometry import build_interval_mesh, build_rectangle_mesh, classify_boundary
+from .geometry import Mesh, build_interval_mesh, build_rectangle_mesh, classify_boundary
 
 
 class NonlinearSolveFailure(Exception):
@@ -484,18 +484,22 @@ class ScenarioConfig:
 @dataclass
 class Prepared:
     """Everything simulate() needs, exposed for tests and notebooks: the
-    config, the mesh, the operators (which hold the boundary partition), the
-    coupling spec, the constants (whose threshold() is the active well), the
-    initial state, its admissibility report and the time step."""
+    config, the operators (which hold the boundary partition and, through
+    it, the mesh), the coupling spec, the constants (whose threshold() is
+    the active well), the initial state, its admissibility report and the
+    time step."""
 
     config: ScenarioConfig
-    mesh: object
     operators: DiscreteOperators
     spec: CouplingSpec
     constants: WellConstants
     state0: SimState
     admissibility: object
     dt: float
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.operators.mesh
 
 
 def _build_field(init: FieldInit, operators: DiscreteOperators, threshold: float,
@@ -531,7 +535,7 @@ def prepare(config: ScenarioConfig) -> Prepared:
         mesh = build_rectangle_mesh(config.rect_lo, config.rect_hi, config.nx, config.ny)
     partition = classify_boundary(mesh, config.x0)
     delta = None if config.delta_kind == "mdotnu" else config.delta_value
-    operators = assemble_operators(mesh, partition, delta=delta)
+    operators = assemble_operators(partition, delta=delta)
     spec = CouplingSpec(rho=config.rho)
     constants = compute_well_constants(operators, config.rho, safety=config.safety)
     threshold, _ = constants.threshold()
@@ -543,7 +547,7 @@ def prepare(config: ScenarioConfig) -> Prepared:
     report = admissibility(u0, v0, u1, v1, constants, operators)
     dt = config.dt if config.dt is not None else min(mesh.min_diameter() / 2.0, 0.01)
     return Prepared(
-        config=config, mesh=mesh, operators=operators, spec=spec,
+        config=config, operators=operators, spec=spec,
         constants=constants, state0=state0, admissibility=report, dt=dt,
     )
 

@@ -39,20 +39,7 @@ GAMMA1 = 1
 
 
 class MeshError(Exception):
-    """Invalid mesh topology or geometry."""
-
-
-class MixedFacetError(Exception):
-    """m . nu changes sign across the quadrature points of one facet.
-
-    Cannot happen on straight facets (m . nu is constant along them) but is
-    checked so hand-built meshes with exotic normals fail loudly; the caller
-    should refine the mesh.
-    """
-
-
-class EmptyGamma1Error(Exception):
-    """No facet has m . nu > 0, so there is no damped boundary part."""
+    """Invalid mesh topology or geometry, or a boundary that cannot be split."""
 
 
 def edge_vectors(coords: np.ndarray) -> np.ndarray:
@@ -280,7 +267,10 @@ def _labels_from_samples(mdotnu: np.ndarray) -> np.ndarray:
     facet: GAMMA1 where every value is positive, GAMMA0 where none is."""
     damped = np.all(mdotnu > 0.0, axis=1)
     if not np.all(damped | np.all(mdotnu <= 0.0, axis=1)):
-        raise MixedFacetError(
+        # m . nu = (x - x0) . nu is constant along a straight facet whose
+        # normal is perpendicular to it, so only a hand-built facet normal
+        # that is not perpendicular to its facet can trigger this check
+        raise MeshError(
             "m . nu changes sign across the quadrature points of a facet; refine the mesh"
         )
     return np.where(damped, GAMMA1, GAMMA0)
@@ -290,9 +280,9 @@ def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
     """Split the boundary by the sign of m . nu at facet quadrature points.
 
     A facet is damped (GAMMA1) when m . nu > 0 at every quadrature point and
-    clamped (GAMMA0) when m . nu <= 0 at every point.  Raises MixedFacetError
-    for a sign change within one facet and EmptyGamma1Error when no facet is
-    damped.
+    clamped (GAMMA0) when m . nu <= 0 at every point.  Raises MeshError for
+    a sign change within one facet and when no facet is damped.  The split
+    holds the mesh it labels, and assemble_operators reads the mesh from it.
     """
     x0 = np.atleast_1d(np.asarray(x0, float))
     if x0.shape != (mesh.dim,):
@@ -305,7 +295,7 @@ def classify_boundary(mesh: Mesh, x0) -> BoundaryPartition:
     labels = _labels_from_samples(mdotnu)
     gamma1 = labels == GAMMA1
     if not np.any(gamma1):
-        raise EmptyGamma1Error("no facet has m . nu > 0")
+        raise MeshError("no facet has m . nu > 0")
     R = float(np.max(np.linalg.norm(radial_field(mesh.vertices, x0), axis=1)))
     m0 = float(np.min(mdotnu[gamma1]))
     warnings = []

@@ -25,14 +25,14 @@ def interval_setup(elements=4, a=0.0, b=1.0, x0=0.0, delta=None):
     """Mesh, partition, operators for an interval with the radial damping."""
     mesh = build_interval_mesh(a, b, elements)
     part = classify_boundary(mesh, x0)
-    ops = assemble_operators(mesh, part, delta=delta)
+    ops = assemble_operators(part, delta=delta)
     return mesh, part, ops
 
 
 def square_setup(n=4, x0=(-0.1, -0.1)):
     mesh = build_rectangle_mesh((0.0, 0.0), (1.0, 1.0), n, n)
     part = classify_boundary(mesh, x0)
-    ops = assemble_operators(mesh, part)
+    ops = assemble_operators(part)
     return mesh, part, ops
 
 
@@ -41,7 +41,7 @@ def unconstrained_interval(elements=4):
     nodes (test fixture for partition-of-unity style identities)."""
     mesh = build_interval_mesh(0.0, 1.0, elements)
     part = classify_boundary(mesh, 0.4)
-    ops = assemble_operators(mesh, part)
+    ops = assemble_operators(part)
     return mesh, part, ops
 
 

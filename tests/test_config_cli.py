@@ -265,6 +265,24 @@ def test_cli_setup_failure_without_clamped_boundary(tmp_path, capsys):
     assert "clamped" in capsys.readouterr().err
 
 
+def test_cli_best_constant_that_does_not_settle_is_a_setup_failure(tmp_path, capsys,
+                                                                    monkeypatch):
+    # one iteration cannot move the quotient less than BEST_CONSTANT_TOL
+    import kgwell.constants as constants
+
+    monkeypatch.setattr(constants, "BEST_CONSTANT_MAX_ITER", 1)
+    config = Path(__file__).resolve().parent.parent / "demos" / "configs" / "zero.cfg"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out_dir), "--no-plot"]) == 3
+    message = "best-constant iteration did not converge within 1 iterations"
+    assert capsys.readouterr().err == f"setup failure: {message}\n"
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "setup_failure"
+    assert manifest["exit_code"] == 3
+    assert manifest["error"] == message
+    assert not (out_dir / "trajectory.csv").exists()
+
+
 def test_cli_run_check_failure(tmp_path, capsys):
     # inadmissible amplitude: the well monitor reports a violation at t = 0
     text = DECAY_1D.replace("initial.u0_amplitude = 0.1",

@@ -333,7 +333,7 @@ def test_constants_invariant_under_element_permutation():
     shuffled = Mesh(mesh.dim, mesh.vertices, mesh.elements[perm],
                     mesh.facets, mesh.facet_normals)
     part2 = classify_boundary(shuffled, 0.0)
-    ops2 = assemble_operators(shuffled, part2)
+    ops2 = assemble_operators(part2)
     wc2 = compute_well_constants(ops2, rho=1.0)
     for name in ("c0", "c1", "c2", "c3", "lambda1", "N", "lambda_star",
                  "N1", "lambda1_star", "P", "D", "tau"):

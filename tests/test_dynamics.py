@@ -505,7 +505,6 @@ def test_evaluation_of_other_operators_or_spec_is_not_reused(setup):
         "K doubled": (dataclasses.replace(ops, K=2 * ops.K), spec),
         "uncoupled": (ops, None),
         "rho 1.5": (ops, CouplingSpec(1.5)),
-        "degree 6": (ops, CouplingSpec(1.0, quad_degree=6)),
     }
     for case, (other_ops, other_spec) in others.items():
         stepped = step(start, 0.01, ops, spec)
