@@ -18,16 +18,25 @@ points where the boundary split samples m . nu.
 Nonlinear integrands (coupling |u|^rho |v|^rho v, L^p norms, GAMMA1 traces)
 are evaluated pointwise (they are continuous; no regularization of |.|^rho is
 needed) by fixed Gauss quadrature through a QuadratureTable per cell set: the
-elements at a given degree, and the GAMMA1 facets.  QuadratureTable.reduce
-runs a pointwise kernel over a fixed partition of the cells into blocks of
-about BLOCK_POINTS quadrature points, so its temporaries are block-sized; it
-writes each block's results into one buffer over all cells and reduces that
-buffer in one call, so every sum adds in the order of a single pass.  The
-coupling's table is cached on the operators for the time loop; tables used
-only during setup are built per call.
+elements at a given degree, and the GAMMA1 facets.  The coupling's table is
+cached on the operators for the time loop; tables used only during setup are
+built per call.
 
-K and the time loop's step matrix are symmetric positive definite, and
-factor_spd is the one sparse LU of either.
+Two size rules hold small systems dense, where a few microseconds of
+arithmetic would otherwise sit inside a sparse or gather call's fixed
+overhead, and leave larger ones sparse.  Each is read from a matrix's size
+alone and set below the crossover measured on intervals and squares:
+* DENSE_ENTRIES for what the time loop applies: DiscreteOperators.KM() gives
+  dense copies of K and M, made once and cached, when n_free^2 is at most
+  the rule, and a QuadratureTable whose points times free nodes are at most
+  the rule keeps the dense interpolation matrix of its points, so its reduce
+  is one product in, the pointwise kernel, and one product out; larger
+  operators stay sparse and larger tables gather and scatter blockwise;
+* DENSE_FACTOR_ENTRIES for factor_spd, the one factorization of K and of
+  the time loop's step matrix (both symmetric positive definite): a dense
+  Cholesky factor when n_free^2 is at most the rule, and a sparse LU above.
+  Its crossover is lower: a dense two-column solve measured three to four
+  times one dense product of the same size.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -43,11 +53,29 @@ from .geometry import (BoundaryPartition, Mesh, cofactors, edge_vectors, leibniz
                        radial_field)
 from .quadrature import simplex_quadrature, simplex_weights
 
-#: Quadrature points per block of cells in QuadratureTable.reduce: 4096
-#: triangles at 9 points.  Of 256 to 8192 triangles per block, 4096 made
-#: coupling_vectors fastest on the 64^2 and 128^2 squares (2.23 ms a call at
-#: 128^2, 2.66 ms in one pass); a 50-element interval is one block.
+#: Quadrature points per block of cells in QuadratureTable.reduce on a table
+#: over DENSE_ENTRIES: 4096 triangles at 9 points.  Of 256 to 8192
+#: triangles per block, 4096 made coupling_vectors fastest on the 64^2 and
+#: 128^2 squares (2.23 ms a call at 128^2, 2.66 ms in one pass).
 BLOCK_POINTS = 36864
+
+#: Largest n_free^2 of K and M applied dense (DiscreteOperators.KM), and
+#: largest points * n_free of a QuadratureTable that keeps its dense
+#: interpolation matrix.  Medians of 15 interleaved rounds, one BLAS thread,
+#: 2-vCPU Xeon VM with OpenBLAS, dense against sparse: K X and M P on
+#: intervals 4.0 vs 9.1 us at 80 free nodes, 8.3 vs 10.1 at 150, 12.0 vs
+#: 12.0 at 200, on squares 11.7 vs 19.2 at 144; coupling_vectors on
+#: intervals 13.1 vs 23.7 us at 7500 entries (50 elements), 25.4 vs 26.2 at
+#: 43200, 39.6 vs 31.2 at 67500, on squares 21.3 vs 28.2 at 23328 (6^2),
+#: 32.7 vs 37.2 at 43218 (7^2), 53.2 vs 50.6 at 73728 (8^2).
+DENSE_ENTRIES = 200 * 200
+
+#: Largest n_free^2 whose factor_spd factor is a dense Cholesky.  A
+#: two-column solve with the step matrix (as above): intervals 3.7 vs 4.1 us
+#: at 60 free nodes, 5.4 vs 5.0 at 70, 8.1 vs 5.1 at 100; squares 7.4 vs
+#: 12.4 us at 64, 8.9 vs 10.0 at 100, 17.8 vs 19.0 at 121, 36.6 vs 26.3 at
+#: 196.
+DENSE_FACTOR_ENTRIES = 64 * 64
 
 
 @dataclass(frozen=True)
@@ -123,6 +151,20 @@ class DiscreteOperators:
         if key not in self._caches:
             self._caches[key] = builder()
         return self._caches[key]
+
+    def KM(self):
+        """(K, M) as the time loop applies them: read-only dense copies,
+        made once and cached, when n_free^2 <= DENSE_ENTRIES; else the
+        sparse matrices."""
+        if self.n_free * self.n_free > DENSE_ENTRIES:
+            return self.K, self.M
+        return self.cache(("dense_KM",), lambda: (_read_only(self.K.toarray()),
+                                                   _read_only(self.M.toarray())))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _element_geometry(coords: np.ndarray):
@@ -252,16 +294,36 @@ def assemble_operators(partition: BoundaryPartition,
     )
 
 
-def factor_spd(A: sp.spmatrix) -> spla.SuperLU:
-    """Sparse LU of the symmetric positive definite matrix A.
+class DenseCholesky:
+    """Cholesky factor R^T R of a symmetric positive definite matrix held
+    dense (LAPACK potrf), with the solve of a SuperLU factor (potrs)."""
 
+    def __init__(self, A: sp.spmatrix):
+        factor, info = scipy.linalg.lapack.dpotrf(A.toarray(), overwrite_a=True)
+        if info != 0:
+            raise RuntimeError(f"matrix is singular or not positive definite "
+                               f"(leading minor {info} of {A.shape[0]})")
+        self._factor = factor
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs for rhs of shape (n,) or (n, k)."""
+        return scipy.linalg.lapack.dpotrs(self._factor, rhs)[0]
+
+
+def factor_spd(A: sp.spmatrix):
+    """Factor of the symmetric positive definite matrix A, with a solve().
+
+    A DenseCholesky when n^2 <= DENSE_FACTOR_ENTRIES.  Above, a sparse LU in
     SuperLU's symmetric mode: a minimum-degree order on the pattern of
     A + A^T, applied to rows and columns alike, with diagonal pivots (Liu,
     ACM TOMS 11, 1985; Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999).
     The default COLAMD column order with partial pivoting ignores the
     symmetry: on the 128^2 square it makes nnz(L+U) of K 1.56M instead of
-    0.95M.  Raises RuntimeError for an exactly singular A.
+    0.95M.  Raises RuntimeError for a singular A.
     """
+    n = A.shape[0]
+    if n * n <= DENSE_FACTOR_ENTRIES:
+        return DenseCholesky(A)
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
@@ -271,13 +333,18 @@ class QuadratureTable:
     """Quadrature on one cell set over free nodes: conn (ncells, nloc) sends
     clamped vertices to slot n_free, which reads as zero and is dropped;
     shapes (nq, nloc) are P1 values, w (ncells, nq) weights times measure.
-    reduce() visits the cells in consecutive blocks of block_cells."""
+    dense is None, or (Phi^T, (Phi w)^T) for the interpolation matrix Phi
+    (ncells * nq, n_free) of the points, row c * nq + q for point q of cell
+    c, and Phi w its rows times their weights; _table keeps it when Phi fits
+    DENSE_ENTRIES.  Without it, reduce() visits the cells in consecutive
+    blocks of block_cells."""
 
     conn: np.ndarray
     shapes: np.ndarray
     w: np.ndarray
     n_free: int
     block_cells: int
+    dense: tuple[np.ndarray, np.ndarray] | None = None
 
     def _padded(self, x: np.ndarray) -> np.ndarray:
         padded = np.zeros(self.n_free + 1)
@@ -296,18 +363,30 @@ class QuadratureTable:
 
     def reduce(self, fields, kernel):
         """Integrals and Galerkin vectors of pointwise functions of the
-        free-node fields, evaluated one block of cells at a time.
+        free-node fields, evaluated at all points at once (dense) or one
+        block of cells at a time.
 
-        kernel(*values) gets each field's values (nb, nq) on one block, which
-        it may overwrite, and returns (integrands, projected): two tuples of
-        (nb, nq) arrays.
-        Returns the np.sum of each integrand times w, and the project() of
-        each projected array times w, over all cells.  Each product with w is
-        written block by block into one (ncells, nq) buffer, which is reduced
-        in one call, so every sum adds in the order of a single pass over the
-        cells (projecting block by block would not: BLAS picks its kernel,
-        and with it the rounding, by matrix size).
+        kernel(*values) gets each field's values at the points, which it may
+        overwrite, and returns (integrands, projected): two tuples of arrays
+        of the shape of the values.  Returns the sum of each integrand times
+        w, and the Galerkin vector (project()) of each projected array times
+        w, over all cells.
+
+        With `dense`, there is one block: the values of all points are one
+        product with Phi^T, each total is a dot product with w and each
+        vector a product with (Phi w)^T.  Without it, the values come in
+        blocks of block_cells cells, (nb, nq) each, gathered through conn;
+        each product with w is written block by block into one (ncells, nq)
+        buffer, which is reduced in one call, so every sum adds in the order
+        of a single pass over the cells (projecting block by block would
+        not: BLAS picks its kernel, and with it the rounding, by matrix
+        size).
         """
+        if self.dense is not None:
+            phi_t, phi_w_t = self.dense
+            integrands, projected = kernel(*(np.asarray(fields) @ phi_t))
+            w = self.w.ravel()
+            return [f @ w for f in integrands], [phi_w_t @ f for f in projected]
         integrands, projected = self._blockwise(kernel, [self._padded(x) for x in fields])
         return [np.sum(f) for f in integrands], [self.project(f) for f in projected]
 
@@ -334,7 +413,18 @@ def _table(operators: DiscreteOperators, cells: np.ndarray, shapes: np.ndarray,
     # a multiple of 8 cells: OpenBLAS rounds the rows past the last multiple
     # of its kernel width differently (seen on blocks of 1, 3 and 7 cells)
     block_cells = max(BLOCK_POINTS // len(shapes) // 8 * 8, 8)
-    return QuadratureTable(slot[cells], shapes, w, operators.n_free, block_cells)
+    conn = slot[cells]
+    n_points = w.size
+    dense = None
+    if n_points * operators.n_free <= DENSE_ENTRIES:
+        # each point has a distinct free node per vertex: only the dropped
+        # slot n_free repeats, so assigning the shape values adds nothing
+        phi = np.zeros((n_points, operators.n_free + 1))
+        points = np.arange(n_points).reshape(w.shape)
+        phi[points[:, :, None], conn[:, None, :]] = shapes
+        phi_t = np.ascontiguousarray(phi[:, :-1].T)
+        dense = (phi_t, phi_t * w.ravel())
+    return QuadratureTable(conn, shapes, w, operators.n_free, block_cells, dense)
 
 
 def volume_table(operators: DiscreteOperators, degree: int) -> QuadratureTable:

@@ -84,7 +84,7 @@ def _factor_K(operators: DiscreteOperators, lu_K=None):
 def first_eigenpair(operators: DiscreteOperators, lu_K=None) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of K x = lambda M x, checked by its backward error,
     solved once per operators and cached (the vector is read-only).  lu_K is
-    a sparse LU factor of K for the shift-invert solves; without it, K is
+    a factor_spd factor of K for the shift-invert solves; without it, K is
     factored for them and the factor dropped.  The dense path needs no
     factor and makes none."""
     return operators.cache(("eigenpair",), lambda: _solve_first_eigenpair(operators, lu_K))
@@ -185,7 +185,7 @@ def embedding_degree(p: float) -> int:
 
 def embedding_constant(operators: DiscreteOperators, p: float, lu_K=None) -> float:
     """Discrete best constant of ||v||_{L^p(Omega)} <= c ||v||_V, with the
-    sparse LU factor lu_K of K if given.
+    factor_spd factor lu_K of K if given.
 
     Lower bound for the continuum constant (the maximum runs over the FE
     space only); inflate before deriving thresholds from it.
@@ -199,7 +199,7 @@ def embedding_constant(operators: DiscreteOperators, p: float, lu_K=None) -> flo
 
 def trace_constant(operators: DiscreteOperators, p: float, lu_K=None) -> float:
     """Discrete best constant of ||w||_{L^p(Gamma1)} <= c ||w||_V, with the
-    sparse LU factor lu_K of K if given."""
+    factor_spd factor lu_K of K if given."""
     if p < 2:
         raise ValueError("p must be at least 2")
     if len(operators.partition.gamma1_facets) == 0:

@@ -14,15 +14,19 @@ already below the solver tolerance stops without its coupling evaluation,
 and that stop is the one the evaluated residual test would make, so every
 output is that of evaluating every pass.
 
-What the time loop holds: the operators' matrices, the sparse LU of the
-step matrix A = M + (dt/2) B + (dt^2/4) K (symmetric positive definite, so
-assembly.factor_spd orders it by minimum degree on A + A^T and pivots on
-the diagonal, with less fill than a general column order), the fixed-point
+What the time loop holds: the operators' matrices (with dense copies of K
+and M on the smallest meshes, which an Evaluation's products apply; see
+assembly.DENSE_ENTRIES), the factor of the step matrix
+A = M + (dt/2) B + (dt^2/4) K (symmetric positive definite, so
+assembly.factor_spd makes a dense Cholesky factor on the smallest systems,
+and else a sparse LU ordered by minimum degree on A + A^T with diagonal
+pivots, with less fill than a general column order), the fixed-point
 residual weights (d+2)/l from the row sums l of M, the coupling's
-quadrature table, the first eigenpair, the Evaluation of the newest state
-(its blocks [u v] and [u' v'], K and M times them, and its coupling vectors
-and energy from one quadrature pass, shared by the state's energy row and
-the next step, which drops it), the pending row batch (the times and
+quadrature table (with its dense interpolation matrix on the smallest
+meshes), the first eigenpair, the Evaluation of the newest state (its
+blocks [u v] and [u' v'], K and M times them, and its coupling vectors and
+energy from one quadrature pass, shared by the state's energy row and the
+next step, which drops it), the pending row batch (the times and
 Evaluations of sampled states whose rows are not formed yet, up to
 ROW_BATCH_BYTES of blocks: tens of states in 1D, none across a step on a
 64^2 square and up), and the trajectory's float64 columns (record), 104
@@ -30,9 +34,10 @@ bytes a sample: the time, the energy row of the state alone and the flux
 of the sample pair ending there; no per-sample object is built, and only
 the first and the last sample keep their state.  Setup's K factor,
 embedding tables and GAMMA1 table are gone by then (see constants), and the
-coupling integrals run in cell blocks (see assembly), so their temporaries
-are block-sized.  The columns that also need the run's constants, E + eps1
-psi and the well margin, are formed by write_trajectory_csv.
+coupling integrals of a table without its dense matrix run in cell blocks
+(see assembly), so their temporaries are block-sized.  The columns that
+also need the run's constants, E + eps1 psi and the well margin, are formed
+by write_trajectory_csv.
 """
 
 from __future__ import annotations
@@ -63,7 +68,8 @@ class Evaluation:
     """What a state's sample and the next step both read, for one set of
     operators and one coupling spec: the blocks X = [u v] and P = [u' v'],
     the products K X and M P, and, with a spec, F = [F_u F_v] and the
-    coupling energy from one coupling_vectors pass (None and 0.0 without)."""
+    coupling energy from one coupling_vectors pass (None and 0.0 without).
+    The products apply operators.KM(): dense copies on the smallest meshes."""
 
     operators: DiscreteOperators
     spec: CouplingSpec | None
@@ -81,8 +87,8 @@ class Evaluation:
         if spec is not None:
             fu, fv, energy = coupling_vectors(X.T, spec, operators, energy=True)
             F = np.column_stack([fu, fv])
-        return Evaluation(operators, spec, X, P, operators.K @ X,
-                          operators.M @ P, F, energy)
+        K, M = operators.KM()
+        return Evaluation(operators, spec, X, P, K @ X, M @ P, F, energy)
 
     @property
     def nbytes(self) -> int:
@@ -112,9 +118,11 @@ class SimState:
         n = len(self.u)
         if not (len(self.v) == len(self.du) == len(self.dv) == n):
             raise ValueError("state vectors must have equal lengths")
-        for name in ("u", "v", "du", "dv"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"non-finite entries in {name}")
+        # one check of all four vectors; the field is named only on failure
+        if not np.isfinite(np.concatenate((self.u, self.v, self.du, self.dv))).all():
+            bad = next(name for name in ("u", "v", "du", "dv")
+                       if not np.isfinite(getattr(self, name)).all())
+            raise ValueError(f"non-finite entries in {bad}")
 
     @staticmethod
     def zero(n: int, t: float = 0.0) -> "SimState":
@@ -269,8 +277,8 @@ def record(states, operators: DiscreteOperators, spec: CouplingSpec | None) -> T
 
 
 def _step_factorizations(operators: DiscreteOperators, dt: float):
-    """(LU of the step matrix A, residual weights w) with r^T M^-1 r <= sum(w r^2),
-    both cached on the operators.
+    """(factor of the step matrix A, residual weights w) with
+    r^T M^-1 r <= sum(w r^2), both cached on the operators.
 
     A = M + (dt/2) B + (dt^2/4) K is symmetric positive definite (M and K
     are, B is symmetric positive semidefinite), so assembly.factor_spd
@@ -465,6 +473,13 @@ class ScenarioConfig:
             raise ValueError("t_end must be at least dt")
         if self.stride < 1:
             raise ValueError("stride must be a positive integer")
+        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise ValueError(f"solver tol must be positive and finite, got {self.solver_tol}")
+        if self.solver_max_iter < 1:
+            raise ValueError(f"solver max_iter must be at least 1, got {self.solver_max_iter}")
+        if not self.safety >= 1:
+            raise ValueError(f"safety must be at least 1 (it inflates the discrete best "
+                             f"constants), got {self.safety}")
         if self.mesh_kind not in ("interval", "rectangle"):
             raise ValueError(f"unknown mesh kind '{self.mesh_kind}'")
         dim = 1 if self.mesh_kind == "interval" else 2

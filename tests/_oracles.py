@@ -156,10 +156,17 @@ def two_solve_step(state, dt, operators, spec, opts):
     from kgwell.dynamics import SimState, _step_factorizations
 
     A_lu, weights = _step_factorizations(operators, dt)
-    M, K = operators.M, operators.K
+    K, M = operators.KM()
+
+    def apply(mat, x):
+        # a column of a two-column product or solve: dense ones round a
+        # vector (BLAS level 2) apart from a block (level 3)
+        pair = np.column_stack([x, x])
+        return (mat.solve(pair) if hasattr(mat, "solve") else mat @ pair)[:, 0]
+
     u0, v0, p0, q0 = state.u, state.v, state.du, state.dv
-    rhs_u = M @ p0 - (dt / 2.0) * (K @ u0)
-    rhs_v = M @ q0 - (dt / 2.0) * (K @ v0)
+    rhs_u = apply(M, p0) - (dt / 2.0) * apply(K, u0)
+    rhs_v = apply(M, q0) - (dt / 2.0) * apply(K, v0)
 
     fu = fv = None
     if spec is not None:
@@ -167,8 +174,8 @@ def two_solve_step(state, dt, operators, spec, opts):
     for _ in range(opts.max_iter):
         bu = rhs_u if fu is None else rhs_u - (dt / 2.0) * fu
         bv = rhs_v if fv is None else rhs_v - (dt / 2.0) * fv
-        p_mid = A_lu.solve(bu)
-        q_mid = A_lu.solve(bv)
+        p_mid = apply(A_lu, bu)
+        q_mid = apply(A_lu, bv)
         if spec is None:
             break
         u_mid = u0 + (dt / 2.0) * p_mid
@@ -393,8 +400,9 @@ def per_state_row(state, operators, spec, before=None):
 
     ops = operators
     u, v, du, dv = state.u, state.v, state.du, state.dv
-    ku, kv = dot(ops.K, u, u), dot(ops.K, v, v)
-    mu, mv = dot(ops.M, du, du), dot(ops.M, dv, dv)
+    K, M = ops.KM()  # as the state's Evaluation applies them
+    ku, kv = dot(K, u, u), dot(K, v, v)
+    mu, mv = dot(M, du, du), dot(M, dv, dv)
     coup = 0.0 if spec is None else coupling_energy((u, v), spec, ops)
     psi = 2.0 * dot(ops.G, du, u) + 2.0 * dot(ops.G, dv, v)
     if ops.mesh.dim != 1:

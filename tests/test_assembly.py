@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +24,12 @@ from kgwell import (
     prepare,
     radial_field,
 )
+import kgwell.assembly
 from kgwell.assembly import (
     BLOCK_POINTS,
+    DENSE_ENTRIES,
+    DENSE_FACTOR_ENTRIES,
+    DenseCholesky,
     _element_matrices,
     element_quadrature_tables,
     factor_spd,
@@ -37,6 +43,22 @@ from kgwell.quadrature import p1_shapes, simplex_rule
 TABLE_MESHES = pytest.mark.parametrize(
     "setup", [lambda: square_setup(4), lambda: interval_setup(8)],
     ids=["square4", "interval8"])
+
+
+def gather_table(table):
+    """The table without its dense interpolation matrix, so reduce takes
+    the blockwise gather path that small tables would not take."""
+    return dataclasses.replace(table, dense=None)
+
+
+def table_operators(ops, degree, dense):
+    """A copy of ops whose cached coupling table at `degree` keeps its dense
+    interpolation matrix (dense) or not, whatever the table's size."""
+    with mock.patch.object(kgwell.assembly, "DENSE_ENTRIES", math.inf if dense else 0):
+        table = volume_table(ops, degree)
+    copy = dataclasses.replace(ops)
+    copy._caches[("volume", degree)] = table
+    return copy
 
 
 # -- hand-assembled two-element matrices (free nodes {0.5, 1.0}) -------------
@@ -153,14 +175,89 @@ def test_volume_matrices_match_quadrature_oracle(setup):
 
 
 def test_spd_factor_has_less_fill_than_the_default_order():
-    _, _, ops = square_setup(32)
+    _, _, ops = square_setup(32)  # 1024 free nodes: the sparse LU
+    assert ops.n_free ** 2 > DENSE_FACTOR_ENTRIES
     dt = 0.01
     A = ops.M + (dt / 2.0) * ops.B + (dt * dt / 4.0) * ops.K
     rhs = np.random.default_rng(31).standard_normal((ops.n_free, 2))
     for matrix in (ops.K, A):
         spd, default = factor_spd(matrix), spla.splu(matrix.tocsc())
+        assert isinstance(spd, spla.SuperLU)
         assert spd.L.nnz + spd.U.nnz < default.L.nnz + default.U.nnz
         np.testing.assert_allclose(matrix @ spd.solve(rhs), rhs, rtol=0, atol=1e-12)
+
+
+def test_factor_rule_picks_dense_at_64_free_nodes_and_sparse_at_65():
+    for elements, dense in ((64, True), (65, False)):
+        _, _, ops = interval_setup(elements)
+        assert ops.n_free == elements
+        assert isinstance(factor_spd(ops.K), DenseCholesky if dense else spla.SuperLU)
+
+
+def test_operators_rule_gives_dense_k_and_m_at_200_free_nodes_and_sparse_at_201():
+    for elements, dense in ((200, True), (201, False)):
+        _, _, ops = interval_setup(elements)
+        K, M = ops.KM()
+        assert isinstance(K, np.ndarray) is dense and isinstance(M, np.ndarray) is dense
+    _, _, ops = interval_setup(200)
+    K, M = ops.KM()
+    assert ops.KM()[0] is K  # made once and cached
+    np.testing.assert_array_equal(K, ops.K.toarray())
+    np.testing.assert_array_equal(M, ops.M.toarray())
+    assert not K.flags.writeable and not M.flags.writeable
+    # a copy with other matrices starts without the old dense copies
+    assert dataclasses.replace(ops, K=2.0 * ops.K).KM()[0][0, 0] == 2.0 * K[0, 0]
+
+
+def test_table_rule_gives_a_table_under_it_its_interpolation_matrix():
+    # 3 points an element at degree 4: 115 elements make 345 points x 115
+    # free nodes = 39675 entries, under the rule; 116 make 40368, over it
+    for elements, dense in ((115, True), (116, False)):
+        _, _, ops = interval_setup(elements)
+        table = volume_table(ops, 4)
+        assert (table.w.size * ops.n_free <= DENSE_ENTRIES) is dense
+        assert (table.dense is not None) is dense
+    _, _, small = interval_setup(50)
+    # Phi interpolates as the gather does, also on a square with clamped
+    # corners and on GAMMA1, and Phi w carries the weights
+    _, _, square = square_setup(4)
+    for ops, table in ((small, volume_table(small, 4)), (square, volume_table(square, 6)),
+                       (square, gamma1_table(square))):
+        phi_t, phi_w_t = table.dense
+        x = np.random.default_rng(3).standard_normal(ops.n_free)
+        np.testing.assert_allclose(x @ phi_t, table.values(x).ravel(), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(phi_w_t, phi_t * table.w.ravel())
+
+
+@pytest.mark.parametrize("setup", [lambda: interval_setup(400), lambda: square_setup(20),
+                                   lambda: interval_setup(20)],
+                         ids=["interval400", "square20", "interval20"])
+def test_dense_cholesky_solves_agree_with_the_sparse_lu(setup, monkeypatch):
+    # 50 n eps of the solution's size: the step matrix is well conditioned,
+    # and K of 20 elements has a condition number of about 160
+    _, _, ops = setup()
+    n = ops.n_free
+    dt = 0.01
+    A = ops.M + (dt / 2.0) * ops.B + (dt * dt / 4.0) * ops.K
+    rng = np.random.default_rng(37)
+    matrices = (A, ops.K) if n <= 20 else (A,)
+    monkeypatch.setattr(kgwell.assembly, "DENSE_FACTOR_ENTRIES", 0)  # factor_spd's LU
+    for matrix in matrices:
+        chol, lu = DenseCholesky(matrix), factor_spd(matrix)
+        assert isinstance(lu, spla.SuperLU)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            got, ref = chol.solve(rhs), lu.solve(rhs)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 50 * n * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def test_dense_cholesky_rejects_a_singular_matrix():
+    _, _, ops = square_setup(8)  # 64 free nodes: factor_spd's dense Cholesky
+    K = ops.K.tolil()
+    K[5, :] = 0.0
+    K[:, 5] = 0.0
+    with pytest.raises(RuntimeError, match="singular"):
+        factor_spd(K.tocsr())
 
 
 def test_operators_have_the_mesh_of_their_boundary_split():
@@ -233,22 +330,31 @@ def test_coupling_vanishes_with_zero_factor():
                          ids=["interval-16", "square-8"])
 @pytest.mark.parametrize("rho", [1.0, 1.5, 0.5, 2.0])
 def test_fused_coupling_pass_equals_separate_passes_bitwise(setup, rho):
-    # rho = 1 skips the pow; 0.5 and 2 take numpy's sqrt and square paths
+    # rho = 1 skips the pow; 0.5 and 2 take numpy's sqrt and square paths.
+    # Both tables fuse bit for bit; the gather path also adds as the
+    # scatter-add reference, and the dense one agrees with it to round-off
     mesh, _, ops = setup()
     spec = CouplingSpec(rho=rho)
     _, wdet, shapes = element_quadrature_tables(mesh, spec.quad_degree)
     rng = np.random.default_rng(31)
     zero = np.zeros(ops.n_free)
     u, v = rng.standard_normal((2, ops.n_free))  # interpolants change sign in cells
-    for pair in ((u, v), (zero, zero), (zero, v), (u, zero)):
-        fu, fv, e = coupling_vectors(pair, spec, ops, energy=True)
-        fu_sep, fv_sep = coupling_vectors(pair, spec, ops)
-        assert np.array_equal(fu, fu_sep) and np.array_equal(fv, fv_sep)
-        assert e == coupling_energy(pair, spec, ops)
-        fu_ref, fv_ref, e_ref = scatter_add_coupling(mesh.elements, shapes, wdet, ops,
-                                                     *pair, rho)
-        assert np.array_equal(fu, fu_ref) and np.array_equal(fv, fv_ref)
-        assert e == e_ref
+    dense_ops = table_operators(ops, spec.quad_degree, dense=True)
+    for table_ops in (dense_ops, table_operators(ops, spec.quad_degree, dense=False)):
+        for pair in ((u, v), (zero, zero), (zero, v), (u, zero)):
+            fu, fv, e = coupling_vectors(pair, spec, table_ops, energy=True)
+            fu_sep, fv_sep = coupling_vectors(pair, spec, table_ops)
+            assert np.array_equal(fu, fu_sep) and np.array_equal(fv, fv_sep)
+            assert e == coupling_energy(pair, spec, table_ops)
+            fu_ref, fv_ref, e_ref = scatter_add_coupling(mesh.elements, shapes, wdet, ops,
+                                                         *pair, rho)
+            if table_ops is dense_ops:
+                for got, ref in ((fu, fu_ref), (fv, fv_ref)):
+                    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert abs(e - e_ref) <= 1e-14 * max(abs(e_ref), 1e-300)
+            else:
+                assert np.array_equal(fu, fu_ref) and np.array_equal(fv, fv_ref)
+                assert e == e_ref
 
 
 def test_coupling_constant_one_gives_unity_weights():
@@ -344,29 +450,53 @@ def test_coupling_spec_validation():
 
 @TABLE_MESHES
 def test_quadrature_tables_match_scatter_add_bitwise(setup):
+    # the gather path; these tables are small enough for the dense one
     mesh, part, ops = setup()
     rng = np.random.default_rng(17)
     u, v = rng.standard_normal((2, ops.n_free))
     for rho in (1.0, 1.5):
         spec = CouplingSpec(rho=rho)
+        gather_ops = table_operators(ops, spec.quad_degree, dense=False)
         _, wdet, shapes = element_quadrature_tables(mesh, spec.quad_degree)
         fu_ref, fv_ref, e_ref = scatter_add_coupling(mesh.elements, shapes, wdet,
                                                      ops, u, v, rho)
-        fu, fv = coupling_vectors((u, v), spec, ops)
+        fu, fv = coupling_vectors((u, v), spec, gather_ops)
         assert np.array_equal(fu, fu_ref)
         assert np.array_equal(fv, fv_ref)
-        assert coupling_energy((u, v), spec, ops) == e_ref
+        assert coupling_energy((u, v), spec, gather_ops) == e_ref
     g1 = part.gamma1_facets
     _, fwts, fshapes = mesh.facet_quadrature()
     _, wdet, shapes = element_quadrature_tables(mesh, 6)
-    cases = ((volume_table(ops, 6), (mesh.elements, shapes, wdet)),
-             (gamma1_table(ops), (mesh.facets[g1], fshapes, fwts[g1])))
+    cases = ((gather_table(volume_table(ops, 6)), (mesh.elements, shapes, wdet)),
+             (gather_table(gamma1_table(ops)), (mesh.facets[g1], fshapes, fwts[g1])))
     for table, ref in cases:
         for p in (2.0, 4.0, 3.3):
             norm, grad = _lp(table, u, p)
             norm_ref, grad_ref = scatter_add_lp(*ref, ops, u, p)
             assert norm == norm_ref
             assert np.array_equal(grad, grad_ref)
+
+
+@TABLE_MESHES
+def test_dense_reductions_match_the_gather_path(setup):
+    # to 1e-14 of each result's largest entry: both add the same products,
+    # in another order
+    mesh, _, ops = setup()
+    rng = np.random.default_rng(19)
+    u, v = rng.standard_normal((2, ops.n_free))
+    for rho in (1.0, 1.5):
+        spec = CouplingSpec(rho=rho)
+        dense = coupling_vectors((u, v), spec, ops, energy=True)
+        gather_ops = table_operators(ops, spec.quad_degree, dense=False)
+        gather = coupling_vectors((u, v), spec, gather_ops, energy=True)
+        for got, ref in zip(dense, gather):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for table in (volume_table(ops, 6), gamma1_table(ops)):
+        assert table.dense is not None
+        for p in (2.0, 4.0, 3.3):
+            (norm, grad), (norm_ref, grad_ref) = _lp(table, u, p), _lp(gather_table(table), u, p)
+            assert abs(norm - norm_ref) <= 1e-14 * norm_ref
+            assert np.max(np.abs(grad - grad_ref)) <= 1e-14 * np.max(np.abs(grad_ref))
 
 
 @TABLE_MESHES
@@ -394,7 +524,7 @@ def test_blocked_reductions_match_single_pass_bitwise(setup, block_cells):
     for rho in (1.0, 1.5):
         spec = CouplingSpec(rho=rho)
         table = dataclasses.replace(volume_table(ops, spec.quad_degree),
-                                    block_cells=block_cells)
+                                    block_cells=block_cells, dense=None)
         assert len(table.conn) > block_cells and len(table.conn) % block_cells
         # the coupling reads the table the operators cache for the time loop
         blocked_ops = dataclasses.replace(ops)
@@ -410,9 +540,9 @@ def test_blocked_reductions_match_single_pass_bitwise(setup, block_cells):
     _, fwts, fshapes = mesh.facet_quadrature()
     _, wdet, shapes = element_quadrature_tables(mesh, 6)
     # 10 damped facets on the square make blocks of 8 and 2; 1 in 1D
-    cases = ((dataclasses.replace(volume_table(ops, 6), block_cells=block_cells),
+    cases = ((dataclasses.replace(volume_table(ops, 6), block_cells=block_cells, dense=None),
               (mesh.elements, shapes, wdet)),
-             (dataclasses.replace(gamma1_table(ops), block_cells=8),
+             (dataclasses.replace(gamma1_table(ops), block_cells=8, dense=None),
               (mesh.facets[g1], fshapes, fwts[g1])))
     for table, ref in cases:
         for p in (2.0, 4.0, 3.3):

@@ -374,6 +374,10 @@ INPUT_ERRORS = {
     "negative_rho": ("run", lambda tmp: "coupling.rho = -1.0\n"),
     "sampling_too_coarse": ("run", lambda tmp: "time.stride = 100\n"),
     "hypotheses_n_zero": ("validate", lambda tmp: "hypotheses.n = 0\n"),
+    "zero_solver_tol": ("run", lambda tmp: "solver.tol = 0\n"),
+    "negative_solver_tol": ("run", lambda tmp: "solver.tol = -1\n"),
+    "zero_solver_max_iter": ("run", lambda tmp: "solver.max_iter = 0\n"),
+    "safety_below_one": ("run", lambda tmp: "constants.safety = 0.5\n"),
     **{f"removed_{key}": ("run", lambda tmp, key=key: f"{key} = 1\n") for key in REMOVED_KEYS},
 }
 

@@ -27,6 +27,7 @@ from kgwell import (
 )
 import kgwell.assembly
 import kgwell.dynamics
+from kgwell.assembly import DenseCholesky
 from kgwell.dynamics import ROW_BATCH_BYTES, _step_factorizations, record
 
 
@@ -68,6 +69,13 @@ def test_state_validation():
     bad[1] = np.nan
     with pytest.raises(ValueError):
         SimState(0.0, bad, z, z, z)
+    # one check covers all four vectors; the error names the first bad one
+    names = ("u", "v", "du", "dv")
+    for i, name in enumerate(names):
+        vectors = [z] * 4
+        vectors[i] = np.array([0.0, 0.0, np.inf])
+        with pytest.raises(ValueError, match=f"non-finite entries in {name}$"):
+            SimState(0.0, *vectors)
 
 
 def test_linear_undamped_step_conserves_energy():
@@ -309,14 +317,16 @@ def test_lumped_residual_norm_bounds_the_m_inverse_norm(setup):
 
 
 def test_simulate_caches_only_the_step_factor():
-    # the time loop keeps one sparse LU: the step matrix's, not one of M
+    # the time loop keeps one factor: the step matrix's, not one of M
+    # (16 free nodes: a dense Cholesky factor)
     cfg = ScenarioConfig(name="coupled", mesh_kind="rectangle", nx=4, ny=4,
                          x0=(-0.1, -0.1), dt=0.01, t_end=0.05, stride=2,
                          u0=FieldInit("eigenfunction", 0.2), v0=FieldInit("eigenfunction", 0.2))
     prep = prepare(cfg)
     simulate(prep)
     caches = prep.operators._caches
-    factors = [key for key, value in caches.items() if isinstance(value, spla.SuperLU)]
+    factors = [key for key, value in caches.items()
+               if isinstance(value, (spla.SuperLU, DenseCholesky))]
     assert factors == [("step_A", 0.01)]
 
 
@@ -609,6 +619,35 @@ def test_csv_format_and_determinism(tmp_path):
     header = p1.read_text().splitlines()[0]
     assert header == ("t,E,E_eps,norm_u_V,norm_v_V,norm_du_L2,norm_dv_L2,"
                       "coupling_energy,gamma1_flux_u,gamma1_flux_v,well_margin")
+
+
+def test_dense_run_agrees_with_the_sparse_run(tmp_path, monkeypatch):
+    # 50 free nodes and 150 coupling points fit both size rules; rules of 0
+    # take the sparse LU, sparse products and the gather path on the same
+    # run.  1000 steps stay within 1e-12 of each CSV column's largest
+    # magnitude
+    cfg = ScenarioConfig(name="dense", elements=50, x0=(0.0,), dt=1e-3, t_end=1.0, stride=1,
+                         u0=FieldInit("eigenfunction", 0.1), v0=FieldInit("eigenfunction", 0.1))
+    columns = {}
+    for dense in (True, False):
+        if not dense:
+            monkeypatch.setattr(kgwell.assembly, "DENSE_FACTOR_ENTRIES", 0)
+            monkeypatch.setattr(kgwell.assembly, "DENSE_ENTRIES", 0)
+        prep = prepare(cfg)
+        traj = simulate(prep)
+        assert traj.meta["n_steps"] == 1000
+        ops = prep.operators
+        assert isinstance(ops._caches[("step_A", 1e-3)],
+                          DenseCholesky if dense else spla.SuperLU)
+        assert (kgwell.assembly._coupling_table(ops, prep.spec).dense is not None) is dense
+        assert isinstance(ops.KM()[0], np.ndarray) is dense
+        path = tmp_path / f"{dense}.csv"
+        write_trajectory_csv(traj, prep.constants, path)
+        columns[dense] = np.loadtxt(path, delimiter=",", skiprows=1)
+    dense, sparse = columns[True], columns[False]
+    scale = np.max(np.abs(sparse), axis=0)
+    assert np.all(np.abs(dense - sparse) <= 1e-12 * scale)
+    assert not np.array_equal(dense, sparse)  # two paths, not one
 
 
 def _csv_rows(traj, constants, tmp_path):
