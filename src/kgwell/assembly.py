@@ -17,7 +17,8 @@ points where the boundary split samples m . nu.
 
 Nonlinear integrands (coupling |u|^rho |v|^rho v, L^p norms, GAMMA1 traces)
 are evaluated pointwise (they are continuous; no regularization of |.|^rho is
-needed) by fixed Gauss quadrature through a QuadratureTable per cell set: the
+needed) by the fixed rules of quadrature.simplex_rule (6 points a triangle at
+the coupling's degree 4), through a QuadratureTable per cell set: the
 elements at a given degree, and the GAMMA1 facets.  The coupling's table is
 cached on the operators for the time loop; tables used only during setup are
 built per call.
@@ -54,10 +55,12 @@ from .geometry import (BoundaryPartition, Mesh, cofactors, edge_vectors, leibniz
 from .quadrature import simplex_quadrature, simplex_weights
 
 #: Quadrature points per block of cells in QuadratureTable.reduce on a table
-#: over DENSE_ENTRIES: 4096 triangles at 9 points.  Of 256 to 8192
-#: triangles per block, 4096 made coupling_vectors fastest on the 64^2 and
-#: 128^2 squares (2.23 ms a call at 128^2, 2.66 ms in one pass).
-BLOCK_POINTS = 36864
+#: over DENSE_ENTRIES: 4096 triangles at 6 points.  coupling_vectors with
+#: the energy, after a full setup, medians of 11 interleaved rounds (one
+#: BLAS thread, 2-vCPU Xeon VM): 768 / 2048 / 4096 / 6144 triangles a block
+#: took 599 / 534 / 547 / 565 us on the 64^2 square and 2608 / 2213 / 2373 /
+#: 2442 us on 128^2 (a repeat: 2546 / 2225 / 2240 / 2422); 2048 to 4096 tie.
+BLOCK_POINTS = 24576
 
 #: Largest n_free^2 of K and M applied dense (DiscreteOperators.KM), and
 #: largest points * n_free of a QuadratureTable that keeps its dense
@@ -66,8 +69,11 @@ BLOCK_POINTS = 36864
 #: intervals 4.0 vs 9.1 us at 80 free nodes, 8.3 vs 10.1 at 150, 12.0 vs
 #: 12.0 at 200, on squares 11.7 vs 19.2 at 144; coupling_vectors on
 #: intervals 13.1 vs 23.7 us at 7500 entries (50 elements), 25.4 vs 26.2 at
-#: 43200, 39.6 vs 31.2 at 67500, on squares 21.3 vs 28.2 at 23328 (6^2),
-#: 32.7 vs 37.2 at 43218 (7^2), 53.2 vs 50.6 at 73728 (8^2).
+#: 43200, 39.6 vs 31.2 at 67500; on squares, with 6 points a triangle and
+#: the gather path's blockwise projection, 19.3 vs 32.0 at 15552 (6^2), 24.7
+#: vs 29.2 at 28812 (7^2), 31.1 vs 30.8 at 49152 (8^2), 49.3 vs 32.6 at
+#: 78732 (9^2); intervals again on that gather path: 14.9 vs 24.2 at 7500,
+#: 27.8 vs 27.6 at 43200, 38.1 vs 28.7 at 67500.
 DENSE_ENTRIES = 200 * 200
 
 #: Largest n_free^2 whose factor_spd factor is a dense Cholesky.  A
@@ -355,10 +361,10 @@ class QuadratureTable:
         """Values (ncells, nq) of the free-node field x at the points."""
         return self._padded(x)[self.conn] @ self.shapes.T
 
-    def project(self, fw: np.ndarray) -> np.ndarray:
-        """Galerkin vector sum_cq fw[c, q] phi_i(x_cq) for fw already times
-        `w`; bincount adds in the same order as a sequential scatter-add."""
-        local = fw @ self.shapes
+    def _scatter(self, local: np.ndarray) -> np.ndarray:
+        """Free-node vector sum_c local[c, k] over the cells' vertices k,
+        for local (ncells, nloc); bincount adds in the same order as a
+        sequential scatter-add."""
         return np.bincount(self.conn.ravel(), local.ravel(), self.n_free + 1)[:-1]
 
     def reduce(self, fields, kernel):
@@ -367,42 +373,57 @@ class QuadratureTable:
         block of cells at a time.
 
         kernel(*values) gets each field's values at the points, which it may
-        overwrite, and returns (integrands, projected): two tuples of arrays
-        of the shape of the values.  Returns the sum of each integrand times
-        w, and the Galerkin vector (project()) of each projected array times
-        w, over all cells.
+        overwrite, and returns (integrands, projected): two tuples of
+        distinct arrays of the shape of the values, which reduce may
+        overwrite.  Returns the list of the sums of each integrand times w,
+        and one (len(projected), n_free) array whose rows are the Galerkin
+        vectors sum_cq f[c, q] w[c, q] phi_i(x_cq) of the projected arrays f,
+        over all cells.
 
         With `dense`, there is one block: the values of all points are one
         product with Phi^T, each total is a dot product with w and each
-        vector a product with (Phi w)^T.  Without it, the values come in
-        blocks of block_cells cells, (nb, nq) each, gathered through conn;
-        each product with w is written block by block into one (ncells, nq)
-        buffer, which is reduced in one call, so every sum adds in the order
-        of a single pass over the cells (projecting block by block would
-        not: BLAS picks its kernel, and with it the rounding, by matrix
-        size).
+        vector a product with (Phi w)^T, written into its row.  Without it,
+        the values come in blocks of block_cells cells, (nb, nq) each,
+        gathered through conn (_blockwise).
         """
         if self.dense is not None:
             phi_t, phi_w_t = self.dense
             integrands, projected = kernel(*(np.asarray(fields) @ phi_t))
             w = self.w.ravel()
-            return [f @ w for f in integrands], [phi_w_t @ f for f in projected]
-        integrands, projected = self._blockwise(kernel, [self._padded(x) for x in fields])
-        return [np.sum(f) for f in integrands], [self.project(f) for f in projected]
+            vectors = np.empty((len(projected), self.n_free))
+            for f, row in zip(projected, vectors):
+                np.matmul(phi_w_t, f, out=row)
+            return [f @ w for f in integrands], vectors
+        integrands, local = self._blockwise(kernel, [self._padded(x) for x in fields])
+        vectors = np.empty((len(local), self.n_free))
+        for rows, vector in zip(local, vectors):
+            vector[:] = self._scatter(rows)
+        return [np.sum(f) for f in integrands], vectors
 
     def _blockwise(self, kernel, padded):
-        """The kernel's arrays times w over all cells, one block at a time."""
+        """The kernel's arrays over all cells, one block at a time: each
+        integrand times w into one (ncells, nq) buffer, and each projected
+        array times w, then times shapes, into one (ncells, nloc) buffer of
+        the cells' vertex contributions, while the block is in cache.  Each
+        buffer is reduced in one call after the last block (np.sum, or one
+        bincount in _scatter), so every sum adds in the order of a single
+        pass over the cells: the rows of a product do not depend on the
+        block they sit in, as long as blocks are multiples of 8 cells (see
+        _table), while a sum of per-block sums would add in another order."""
         shapes_t = self.shapes.T
         buffers = None
         for start in range(0, len(self.conn), self.block_cells):
             cells = slice(start, start + self.block_cells)
             conn = self.conn[cells]
+            w = self.w[cells]
             integrands, projected = kernel(*[x[conn] @ shapes_t for x in padded])
             if buffers is None:
                 buffers = ([np.empty(self.w.shape) for _ in integrands],
-                           [np.empty(self.w.shape) for _ in projected])
-            for buf, block in zip(buffers[0] + buffers[1], integrands + projected):
-                np.multiply(block, self.w[cells], out=buf[cells])
+                           [np.empty(self.conn.shape) for _ in projected])
+            for buf, block in zip(buffers[0], integrands):
+                np.multiply(block, w, out=buf[cells])
+            for buf, block in zip(buffers[1], projected):
+                np.matmul(np.multiply(block, w, out=block), self.shapes, out=buf[cells])
         return buffers
 
 
@@ -477,17 +498,18 @@ def coupling_vectors(uv, spec: CouplingSpec, operators: DiscreteOperators,
     """Galerkin projections of the coupling nonlinearities for the pair
     uv = (u, v) of free-node vectors.
 
-    Returns (F_u, F_v) over free nodes with
+    Returns F, a (2, n_free) array whose rows are
       F_u[i] = int |u_h|^rho |v_h|^rho v_h phi_i dx
-      F_v[i] = int |u_h|^rho u_h |v_h|^rho phi_i dx
-    and, with energy=True, (F_u, F_v, coupling_energy(uv, ...)) from the same
-    quadrature pass, each bit for bit what the separate calls return.
+      F_v[i] = int |u_h|^rho u_h |v_h|^rho phi_i dx,
+    so that it unpacks as F_u, F_v; with energy=True, the pair
+    (F, coupling_energy(uv, ...)) from the same quadrature pass, each bit for
+    bit what the separate calls return.
     """
     rho = spec.rho
-    totals, (fu, fv) = _coupling_table(operators, spec).reduce(uv, _coupling_kernel(rho, energy))
+    totals, F = _coupling_table(operators, spec).reduce(uv, _coupling_kernel(rho, energy))
     if energy:
-        return fu, fv, float(totals[0] / (rho + 1.0))
-    return fu, fv
+        return F, float(totals[0] / (rho + 1.0))
+    return F
 
 
 def coupling_energy(uv, spec: CouplingSpec, operators: DiscreteOperators) -> float:
@@ -498,4 +520,4 @@ def coupling_energy(uv, spec: CouplingSpec, operators: DiscreteOperators) -> flo
     prefactor cancels the rho+1 produced by differentiating |u|^rho u).
     Computed by the coupling_vectors pass, whose vectors it drops.
     """
-    return coupling_vectors(uv, spec, operators, energy=True)[2]
+    return coupling_vectors(uv, spec, operators, energy=True)[1]

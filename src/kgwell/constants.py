@@ -13,8 +13,9 @@ Everything here reduces to linear algebra on the assembled operators:
 
 The L^p norms of the embedding constants are integrated by a volume table
 of degree embedding_degree(p): p itself when p is an even integer, since
-|v|^p is then a polynomial of degree p on P1 elements (9 points a triangle
-for c1), and max(4, ceil(p) + 2) otherwise.
+|v|^p is then a polynomial of degree p on P1 elements (c1 takes the
+symmetric 6-point triangle rule of degree 4), and max(4, ceil(p) + 2)
+otherwise.
 
 The best constants are maximized over the finite-element space only, so
 they are lower bounds for their continuum counterparts; callers inflate

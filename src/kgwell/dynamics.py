@@ -35,9 +35,12 @@ of the sample pair ending there; no per-sample object is built, and only
 the first and the last sample keep their state.  Setup's K factor,
 embedding tables and GAMMA1 table are gone by then (see constants), and the
 coupling integrals of a table without its dense matrix run in cell blocks
-(see assembly), so their temporaries are block-sized.  The columns that
-also need the run's constants, E + eps1 psi and the well margin, are formed
-by write_trajectory_csv.
+(see assembly): their temporaries are block-sized, and a pass keeps one
+(cells, vertices) buffer per coupling vector, projected block by block, and
+with the energy one (cells, points) buffer of its integrand; the two
+vectors are the rows of one (2, n) block, of which the Evaluation keeps the
+transpose.  The columns that also need the run's constants, E + eps1 psi and
+the well margin, are formed by write_trajectory_csv.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ class Evaluation:
     """What a state's sample and the next step both read, for one set of
     operators and one coupling spec: the blocks X = [u v] and P = [u' v'],
     the products K X and M P, and, with a spec, F = [F_u F_v] and the
-    coupling energy from one coupling_vectors pass (None and 0.0 without).
+    coupling energy from one coupling_vectors pass (None and 0.0 without);
+    F is the transpose of the pass's (2, n) block, a view, not a copy.
     The products apply operators.KM(): dense copies on the smallest meshes."""
 
     operators: DiscreteOperators
@@ -85,8 +89,8 @@ class Evaluation:
            spec: CouplingSpec | None) -> "Evaluation":
         F, energy = None, 0.0
         if spec is not None:
-            fu, fv, energy = coupling_vectors(X.T, spec, operators, energy=True)
-            F = np.column_stack([fu, fv])
+            F, energy = coupling_vectors(X.T, spec, operators, energy=True)
+            F = F.T
         K, M = operators.KM()
         return Evaluation(operators, spec, X, P, K @ X, M @ P, F, energy)
 
@@ -393,7 +397,7 @@ def _advance(state: SimState, dt: float, operators: DiscreteOperators,
             x_mid = x0 + (dt / 2.0) * p_mid
             if _residual_bound(x_prev, x_mid, dt, dim, spec, weights) < opts.tol:
                 break
-            f_new = np.column_stack(coupling_vectors(x_mid.T, spec, operators))
+            f_new = coupling_vectors(x_mid.T, spec, operators).T
             r = (dt / 2.0) * (f_new - f)
             f = f_new
             res_sq = float(np.sum(r * (weights[:, None] * r)))

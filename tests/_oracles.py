@@ -221,8 +221,9 @@ def stored_state_dissipation(states, operators, m0):
 
 # -- per-dimension references for the simplex geometry ------------------------
 # The segment and triangle rules and the hand-written 1D / 2D cell formulas
-# as the library wrote them before one simplex path served every dimension.
-# The simplex path does the same arithmetic in the same order, so results
+# as the library wrote them before one simplex path served every dimension;
+# triangles up to degree 6 take Dunavant's symmetric rules, written point by
+# point.  The simplex path does the same arithmetic in the same order, so results
 # must agree bitwise; the one exception is the 2D facet points, formed here
 # as a + t (b - a) and in the library as (1 - t) a + t b.
 
@@ -232,7 +233,48 @@ def segment_rule(degree):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _s3(w):
+    t = 1.0 / 3.0
+    return [((t, t), w)]
+
+
+def _s21(w, a, b):
+    """Barycentric (a, b, b) and its permutations, as reference points."""
+    return [((b, b), w), ((a, b), w), ((b, a), w)]
+
+
+def _s111(w, a, b, c):
+    """Barycentric (a, b, c) and its permutations, as reference points."""
+    return [((b, c), w), ((c, b), w), ((a, c), w), ((c, a), w), ((a, b), w), ((b, a), w)]
+
+
+# Dunavant's triangle rules (IJNME 21, 1985) point by point, with the
+# library's 17-digit orbit values
+_DUNAVANT = {
+    1: _s3(0.5),
+    2: _s21(1 / 6, 0.66666666666666663, 0.16666666666666666),
+    4: (_s21(0.11169079483900574, 0.10810301816807023, 0.44594849091596489)
+        + _s21(0.054975871827660935, 0.81684757298045851, 0.091576213509770743)),
+    5: (_s3(0.1125)
+        + _s21(0.066197076394253096, 0.059715871789769823, 0.47014206410511511)
+        + _s21(0.06296959027241357, 0.79742698535308731, 0.10128650732345634)),
+    6: (_s21(0.058393137863189684, 0.50142650965817914, 0.24928674517091043)
+        + _s21(0.025422453185103409, 0.87382197101699555, 0.063089014491502227)
+        + _s111(0.041425537809186785, 0.63650249912139867, 0.053145049844816945,
+                0.31035245103378439)),
+}
+
+
 def triangle_rule(degree):
+    """Dunavant's rule of the lowest tabulated degree >= `degree` up to 6,
+    the collapsed Gauss rule above."""
+    if degree <= 6:
+        rule = _DUNAVANT[min(d for d in _DUNAVANT if d >= degree)]
+        return np.array([p for p, _ in rule]), np.array([w for _, w in rule])
+    return collapsed_triangle_rule(degree)
+
+
+def collapsed_triangle_rule(degree):
     q = (degree + 3) // 2
     x, w = np.polynomial.legendre.leggauss(max(q, 1))
     s = 0.5 * (x + 1.0)

@@ -217,6 +217,13 @@ def test_table_rule_gives_a_table_under_it_its_interpolation_matrix():
         table = volume_table(ops, 4)
         assert (table.w.size * ops.n_free <= DENSE_ENTRIES) is dense
         assert (table.dense is not None) is dense
+    # 6 points a triangle: the 7^2 square's 588 points x 49 free nodes make
+    # 28812 entries, under the rule; decay_2d.cfg's 8^2 makes 49152, over it
+    for n, dense in ((7, True), (8, False)):
+        _, _, ops = square_setup(n)
+        table = volume_table(ops, 4)
+        assert table.w.size * ops.n_free == {7: 28812, 8: 49152}[n]
+        assert (table.dense is not None) is dense
     _, _, small = interval_setup(50)
     # Phi interpolates as the gather does, also on a square with clamped
     # corners and on GAMMA1, and Phi w carries the weights
@@ -342,7 +349,7 @@ def test_fused_coupling_pass_equals_separate_passes_bitwise(setup, rho):
     dense_ops = table_operators(ops, spec.quad_degree, dense=True)
     for table_ops in (dense_ops, table_operators(ops, spec.quad_degree, dense=False)):
         for pair in ((u, v), (zero, zero), (zero, v), (u, zero)):
-            fu, fv, e = coupling_vectors(pair, spec, table_ops, energy=True)
+            (fu, fv), e = coupling_vectors(pair, spec, table_ops, energy=True)
             fu_sep, fv_sep = coupling_vectors(pair, spec, table_ops)
             assert np.array_equal(fu, fu_sep) and np.array_equal(fv, fv_sep)
             assert e == coupling_energy(pair, spec, table_ops)
@@ -486,10 +493,10 @@ def test_dense_reductions_match_the_gather_path(setup):
     u, v = rng.standard_normal((2, ops.n_free))
     for rho in (1.0, 1.5):
         spec = CouplingSpec(rho=rho)
-        dense = coupling_vectors((u, v), spec, ops, energy=True)
+        dense, e_dense = coupling_vectors((u, v), spec, ops, energy=True)
         gather_ops = table_operators(ops, spec.quad_degree, dense=False)
-        gather = coupling_vectors((u, v), spec, gather_ops, energy=True)
-        for got, ref in zip(dense, gather):
+        gather, e_gather = coupling_vectors((u, v), spec, gather_ops, energy=True)
+        for got, ref in zip([*dense, e_dense], [*gather, e_gather]):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     for table in (volume_table(ops, 6), gamma1_table(ops)):
         assert table.dense is not None
@@ -501,12 +508,15 @@ def test_dense_reductions_match_the_gather_path(setup):
 
 @TABLE_MESHES
 def test_projection_is_galerkin_adjoint_of_evaluation(setup):
+    # the Galerkin vector of x's own values is the mass matrix times x, on
+    # the dense and on the gather path
     _, _, ops = setup()
     x = np.random.default_rng(23).uniform(0.5, 1.5, ops.n_free)
     for table, matrix in ((volume_table(ops, VOLUME_ORACLE_DEGREE), ops.M),
                           (gamma1_table(ops), ops.T)):
-        np.testing.assert_allclose(table.project(table.values(x) * table.w),
-                                   matrix @ x, rtol=1e-13, atol=0)
+        for path in (table, gather_table(table)):
+            _, (mx,) = path.reduce((x,), lambda xq: ((), (xq,)))
+            np.testing.assert_allclose(mx, matrix @ x, rtol=1e-13, atol=0)
 
 
 # several blocks of cells, the last one partial (50 cells, or 10 damped facets)
@@ -559,4 +569,4 @@ def test_block_size_counts_quadrature_points():
         nq = len(table.shapes)
         assert table.block_cells % 8 == 0
         assert BLOCK_POINTS - 8 * nq < table.block_cells * nq <= BLOCK_POINTS
-    assert volume_table(ops, 4).block_cells == 4096  # 9 points per triangle
+    assert volume_table(ops, 4).block_cells == 4096  # 6 points per triangle

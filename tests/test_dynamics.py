@@ -228,6 +228,18 @@ BOUND_MESHES = {"interval-16": lambda: interval_setup(16)[2],
                 "square-8": lambda: square_setup(8)[2]}
 
 
+@pytest.mark.parametrize("mesh", sorted(BOUND_MESHES))
+@pytest.mark.parametrize("rho", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_coupling_tables_meet_the_residual_bound_premises(mesh, rho):
+    # _advance's proof: positive weights, points inside the cells (P1 values
+    # there are convex combinations of nodal ones) and exactness at degree 2
+    spec = CouplingSpec(rho)
+    table = kgwell.assembly._coupling_table(BOUND_MESHES[mesh](), spec)
+    assert np.all(table.w > 0.0)
+    assert np.all(table.shapes > 0.0)
+    assert spec.quad_degree >= 2
+
+
 def passes_with_bounds(ops, spec, state, dt, opts):
     """One step with every fixed-point pass evaluated: the residual bound
     _advance forms on each pass, and the lumped residual sqrt(sum(w r^2))

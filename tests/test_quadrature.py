@@ -1,7 +1,8 @@
 """The simplex quadrature rules and the one simplex path for cell geometry.
 
 Rules: monomial exactness on the reference k-simplex, where
-int x^a dx = a! / (|a| + k)! (Dirichlet's formula).
+int x^a dx = a! / (|a| + k)! (Dirichlet's formula); the symmetric triangle
+rules' point counts, positive weights, interior points and symmetry.
 Geometry: bitwise agreement with the hand-written 1D / 2D formulas it
 replaced (tests/_oracles.py), on a uniform interval, a rectangle and a
 rectangle with jittered interior vertices.
@@ -49,8 +50,36 @@ def test_p1_shapes_are_barycentric():
     np.testing.assert_array_equal(p1_shapes(np.zeros((1, 0))), [[1.0]])
 
 
+#: Points of the symmetric triangle rule by degree (Dunavant's table).
+TRIANGLE_POINTS = {0: 1, 1: 1, 2: 3, 3: 6, 4: 6, 5: 7, 6: 12}
+
+
+@pytest.mark.parametrize("degree", sorted(TRIANGLE_POINTS))
+def test_symmetric_triangle_rules(degree):
+    pts, wts = simplex_rule(2, degree)
+    assert len(wts) == TRIANGLE_POINTS[degree]
+    for a in _multi_indices(2, degree):
+        approx = np.sum(wts * np.prod(pts ** np.array(a, float), axis=1))
+        exact = math.prod(math.factorial(i) for i in a) / math.factorial(sum(a) + 2)
+        np.testing.assert_allclose(approx, exact, rtol=1e-14, err_msg=f"x^{a}")
+    assert np.all(wts > 0.0)
+    bary = p1_shapes(pts)
+    assert np.all(bary > 0.0)  # strictly inside the triangle
+    # relabelling the vertices permutes the barycentric coordinates; it maps
+    # every point to a point of equal weight, one to one, to the round-off
+    # of the third coordinate (1 - x1) - x2
+    for perm in itertools.permutations(range(3)):
+        dist = np.abs(bary[:, perm][:, None, :] - bary[None, :, :]).max(axis=2)
+        match = dist.argmin(axis=1)
+        assert sorted(match) == list(range(len(wts)))
+        assert dist.min(axis=1).max() <= 2 * np.finfo(float).eps
+        assert np.array_equal(wts[match], wts)
+
+
 @pytest.mark.parametrize("degree", range(12))
 def test_simplex_rule_reproduces_segment_and_triangle_rules(degree):
+    # triangles: Dunavant's rules written point by point up to degree 6,
+    # and the collapsed Gauss rule as the library wrote it above
     ref, w = oracle.segment_rule(degree)
     pts, wts = simplex_rule(1, degree)
     assert np.array_equal(pts[:, 0], ref) and np.array_equal(wts, w)
