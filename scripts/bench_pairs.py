@@ -1,31 +1,38 @@
-"""Parent-against-change measurement of the symmetric triangle rules and the
-block-wise projection, written as one JSON file.
+"""Parent-against-change benchmark pairs with an A/A control, written as one
+JSON file.
 
-    python3 scripts/bench_orbits.py --parent REV [--out BENCH_orbits.json]
-        [--workdir DIR] [--pairs 10] [--seed0 2501] [--seconds 30]
+    python3 scripts/bench_pairs.py --parent REV --claim WORKLOAD/METRIC
+        [--topic TEXT] [--out BENCH_pairs.json] [--workdir DIR] [--pairs 10]
+        [--seed0 2601] [--seconds 30]
 
-The parent side is `git archive REV` of this repository; the change side is
-a copy of this checkout's working tree (tracked and untracked, not ignored,
-files).  Both are unpacked under --workdir (a temporary directory unless
-given), so the benchmark's run directories stay out of the checkout.
+Three sides are unpacked under --workdir (a temporary directory unless
+given), so the benchmark's run directories stay out of the checkout:
+`parent` and `parent-copy` are two unpacked copies of `git archive REV`,
+and `change` is a copy of this checkout's working tree (tracked and
+untracked, not ignored, files).
 
-* outputs: one `kgwell run` and one `kgwell constants` per side of every
-  demo config and of each benchmark workload at seed 1, in fresh processes
-  with one BLAS thread; exit codes, coupling passes (coupling_vectors calls
-  of the run), the four verdicts and `admissible`, which outputs are byte
-  identical, the CSV drift (largest change of a trajectory.csv column over
-  that column's largest magnitude), the constants drift (largest relative
-  change of a constants.* key of report.kv) and the largest drift over
-  perfbench/check.py's tolerances.
+* outputs: one `kgwell run` and one `kgwell constants` of the parent and
+  the change for every demo config and each benchmark workload at seed 1,
+  in fresh processes with one BLAS thread; exit codes, coupling passes
+  (coupling_vectors calls of the run), the four verdicts and `admissible`,
+  which outputs are byte identical, the CSV drift (largest change of a
+  trajectory.csv column over that column's largest magnitude), the
+  constants drift (largest relative change of a constants.* key of
+  report.kv) and the largest drift over perfbench/check.py's tolerances.
 * pairs: `perfbench/run.py --workload W --seed S --seconds T --trace 0` on
-  both sides for --pairs seeds per workload, the first side alternating;
-  quartiles, wins, the claim's verdict (square-64 peak_rss_mb: wins in at
-  least nine tenths of the pairs and a median gap above the parent's
-  interquartile range) and one no-regression row for every other pair of
-  workload and end-to-end metric, against the bounds of BENCHMARK.json.
-* traced: one `--trace 1` invocation per side and workload.
-* page_faults: minor page faults inside `simulate` on square-128-setup,
-  three runs per side.
+  all three sides for --pairs seeds per workload, the sides in an order
+  that rotates with the seed.  Per workload/metric: each side's values,
+  medians and quartiles, the change's wins against the parent, and the A/A
+  arm: the gaps parent-copy minus parent, their median and their spread
+  (the larger absolute quartile of the gaps), which is what two runs of
+  one tree differ by on this host.
+* claim: WORKLOAD/METRIC, lower being better: met when the change wins at
+  least nine tenths of the pairs and the parent-minus-change median gap
+  exceeds both the parent's interquartile range and the A/A spread.
+* no_regression: one row for every other workload/metric, against the
+  bounds of BENCHMARK.json.
+* traced: one `--trace 1` invocation of the parent and the change per
+  workload.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import io
 import json
 import os
 import platform
-import resource
 import shutil
 import statistics
 import subprocess
@@ -47,7 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("interval-fine", "square-64", "square-128-setup")
-CLAIM = ("square-64", "peak_rss_mb")
+SIDES = ("parent", "parent-copy", "change")
 RUN_FILES = ("trajectory.csv", "report.kv", "report.txt", "energy.svg", "manifest.json")
 VERDICTS = ("well.invariant_held", "dissipation.ok", "equivalence.ok", "decay.bound_satisfied")
 THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -62,44 +68,29 @@ TRACED = ("assembly.coupling_qpoints", "assembly.coupling_vectors_us_per_call",
 
 def child(src: str, config: str, out: str) -> dict:
     """`kgwell run` then `kgwell constants` of config with kgwell from src:
-    exit codes, coupling passes, and the minor page faults of the run inside
-    simulate, inside its coupling passes and inside factor_spd (the step
-    matrix's factor)."""
+    exit codes and coupling passes."""
     sys.path.insert(0, src)
     import kgwell.cli as cli
     import kgwell.dynamics as dynamics
 
-    calls, faults = {}, {}
+    passes = 0
+    vectors = dynamics.coupling_vectors
 
-    def counted(module, name):
-        """Wrap module.name to count its calls and the minor page faults
-        inside them."""
-        fn = getattr(module, name)
+    def counted(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return vectors(*args, **kwargs)
 
-        def wrapped(*args, **kwargs):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                calls[name] = calls.get(name, 0) + 1
-                faults[name] = (faults.get(name, 0)
-                                + resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        setattr(module, name, wrapped)
-
-    counted(dynamics, "coupling_vectors")
-    counted(dynamics, "factor_spd")
-    counted(cli, "simulate")
+    dynamics.coupling_vectors = counted
     stdout = io.StringIO()
     with redirect_stdout(stdout):
         run_code = cli.main(["run", "--config", config, "--out", out])
-    passes = calls.get("coupling_vectors", 0)
     Path(out, "run.stdout").write_text(stdout.getvalue())
     stdout = io.StringIO()
     with redirect_stdout(stdout):
         const_code = cli.main(["constants", "--config", config])
     Path(out, "constants.stdout").write_text(stdout.getvalue())
-    return {"exit_codes": [run_code, const_code], "coupling_passes": passes,
-            "minflt": faults}
+    return {"exit_codes": [run_code, const_code], "coupling_passes": passes}
 
 
 def run_child(side: Path, config: Path, out: Path) -> dict:
@@ -167,8 +158,8 @@ def outputs(sides: dict, work: Path) -> dict:
             workloads.WORKLOADS[name], 1, work / "configs" / f"{name}-seed1.cfg")
     table = {}
     for label, config in configs.items():
-        runs = {side: run_child(path, config, work / "outputs" / side / config.stem)
-                for side, path in sides.items()}
+        runs = {side: run_child(sides[side], config, work / "outputs" / side / config.stem)
+                for side in ("parent", "change")}
         row = compare(work / "outputs" / "parent" / config.stem,
                       work / "outputs" / "change" / config.stem,
                       check.CSV_RTOL, check.CSV_ATOL, check.PIN_RTOL)
@@ -196,9 +187,9 @@ def quartiles(values: list[float]) -> list[float]:
 def pairs(sides: dict, seeds: list[int], seconds: float) -> dict:
     out = {}
     for workload in WORKLOADS:
-        results = {"parent": [], "change": []}
+        results = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = SIDES[i % 3:] + SIDES[:i % 3]
             for side in order:
                 results[side].append(perfbench(sides[side], workload, seed, seconds, 0))
             print(f"pair {workload} seed {seed}: " + json.dumps(
@@ -206,21 +197,22 @@ def pairs(sides: dict, seeds: list[int], seconds: float) -> dict:
                  for s in order}), file=sys.stderr)
         metrics = {}
         for name, rec in results["parent"][0]["metrics"].items():
-            sides_values = {s: [r["metrics"][name]["value"] for r in results[s]]
-                            for s in results}
-            p, c = sides_values["parent"], sides_values["change"]
+            p, q, c = ([r["metrics"][name]["value"] for r in results[side]] for side in SIDES)
+            aa = [y - x for x, y in zip(p, q)]
             metrics[f"{workload}/{name}"] = {
-                "unit": rec["unit"], "parent": p, "change": c,
+                "unit": rec["unit"], "parent": p, "parent_copy": q, "change": c,
                 "parent_median": statistics.median(p), "change_median": statistics.median(c),
                 "parent_quartiles": quartiles(p), "change_quartiles": quartiles(c),
                 "change_pct": round(100.0 * (statistics.median(c) / statistics.median(p) - 1.0),
                                     2),
                 "wins": sum(y < x for x, y in zip(p, c)),
                 "losses": sum(y > x for x, y in zip(p, c)),
+                "aa_gaps": aa, "aa_median_gap": statistics.median(aa),
+                "aa_spread": max(abs(x) for x in quartiles(aa)[::2]),
             }
         out[workload] = {
             "seeds": seeds,
-            "order": "the first side of a pair alternates, parent first on the first seed",
+            "order": "the sides rotate: parent, parent-copy, change on the first seed",
             "runs_attempted": sum(r["attempted"] for s in results for r in results[s]),
             "runs_failed": sum(r["failed"] for s in results for r in results[s]),
             "all_correct": all(r["correct"] for s in results for r in results[s]),
@@ -229,28 +221,29 @@ def pairs(sides: dict, seeds: list[int], seconds: float) -> dict:
     return out
 
 
-def verdicts(table: dict, bounds: dict) -> tuple[dict, list[str]]:
-    workload, metric = CLAIM
-    m = table[workload]["metrics"][f"{workload}/{metric}"]
+def verdicts(table: dict, bounds: dict, claim: str) -> tuple[dict, list[str]]:
+    workload, metric = claim.split("/")
+    m = table[workload]["metrics"][claim]
     n = len(m["parent"])
     iqr = m["parent_quartiles"][2] - m["parent_quartiles"][0]
     gap = m["parent_median"] - m["change_median"]
-    met = m["wins"] >= 0.9 * n and gap > iqr
-    claim = {
-        "metric": f"{workload}/{metric}", "met": met,
+    met = m["wins"] >= 0.9 * n and gap > iqr and gap > m["aa_spread"]
+    verdict = {
+        "metric": claim, "met": met,
         "statement": (f"over {n} pairs, {metric} moves from {m['parent_median']:.4g} to "
                       f"{m['change_median']:.4g} {m['unit']} ({m['change_pct']:+.2f}% of the "
                       f"parent median); the change wins {m['wins']} of {n} pairs, and the "
                       f"median gap ({gap:.4g}) {'exceeds' if gap > iqr else 'does not exceed'} "
-                      f"the parent's interquartile range ({iqr:.4g})"),
+                      f"the parent's interquartile range ({iqr:.4g}) and "
+                      f"{'exceeds' if gap > m['aa_spread'] else 'does not exceed'} the A/A "
+                      f"spread ({m['aa_spread']:.4g})"),
     }
     rows = []
     for workload, rec in table.items():
         for key, m in rec["metrics"].items():
-            metric = key.split("/")[1]
-            if (workload, metric) == CLAIM:
+            if key == claim:
                 continue
-            bound = bounds[metric]
+            bound = bounds[key.split("/")[1]]
             spread = (m["parent_quartiles"][2] - m["parent_quartiles"][0]) / m["parent_median"]
             within = m["change_median"] <= m["parent_median"] * (1.0 + bound)
             all_better = max(m["change"]) < min(m["parent"])
@@ -260,53 +253,41 @@ def verdicts(table: dict, bounds: dict) -> tuple[dict, list[str]]:
                 word = f"within, but unresolved (parent spread {spread:.1%})"
             else:
                 word = "within"
-            rows.append(f"{workload} {metric}: {m['change_pct']:+.2f}% against a bound of "
-                        f"+{bound:.0%} ({m['wins']} of {len(m['parent'])} pairs faster/smaller): "
-                        f"{word}")
-    return claim, rows
+            rows.append(f"{key}: {m['change_pct']:+.2f}% against a bound of +{bound:.0%} "
+                        f"({m['wins']} of {len(m['parent'])} pairs faster/smaller, A/A median "
+                        f"gap {m['aa_median_gap']:+.4g} {m['unit']}): {word}")
+    return verdict, rows
 
 
-# -- traced runs and page faults ----------------------------------------------------
+# -- traced runs -------------------------------------------------------------------
 
 def traced(sides: dict, seed: int, seconds: float) -> dict:
     out = {}
     for workload in WORKLOADS:
         out[workload] = {}
-        for side, path in sides.items():
-            metrics = perfbench(path, workload, seed, seconds, 1)["metrics"]
+        for side in ("parent", "change"):
+            metrics = perfbench(sides[side], workload, seed, seconds, 1)["metrics"]
             out[workload][side] = {k: metrics[k]["value"] for k in TRACED if k in metrics}
-    return out
-
-
-def page_faults(sides: dict, work: Path) -> dict:
-    sys.path.insert(0, str(sides["change"] / "perfbench"))
-    import workloads
-
-    config = workloads.write_config(workloads.WORKLOADS["square-128-setup"], 1,
-                                    work / "configs" / "square-128-setup-faults.cfg")
-    out = {"parent": [], "change": []}
-    for i in range(3):
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            out[side].append(run_child(sides[side], config, work / "faults" / side)["minflt"])
     return out
 
 
 # -- both sides, and the file ------------------------------------------------------
 
 def materialize(rev: str, work: Path) -> dict:
-    parent, change = work / "parent", work / "change"
-    for d in (parent, change):
+    sides = {side: work / side for side in SIDES}
+    for d in sides.values():
         shutil.rmtree(d, ignore_errors=True)
         d.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+    for side in ("parent", "parent-copy"):
+        subprocess.run(["tar", "-x", "-C", str(sides[side])], input=archive.stdout, check=True)
     listed = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
                             capture_output=True, check=True).stdout.decode().split("\0")
     for name in filter(None, listed):
         if (ROOT / name).is_file():
-            (change / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(ROOT / name, change / name)
-    return {"parent": parent, "change": change}
+            (sides["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, sides["change"] / name)
+    return sides
 
 
 def machine() -> dict:
@@ -328,46 +309,46 @@ def main(argv=None) -> int:
     one.add_argument("--config", required=True)
     one.add_argument("--out", required=True)
     ap.add_argument("--parent")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_orbits.json"))
+    ap.add_argument("--claim", help="WORKLOAD/METRIC, lower being better")
+    ap.add_argument("--topic", default="")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_pairs.json"))
     ap.add_argument("--workdir")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, default=2501)
+    ap.add_argument("--seed0", type=int, default=2601)
     ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
     if args.mode == "child":
         print(json.dumps(child(args.src, args.config, args.out)))
         return 0
-    if not args.parent:
-        ap.error("--parent is required")
-
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="bench-orbits-"))
-    sides = materialize(args.parent, work)
-    seeds = list(range(args.seed0, args.seed0 + args.pairs))
+    if not args.parent or not args.claim:
+        ap.error("--parent and --claim are required")
     bounds = {m["name"]: m["bound"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    workload, _, metric = args.claim.partition("/")
+    if workload not in WORKLOADS or metric not in bounds:
+        ap.error(f"--claim must be one of {WORKLOADS} / one of {sorted(bounds)}")
+
+    work = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
+    sides = materialize(args.parent, work)
+    seeds = list(range(args.seed0, args.seed0 + args.pairs))
     result = {
-        "topic": ("symmetric triangle rules (6 points a triangle at degree 4) and the "
-                  "block-wise projection of QuadratureTable._blockwise, against the parent"),
+        "topic": args.topic,
         "machine": machine(),
         "parent_commit": args.parent,
-        "command": (f"python3 scripts/bench_orbits.py --parent {args.parent} --pairs "
-                    f"{args.pairs} --seed0 {args.seed0} --seconds {args.seconds:g}"),
+        "command": (f"python3 scripts/bench_pairs.py --parent {args.parent} --claim "
+                    f"{args.claim} --pairs {args.pairs} --seed0 {args.seed0} --seconds "
+                    f"{args.seconds:g}"),
         "quartiles": "statistics.quantiles(n=4, method='inclusive') of the per-invocation "
                      "medians",
         "wins": "pairs in which the change's median is lower; ties count for neither",
+        "aa_spread": "the larger absolute quartile of the gaps parent-copy minus parent",
     }
     result["outputs"] = outputs(sides, work)
-    result["page_faults"] = {
-        "what": "minor page faults (ru_minflt) of one kgwell run of square-128-setup "
-                "seed 1 per process, sides alternating: inside simulate, and of that "
-                "inside the coupling_vectors calls and inside factor_spd (setup's K "
-                "factor is made outside simulate)",
-        **page_faults(sides, work)}
     result["traced"] = {"command": f"perfbench/run.py --seed {args.seed0 + 100} --seconds "
                                    f"{args.seconds:g} --trace 1, once per side",
                         **traced(sides, args.seed0 + 100, args.seconds)}
     table = pairs(sides, seeds, args.seconds)
-    result["claim"], result["no_regression"] = verdicts(table, bounds)
+    result["claim"], result["no_regression"] = verdicts(table, bounds, args.claim)
     result["pairs"] = table
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps(result["claim"]))

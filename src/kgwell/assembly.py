@@ -357,10 +357,6 @@ class QuadratureTable:
         padded[:-1] = x
         return padded
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Values (ncells, nq) of the free-node field x at the points."""
-        return self._padded(x)[self.conn] @ self.shapes.T
-
     def _scatter(self, local: np.ndarray) -> np.ndarray:
         """Free-node vector sum_c local[c, k] over the cells' vertices k,
         for local (ncells, nloc); bincount adds in the same order as a

@@ -15,32 +15,18 @@ and that stop is the one the evaluated residual test would make, so every
 output is that of evaluating every pass.
 
 What the time loop holds: the operators' matrices (with dense copies of K
-and M on the smallest meshes, which an Evaluation's products apply; see
-assembly.DENSE_ENTRIES), the factor of the step matrix
-A = M + (dt/2) B + (dt^2/4) K (symmetric positive definite, so
-assembly.factor_spd makes a dense Cholesky factor on the smallest systems,
-and else a sparse LU ordered by minimum degree on A + A^T with diagonal
-pivots, with less fill than a general column order), the fixed-point
+and M on the smallest meshes; see assembly.DENSE_ENTRIES), the factor of
+the step matrix A = M + (dt/2) B + (dt^2/4) K (assembly.factor_spd), the
 residual weights (d+2)/l from the row sums l of M, the coupling's
-quadrature table (with its dense interpolation matrix on the smallest
-meshes), the first eigenpair, the Evaluation of the newest state (its
-blocks [u v] and [u' v'], K and M times them, and its coupling vectors and
-energy from one quadrature pass, shared by the state's energy row and the
-next step, which drops it), the pending row batch (the times and
-Evaluations of sampled states whose rows are not formed yet, up to
-ROW_BATCH_BYTES of blocks: tens of states in 1D, none across a step on a
-64^2 square and up), and the trajectory's float64 columns (record), 104
-bytes a sample: the time, the energy row of the state alone and the flux
-of the sample pair ending there; no per-sample object is built, and only
-the first and the last sample keep their state.  Setup's K factor,
-embedding tables and GAMMA1 table are gone by then (see constants), and the
-coupling integrals of a table without its dense matrix run in cell blocks
-(see assembly): their temporaries are block-sized, and a pass keeps one
-(cells, vertices) buffer per coupling vector, projected block by block, and
-with the energy one (cells, points) buffer of its integrand; the two
-vectors are the rows of one (2, n) block, of which the Evaluation keeps the
-transpose.  The columns that also need the run's constants, E + eps1 psi and
-the well margin, are formed by write_trajectory_csv.
+quadrature table, the first eigenpair, and the newest state: its blocks
+X = [u v] and P = [u' v'] and their Evaluation (K X, M P, and the coupling
+vectors and energy from one quadrature pass), which its energy row and the
+next step share; u, v, u' and v' are formed from the blocks only when
+read, with the same bits.  Beside them: the pending row batch (the times
+and Evaluations of sampled states whose rows are not formed yet, up to
+ROW_BATCH_BYTES: tens of states in 1D, none across a step on a 64^2 square
+and up) and the trajectory's float64 columns (record), 104 bytes a sample,
+of which only the first and the last keep their state.
 """
 
 from __future__ import annotations
@@ -66,39 +52,34 @@ class NonlinearSolveFailure(Exception):
         self.time = time
 
 
-@dataclass(frozen=True, eq=False)
 class Evaluation:
     """What a state's sample and the next step both read, for one set of
     operators and one coupling spec: the blocks X = [u v] and P = [u' v'],
-    the products K X and M P, and, with a spec, F = [F_u F_v] and the
-    coupling energy from one coupling_vectors pass (None and 0.0 without);
-    F is the transpose of the pass's (2, n) block, a view, not a copy.
-    The products apply operators.KM(): dense copies on the smallest meshes."""
+    K X and M P (with operators.KM()), and, with a spec, F = [F_u F_v] (the
+    transpose of a coupling_vectors pass's (2, n) block) and the coupling
+    energy of that pass (None and 0.0 without).  Read only."""
 
-    operators: DiscreteOperators
-    spec: CouplingSpec | None
-    X: np.ndarray
-    P: np.ndarray
-    KX: np.ndarray
-    MP: np.ndarray
-    F: np.ndarray | None
-    energy: float
+    __slots__ = ("operators", "spec", "X", "P", "KX", "MP", "F", "energy")
 
-    @staticmethod
-    def of(X: np.ndarray, P: np.ndarray, operators: DiscreteOperators,
-           spec: CouplingSpec | None) -> "Evaluation":
+    def __init__(self, X: np.ndarray, P: np.ndarray, operators: DiscreteOperators,
+                 spec: CouplingSpec | None):
         F, energy = None, 0.0
         if spec is not None:
             F, energy = coupling_vectors(X.T, spec, operators, energy=True)
             F = F.T
         K, M = operators.KM()
-        return Evaluation(operators, spec, X, P, K @ X, M @ P, F, energy)
+        self.operators, self.spec, self.X, self.P = operators, spec, X, P
+        self.KX, self.MP, self.F, self.energy = K @ X, M @ P, F, energy
 
     @property
     def nbytes(self) -> int:
         """Bytes of the blocks it holds."""
         return sum(b.nbytes for b in (self.X, self.P, self.KX, self.MP, self.F)
                    if b is not None)
+
+
+#: Block (0: X, 1: P) and column of each vector of a stepped state.
+_COLUMNS = {"u": (0, 0), "v": (0, 1), "du": (1, 0), "dv": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -108,7 +89,9 @@ class SimState:
     A state keeps the Evaluation of its last evaluation() (step leaves the
     one of the state it returns) until it is stepped, in a slot that is
     neither an __init__ argument nor compared, so dataclasses.replace starts
-    without one."""
+    without one.  A state that step returns holds its blocks [u v] and
+    [u' v'] instead of the four vectors, and forms each on first read as a
+    contiguous copy of its column: the bits of a separate vector."""
 
     t: float
     u: np.ndarray
@@ -129,6 +112,21 @@ class SimState:
             raise ValueError(f"non-finite entries in {bad}")
 
     @staticmethod
+    def _stepped(t: float, ev: Evaluation) -> "SimState":
+        """The state at time t of ev's blocks, which step checked finite."""
+        state = object.__new__(SimState)
+        state.__dict__.update(t=t, _blocks=(ev.X, ev.P), _evaluation=ev)
+        return state
+
+    def __getattr__(self, name):
+        # reached only for a vector that a stepped state has not formed yet
+        if name not in _COLUMNS or "_blocks" not in self.__dict__:
+            raise AttributeError(name)
+        block, column = _COLUMNS[name]
+        vector = self.__dict__[name] = self.__dict__["_blocks"][block][:, column].copy()
+        return vector
+
+    @staticmethod
     def zero(n: int, t: float = 0.0) -> "SimState":
         z = np.zeros(n)
         return SimState(t, z, z.copy(), z.copy(), z.copy())
@@ -139,9 +137,11 @@ class SimState:
         it was made with these operators and an equal spec, else a new one,
         which the state keeps."""
         ev = self._evaluation
-        if ev is None or ev.operators is not operators or ev.spec != spec:
-            ev = Evaluation.of(np.column_stack([self.u, self.v]),
-                               np.column_stack([self.du, self.dv]), operators, spec)
+        if (ev is None or ev.operators is not operators
+                or ev.spec is not spec and ev.spec != spec):
+            X, P = self.__dict__.get("_blocks") or (np.column_stack([self.u, self.v]),
+                                                     np.column_stack([self.du, self.dv]))
+            ev = Evaluation(X, P, operators, spec)
             object.__setattr__(self, "_evaluation", ev)
         return ev
 
@@ -241,23 +241,20 @@ ROW_BATCH_BYTES = 256 * 1024
 def record(states, operators: DiscreteOperators, spec: CouplingSpec | None) -> Trajectory:
     """Trajectory of an iterable of states, read one state at a time.  Each
     state's time and Evaluation wait in a batch until ROW_BATCH_BYTES of
-    Evaluation blocks are pending; diagnostics.energy_rows then forms the
-    batch's column block (energy rows and pair fluxes) at once, the first
-    flux of a batch from the velocities of the sample before it, and the
-    block is appended to the trajectory's columns, 104 bytes a sample.
-    Only the first and the last state are kept.
-    Nothing here holds an Evaluation past its batch, so where one state
-    fills a batch, its Evaluation is freed when the next step drops it, as
-    without batches."""
+    Evaluation blocks are pending (all of one record are the same size);
+    diagnostics.energy_rows then forms the batch's energy rows and pair
+    fluxes at once, the first flux from the velocities of the sample before
+    the batch, and appends them to the columns, 104 bytes a sample.  Only
+    the first and the last state are kept, and no Evaluation outlives its
+    batch."""
     times, batch = [], []
-    pending = 0
     first = before = None
     # one row per sample, grown in place (ndarray.resize reallocates), so
     # the rows never exist twice, as they would when joining the blocks
     rows = np.empty((0, len(diagnostics.COLUMNS)))
 
     def flush(last):
-        nonlocal pending, before
+        nonlocal before
         previous = None if before is None else (before.du, before.dv)
         block = diagnostics.energy_rows(times, batch, operators, previous)
         n = len(rows)
@@ -265,15 +262,14 @@ def record(states, operators: DiscreteOperators, spec: CouplingSpec | None) -> T
         rows[n:] = block.T
         times.clear()
         batch.clear()
-        pending, before = 0, last
+        before = last
 
     for state in states:
-        if first is None:
-            first = state
         times.append(state.t)
         batch.append(state.evaluation(operators, spec))
-        pending += batch[-1].nbytes
-        if pending >= ROW_BATCH_BYTES:
+        if first is None:
+            first, size = state, -(-ROW_BATCH_BYTES // max(batch[0].nbytes, 1))
+        if len(batch) == size:
             flush(state)
     if batch:
         flush(state)
@@ -282,7 +278,8 @@ def record(states, operators: DiscreteOperators, spec: CouplingSpec | None) -> T
 
 def _step_factorizations(operators: DiscreteOperators, dt: float):
     """(factor of the step matrix A, residual weights w) with
-    r^T M^-1 r <= sum(w r^2), both cached on the operators.
+    r^T M^-1 r <= sum(w r^2), both cached on the operators; w holds the
+    weights once for u and once for v, an (n, 2) block without broadcasts.
 
     A = M + (dt/2) B + (dt^2/4) K is symmetric positive definite (M and K
     are, B is symmetric positive semidefinite), so assembly.factor_spd
@@ -293,9 +290,8 @@ def _step_factorizations(operators: DiscreteOperators, dt: float):
     so M^-1 <= (d+2) diag(l)^-1 and w = (d+2)/l."""
     A_lu = operators.cache(("step_A", dt), lambda: factor_spd(
         operators.M + (dt / 2.0) * operators.B + (dt * dt / 4.0) * operators.K))
-    weights = operators.cache(
-        ("residual_weights",),
-        lambda: (operators.mesh.dim + 2.0) / np.asarray(operators.M.sum(axis=1)).ravel())
+    weights = operators.cache(("residual_weights",), lambda: np.repeat(
+        (operators.mesh.dim + 2.0) / np.asarray(operators.M.sum(axis=1)), 2, axis=1))
     return A_lu, weights
 
 
@@ -304,34 +300,26 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
     """One implicit-midpoint step; spec=None switches the coupling off and
     makes the step one linear solve.
 
-    u and v share M, K and B, so they advance as the two columns of one
-    (n, 2) block.  The right-hand side M P - (dt/2) K X and the first guess F
-    of the midpoint coupling come from the state's evaluation(operators,
-    spec), which the state then drops: a state is sampled before it is
-    stepped, so only the newest state holds one.  The midpoint coupling is
-    resolved by fixed-point iteration; each pass makes one two-column linear
-    solve, then one coupling evaluation and one diagonal scaling of the
-    residual.  Converged when the lumped bound sqrt(sum(w r^2)) of
-    _step_factorizations is below opts.tol, so the residual in the M^-1 inner
-    product (an M-norm of the velocity defect) is below opts.tol too.  A pass
-    whose residual bound (see _advance) is already below opts.tol stops
-    without its coupling evaluation; the evaluated test would stop there
-    too, so the result is that of evaluating every pass.  The returned state
-    carries its own Evaluation, made with one more coupling pass that also
-    yields its coupling energy, which its sample and the next step read.
+    u and v advance as the two columns of one (n, 2) block.  The state's
+    evaluation(operators, spec), which it then drops (a state is sampled
+    before it is stepped), gives the right-hand side M P - (dt/2) K X and
+    the first guess F of the midpoint coupling, which _advance resolves by
+    fixed-point passes.  The new blocks X = [u v] and P = [u' v'] are
+    checked finite (a ValueError names the first bad vector, as the SimState
+    constructor does) and evaluated by one more coupling pass, which also
+    yields the coupling energy.  The returned state is those blocks with
+    that Evaluation, which its sample and the next step read.
     """
     if opts is None:
         opts = StepOptions()
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x1, p1 = _advance(state, dt, operators, spec, opts)
-    # separate contiguous copies: with strided views of the (n, 2) block the
-    # products downstream round differently, and trajectory.csv, report.kv
-    # and manifest.json of the 1D and 2D demo configs change in their last bits
-    out = SimState(state.t + dt, x1[:, 0].copy(), x1[:, 1].copy(),
-                   p1[:, 0].copy(), p1[:, 1].copy())
-    object.__setattr__(out, "_evaluation", Evaluation.of(x1, p1, operators, spec))
-    return out
+    X, P = _advance(state, dt, operators, spec, opts)
+    if not (np.isfinite(X).all() and np.isfinite(P).all()):
+        bad = next(name for name, (block, column) in _COLUMNS.items()
+                   if not np.isfinite((X, P)[block][:, column]).all())
+        raise ValueError(f"non-finite entries in {bad}")
+    return SimState._stepped(state.t + dt, Evaluation(X, P, operators, spec))
 
 
 def _residual_bound(x_prev: np.ndarray, x_mid: np.ndarray, dt: float, dim: int,
@@ -339,21 +327,25 @@ def _residual_bound(x_prev: np.ndarray, x_mid: np.ndarray, dt: float, dim: int,
     """_advance's bound of the lumped residual of the pass from x_prev to
     x_mid on a mesh of dimension d, formed without a coupling evaluation.
     inf or nan where G is inf or delta is not finite."""
-    a = max(np.abs(x_prev).max(initial=0.0), np.abs(x_mid).max(initial=0.0))
+    # the reductions of ndarray.max and np.sum, without their Python wrappers
+    a = max(np.maximum.reduce(np.abs(x_prev), axis=None, initial=0.0),
+            np.maximum.reduce(np.abs(x_mid), axis=None, initial=0.0))
     delta = x_mid - x_prev
     return (dim + 2.0) * (dt / 2.0) * spec.lipschitz(a) * math.sqrt(
-        float(np.sum(delta * delta / weights[:, None])))
+        float(np.add.reduce(delta * delta / weights, axis=None)))
 
 
+# a decorator: a with block would build the error state a step
+@np.errstate(over="ignore", invalid="ignore")
 def _advance(state: SimState, dt: float, operators: DiscreteOperators,
              spec: CouplingSpec | None, opts: StepOptions):
     """The blocks (X, P) one step after the state: step's fixed-point solve.
     Its temporaries and the dropped evaluation's products are freed on
-    return, before step evaluates the new state.
+    return, before step evaluates the new blocks.
 
-    Pass k solves for p_mid with f = F(x_prev) (x_prev is the state's X on
-    the first pass, the previous pass's x_mid after) and forms
-    x_mid = X + (dt/2) p_mid.  Before evaluating F(x_mid), it forms
+    Pass k makes one two-column solve for p_mid with f = F(x_prev) (x_prev
+    is the state's X on the first pass, the previous pass's x_mid after) and
+    forms x_mid = X + (dt/2) p_mid.  Before evaluating F(x_mid), it forms
     _residual_bound,
 
         bound = (d+2) (dt/2) G sqrt(sum(delta^2 / w)),  delta = x_mid - x_prev,
@@ -381,6 +373,8 @@ def _advance(state: SimState, dt: float, operators: DiscreteOperators,
     NonlinearSolveFailure are those of the evaluated test alone.  For
     rho < 1, G is inf and every pass is evaluated; a non-finite x_mid makes
     the bound inf or nan, so its pass is evaluated too, and fails there.
+    Overflow raises no warning here: a non-finite pass fails the residual
+    test, and non-finite new blocks step's check.
     """
     A_lu, weights = _step_factorizations(operators, dt)
     ev = state.evaluation(operators, spec)
@@ -389,32 +383,34 @@ def _advance(state: SimState, dt: float, operators: DiscreteOperators,
     rhs = ev.MP - (dt / 2.0) * ev.KX
     dim, x_prev = operators.mesh.dim, x0
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(opts.max_iter):
-            p_mid = A_lu.solve(rhs if f is None else rhs - (dt / 2.0) * f)
-            if f is None:
-                break
-            x_mid = x0 + (dt / 2.0) * p_mid
-            if _residual_bound(x_prev, x_mid, dt, dim, spec, weights) < opts.tol:
-                break
-            f_new = coupling_vectors(x_mid.T, spec, operators).T
-            r = (dt / 2.0) * (f_new - f)
-            f = f_new
-            res_sq = float(np.sum(r * (weights[:, None] * r)))
-            if not np.isfinite(res_sq):
-                raise NonlinearSolveFailure(
-                    f"midpoint solve diverged at t = {state.t:.6g} (dt = {dt:g} too large)",
-                    time=state.t,
-                )
-            if math.sqrt(res_sq) < opts.tol:
-                break
-            x_prev = x_mid
-        else:
+    for _ in range(opts.max_iter):
+        # the factors return column-major blocks: arithmetic that mixes them
+        # with row-major ones is 2 (n = 49) to 7 (n = 16384) times slower
+        p_mid = np.ascontiguousarray(
+            A_lu.solve(rhs if f is None else rhs - (dt / 2.0) * f))
+        if f is None:
+            break
+        x_mid = x0 + (dt / 2.0) * p_mid
+        if _residual_bound(x_prev, x_mid, dt, dim, spec, weights) < opts.tol:
+            break
+        f_new = coupling_vectors(x_mid.T, spec, operators).T
+        r = (dt / 2.0) * (f_new - f)
+        f = f_new
+        res_sq = float(np.add.reduce(r * (weights * r), axis=None))
+        if not np.isfinite(res_sq):
             raise NonlinearSolveFailure(
-                f"midpoint solve needed more than {opts.max_iter} iterations at "
-                f"t = {state.t:.6g} (dt = {dt:g} too large)",
+                f"midpoint solve diverged at t = {state.t:.6g} (dt = {dt:g} too large)",
                 time=state.t,
             )
+        if math.sqrt(res_sq) < opts.tol:
+            break
+        x_prev = x_mid
+    else:
+        raise NonlinearSolveFailure(
+            f"midpoint solve needed more than {opts.max_iter} iterations at "
+            f"t = {state.t:.6g} (dt = {dt:g} too large)",
+            time=state.t,
+        )
     return x0 + dt * p_mid, 2.0 * p_mid - p0
 
 

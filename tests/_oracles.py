@@ -136,6 +136,13 @@ def scatter_add_coupling(conn, shapes, wdet, ops, u, v, rho):
     return fu[ops.free], fv[ops.free], energy
 
 
+def table_values(table, x):
+    """Values (ncells, nq) of the free-node field x at the points of a
+    QuadratureTable, gathered through its connectivity (clamped vertices
+    sit in slot n_free, which reads as zero) and its shape table."""
+    return np.append(x, 0.0)[table.conn] @ table.shapes.T
+
+
 def scatter_add_lp(conn, shapes, w, ops, x, p):
     """(||x||_{L^p}, gradient of ||.||_p^p / p) over cells `conn`."""
     vq = ops.embed(x)[conn] @ shapes.T
@@ -156,6 +163,7 @@ def two_solve_step(state, dt, operators, spec, opts):
     from kgwell.dynamics import SimState, _step_factorizations
 
     A_lu, weights = _step_factorizations(operators, dt)
+    weights = weights[:, 0]  # the weights of u, which v shares
     K, M = operators.KM()
 
     def apply(mat, x):

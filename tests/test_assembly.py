@@ -13,6 +13,7 @@ from _oracles import (
     quadrature_volume_matrices,
     scatter_add_coupling,
     scatter_add_lp,
+    table_values,
 )
 from conftest import ACCEPT_2D, interval_setup, square_setup, unconstrained_interval
 from kgwell import (
@@ -232,7 +233,8 @@ def test_table_rule_gives_a_table_under_it_its_interpolation_matrix():
                        (square, gamma1_table(square))):
         phi_t, phi_w_t = table.dense
         x = np.random.default_rng(3).standard_normal(ops.n_free)
-        np.testing.assert_allclose(x @ phi_t, table.values(x).ravel(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x @ phi_t, table_values(table, x).ravel(), rtol=0,
+                                   atol=1e-15)
         np.testing.assert_array_equal(phi_w_t, phi_t * table.w.ravel())
 
 

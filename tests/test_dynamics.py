@@ -270,7 +270,7 @@ def passes_with_bounds(ops, spec, state, dt, opts):
     with np.errstate(over="ignore", invalid="ignore"):
         for before, after in zip(forces, forces[1:]):
             r = (dt / 2.0) * (after - before)
-            residuals.append(math.sqrt(float(np.sum(r * (w[:, None] * r)))))
+            residuals.append(math.sqrt(float(np.sum(r * (w * r)))))
     return bounds, residuals
 
 
@@ -319,7 +319,10 @@ def test_lumped_residual_norm_bounds_the_m_inverse_norm(setup):
     _, weights = _step_factorizations(ops, 0.01)
     d = ops.mesh.dim
     lumped = np.asarray(ops.M.sum(axis=1)).ravel()
-    np.testing.assert_array_equal(weights, (d + 2.0) / lumped)
+    # one column each for u and v, as a contiguous (n, 2) block
+    assert weights.shape == (ops.n_free, 2) and weights.flags.c_contiguous
+    for column in weights.T:
+        np.testing.assert_array_equal(column, (d + 2.0) / lumped)
     M = ops.M.toarray()
     rng = np.random.default_rng(5)
     for r in rng.standard_normal((200, ops.n_free)):
@@ -352,6 +355,87 @@ def test_nonlinear_solve_failure_for_huge_dt():
     with pytest.raises(NonlinearSolveFailure) as err:
         step(state, 10.0, ops, CouplingSpec(1.0))
     assert err.value.time == 0.0
+
+
+@pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(16)],
+                         ids=["interval-16", "square-16"])
+def test_step_names_the_vector_that_overflows(setup):
+    # uncoupled, so no residual test sees the overflow: the finite check of
+    # the new blocks names the vector, as the SimState constructor does
+    _, _, ops = setup()
+    _, w = first_eigenpair(ops)
+    huge = (1e308 / np.abs(w).max()) * w
+    for i, name in enumerate(("u", "v", "du", "dv")):
+        vectors = [np.zeros(ops.n_free)] * 4
+        vectors[i] = huge
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=f"non-finite entries in {name}$"):
+            step(SimState(0.0, *vectors), 0.01, ops, None)
+
+
+@pytest.mark.parametrize("dt, when, why", [(0.01, 0.25000000000000006, "diverged"),
+                                           (0.05, 0.15000000000000002, "more than 50")])
+def test_divergent_coupled_run_fails_where_it_did(dt, when, why):
+    # v = -u makes the coupling energy negative and the run blow up; the
+    # times are those of the implementation before steps kept their blocks
+    cfg = ScenarioConfig(name="blowup", elements=16, x0=(0.0,), dt=dt, t_end=1.0, stride=1,
+                         u0=FieldInit("eigenfunction", 8.0, relative=False),
+                         v0=FieldInit("eigenfunction", -8.0, relative=False))
+    with pytest.raises(NonlinearSolveFailure, match=why) as err:
+        simulate(cfg)
+    assert err.value.time == when
+
+
+ONE_CORE_CASES = {
+    # 49 free nodes: dense K and M, a dense Cholesky factor, a dense
+    # coupling interpolation, and batches of 67 rows
+    "interval-50-stride-1": ScenarioConfig(name="c", elements=50, x0=(0.0,), dt=1e-3,
+                                           t_end=0.1, stride=1,
+                                           u0=FieldInit("eigenfunction", 0.1),
+                                           v0=FieldInit("bump", 0.12)),
+    # 256 free nodes, above both size rules: sparse products, a sparse LU
+    # and the gather path
+    "square-16-stride-3": ScenarioConfig(name="c", mesh_kind="rectangle", nx=16, ny=16,
+                                         x0=(-0.1, -0.1), dt=0.01, t_end=0.1, stride=3,
+                                         u0=FieldInit("eigenfunction", 0.3),
+                                         v0=FieldInit("polynomial", 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CORE_CASES))
+def test_simulate_equals_record_of_public_steps_bitwise(name, monkeypatch):
+    prep = prepare(ONE_CORE_CASES[name])
+    cfg, ops, spec = prep.config, prep.operators, prep.spec
+    calls = []
+    public_step = kgwell.dynamics.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return public_step(*args, **kwargs)
+
+    # perfbench traces dynamics.step where simulate looks it up
+    monkeypatch.setattr(kgwell.dynamics, "step", counted)
+    traj = simulate(prep)
+    monkeypatch.undo()
+    n_steps = traj.meta["n_steps"]
+    assert len(calls) == n_steps == round(cfg.t_end / prep.dt)
+    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    state = prep.state0
+    states = [state]
+    for k in range(1, n_steps + 1):
+        state = step(state, prep.dt, ops, spec, opts)
+        if k % cfg.stride == 0 or k == n_steps:
+            states.append(state)
+    chained = record(states, ops, spec)
+    assert np.array_equal(traj.columns, chained.columns)
+    for got, expected in ((traj.first, chained.first), (traj.last, chained.last)):
+        assert got.t == expected.t
+        for vec in ("u", "v", "du", "dv"):
+            assert np.array_equal(getattr(got, vec), getattr(expected, vec)), vec
+    dense = ops.n_free ** 2 <= kgwell.assembly.DENSE_FACTOR_ENTRIES
+    assert isinstance(ops._caches[("step_A", prep.dt)], DenseCholesky if dense else spla.SuperLU)
+    assert (kgwell.assembly._coupling_table(ops, spec).dense is not None) is dense
+    assert isinstance(ops.KM()[0], np.ndarray) is dense
 
 
 def test_simulate_zero_scenario():
