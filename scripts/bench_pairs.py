@@ -1,7 +1,7 @@
 """Parent-against-change benchmark pairs with an A/A control, written as one
 JSON file.
 
-    python3 scripts/bench_pairs.py --parent REV --claim WORKLOAD/METRIC
+    python3 scripts/bench_pairs.py --parent REV [--claim WORKLOAD/METRIC]
         [--topic TEXT] [--out BENCH_pairs.json] [--workdir DIR] [--pairs 10]
         [--seed0 2601] [--seconds 30]
 
@@ -28,9 +28,10 @@ untracked, not ignored, files).
   one tree differ by on this host.
 * claim: WORKLOAD/METRIC, lower being better: met when the change wins at
   least nine tenths of the pairs and the parent-minus-change median gap
-  exceeds both the parent's interquartile range and the A/A spread.
-* no_regression: one row for every other workload/metric, against the
-  bounds of BENCHMARK.json.
+  exceeds both the parent's interquartile range and the A/A spread; null
+  without --claim.
+* no_regression: one row for every other workload/metric (every one
+  without --claim), against the bounds of BENCHMARK.json.
 * traced: one `--trace 1` invocation of the parent and the change per
   workload.
 """
@@ -221,14 +222,14 @@ def pairs(sides: dict, seeds: list[int], seconds: float) -> dict:
     return out
 
 
-def verdicts(table: dict, bounds: dict, claim: str) -> tuple[dict, list[str]]:
+def claim_verdict(table: dict, claim: str) -> dict:
     workload, metric = claim.split("/")
     m = table[workload]["metrics"][claim]
     n = len(m["parent"])
     iqr = m["parent_quartiles"][2] - m["parent_quartiles"][0]
     gap = m["parent_median"] - m["change_median"]
     met = m["wins"] >= 0.9 * n and gap > iqr and gap > m["aa_spread"]
-    verdict = {
+    return {
         "metric": claim, "met": met,
         "statement": (f"over {n} pairs, {metric} moves from {m['parent_median']:.4g} to "
                       f"{m['change_median']:.4g} {m['unit']} ({m['change_pct']:+.2f}% of the "
@@ -238,6 +239,9 @@ def verdicts(table: dict, bounds: dict, claim: str) -> tuple[dict, list[str]]:
                       f"{'exceeds' if gap > m['aa_spread'] else 'does not exceed'} the A/A "
                       f"spread ({m['aa_spread']:.4g})"),
     }
+
+
+def no_regression(table: dict, bounds: dict, claim: str | None) -> list[str]:
     rows = []
     for workload, rec in table.items():
         for key, m in rec["metrics"].items():
@@ -256,7 +260,7 @@ def verdicts(table: dict, bounds: dict, claim: str) -> tuple[dict, list[str]]:
             rows.append(f"{key}: {m['change_pct']:+.2f}% against a bound of +{bound:.0%} "
                         f"({m['wins']} of {len(m['parent'])} pairs faster/smaller, A/A median "
                         f"gap {m['aa_median_gap']:+.4g} {m['unit']}): {word}")
-    return verdict, rows
+    return rows
 
 
 # -- traced runs -------------------------------------------------------------------
@@ -320,13 +324,14 @@ def main(argv=None) -> int:
     if args.mode == "child":
         print(json.dumps(child(args.src, args.config, args.out)))
         return 0
-    if not args.parent or not args.claim:
-        ap.error("--parent and --claim are required")
+    if not args.parent:
+        ap.error("--parent is required")
     bounds = {m["name"]: m["bound"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    workload, _, metric = args.claim.partition("/")
-    if workload not in WORKLOADS or metric not in bounds:
-        ap.error(f"--claim must be one of {WORKLOADS} / one of {sorted(bounds)}")
+    if args.claim:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in WORKLOADS or metric not in bounds:
+            ap.error(f"--claim must be one of {WORKLOADS} / one of {sorted(bounds)}")
 
     work = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
     sides = materialize(args.parent, work)
@@ -335,9 +340,9 @@ def main(argv=None) -> int:
         "topic": args.topic,
         "machine": machine(),
         "parent_commit": args.parent,
-        "command": (f"python3 scripts/bench_pairs.py --parent {args.parent} --claim "
-                    f"{args.claim} --pairs {args.pairs} --seed0 {args.seed0} --seconds "
-                    f"{args.seconds:g}"),
+        "command": (f"python3 scripts/bench_pairs.py --parent {args.parent}"
+                    + (f" --claim {args.claim}" if args.claim else "")
+                    + f" --pairs {args.pairs} --seed0 {args.seed0} --seconds {args.seconds:g}"),
         "quartiles": "statistics.quantiles(n=4, method='inclusive') of the per-invocation "
                      "medians",
         "wins": "pairs in which the change's median is lower; ties count for neither",
@@ -348,10 +353,12 @@ def main(argv=None) -> int:
                                    f"{args.seconds:g} --trace 1, once per side",
                         **traced(sides, args.seed0 + 100, args.seconds)}
     table = pairs(sides, seeds, args.seconds)
-    result["claim"], result["no_regression"] = verdicts(table, bounds, args.claim)
+    result["claim"] = claim_verdict(table, args.claim) if args.claim else None
+    result["no_regression"] = no_regression(table, bounds, args.claim)
     result["pairs"] = table
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps(result["claim"]))
+    print("\n".join(result["no_regression"]))
     if not args.workdir:
         shutil.rmtree(work)
     return 0

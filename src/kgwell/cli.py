@@ -196,29 +196,28 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
         # its first sample pair, before any output
         trajectory = simulate(prep, check_spacing="dissipation" in checks)
         results = {key: run(trajectory, prep) for key, _, run in selected}
+        # a failed write (a full disk, a directory in a file's place) is
+        # recorded in the manifest like any other rejected input
+        csv_path = out_dir / "trajectory.csv"
+        write_trajectory_csv(trajectory, prep.constants, csv_path)
+        outputs = [csv_path.name]
+        wc = prep.constants
+        details = {**results, **_setup_groups(prep)}
+        report_txt = out_dir / "report.txt"
+        report_txt.write_text(
+            diagnostics.render_report(wc, details, header=f"run: {scenario.name}") + "\n")
+        outputs.append(report_txt.name)
+        report_kv = out_dir / "report.kv"
+        report_kv.write_text("\n".join(diagnostics.report_lines(wc, details)) + "\n")
+        outputs.append(report_kv.name)
+        if not no_plot:
+            svg_path = out_dir / "energy.svg"
+            _plot(trajectory, wc, svg_path)
+            outputs.append(svg_path.name)
     except _FAILURE_TYPES as exc:
         return _finalize_failure(manifest_path, manifest, exc), summary
 
-    csv_path = out_dir / "trajectory.csv"
-    write_trajectory_csv(trajectory, prep.constants, csv_path)
-    outputs = [csv_path.name]
-
     passed = all(getattr(results[key], verdict) for key, verdict, _ in selected)
-    wc = prep.constants
-    details = {**results, **_setup_groups(prep)}
-
-    report_txt = out_dir / "report.txt"
-    report_txt.write_text(
-        diagnostics.render_report(wc, details, header=f"run: {scenario.name}") + "\n")
-    outputs.append(report_txt.name)
-    report_kv = out_dir / "report.kv"
-    report_kv.write_text("\n".join(diagnostics.report_lines(wc, details)) + "\n")
-    outputs.append(report_kv.name)
-    if not no_plot:
-        svg_path = out_dir / "energy.svg"
-        _plot(trajectory, wc, svg_path)
-        outputs.append(svg_path.name)
-
     code = EXIT_OK if passed else EXIT_CHECK_FAILURE
     manifest.update(
         status="pass" if passed else "check_failure",

@@ -134,8 +134,10 @@ def _require_accurate_eigenpair(K, M, lam: float, x: np.ndarray) -> None:
                          f"{EIGENPAIR_BACKWARD_ERROR:g}")
 
 
-def _vnorm(operators: DiscreteOperators, x: np.ndarray) -> float:
-    return math.sqrt(max(float(x @ (operators.K @ x)), 0.0))
+def quadratic_norm(A, x: np.ndarray) -> float:
+    """sqrt(x A x) for a symmetric positive semidefinite A (K gives the
+    V-norm, M the L2 norm), with a round-off negative x A x read as 0."""
+    return math.sqrt(max(float(x @ (A @ x)), 0.0))
 
 
 def _lp(table: QuadratureTable, x: np.ndarray, p: float):
@@ -155,14 +157,14 @@ def _best_constant(operators: DiscreteOperators, norm_and_grad, lu_K):
     quotient moves less than BEST_CONSTANT_TOL."""
     lu = _factor_K(operators, lu_K)
     _, v = first_eigenpair(operators, lu)
-    v = v / _vnorm(operators, v)
+    v = v / quadratic_norm(operators.K, v)
     quotient, g = norm_and_grad(v)
     for _ in range(BEST_CONSTANT_MAX_ITER):
         gnorm = np.linalg.norm(g)
         if gnorm == 0.0:
             raise SetupError("optimality gradient vanished; trivial trace?")
         w = lu.solve(g)
-        nv = _vnorm(operators, w)
+        nv = quadratic_norm(operators.K, w)
         if not np.isfinite(nv) or nv == 0.0:
             raise SetupError("iteration produced a degenerate iterate")
         v = w / nv
@@ -344,10 +346,8 @@ def admissibility(u0, v0, u1, v1, constants: WellConstants,
     """
     lam, kind = constants.threshold()
     K, M = operators.K, operators.M
-    nu0 = math.sqrt(max(float(u0 @ (K @ u0)), 0.0))
-    nv0 = math.sqrt(max(float(v0 @ (K @ v0)), 0.0))
-    au1 = math.sqrt(max(float(u1 @ (M @ u1)), 0.0))
-    av1 = math.sqrt(max(float(v1 @ (M @ v1)), 0.0))
+    nu0, nv0 = quadratic_norm(K, u0), quadratic_norm(K, v0)
+    au1, av1 = quadratic_norm(M, u1), quadratic_norm(M, v1)
     kinetic = 0.5 * (au1 ** 2 + av1 ** 2)
     potential = 0.5 * (nu0 ** 2 + nv0 ** 2)
     if kind == "regular":

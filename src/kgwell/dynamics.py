@@ -18,15 +18,15 @@ What the time loop holds: the operators' matrices (with dense copies of K
 and M on the smallest meshes; see assembly.DENSE_ENTRIES), the factor of
 the step matrix A = M + (dt/2) B + (dt^2/4) K (assembly.factor_spd), the
 residual weights (d+2)/l from the row sums l of M, the coupling's
-quadrature table, the first eigenpair, and the newest state: its blocks
-X = [u v] and P = [u' v'] and their Evaluation (K X, M P, and the coupling
-vectors and energy from one quadrature pass), which its energy row and the
-next step share; u, v, u' and v' are formed from the blocks only when
-read, with the same bits.  Beside them: the pending row batch (the times
-and Evaluations of sampled states whose rows are not formed yet, up to
-ROW_BATCH_BYTES: tens of states in 1D, none across a step on a 64^2 square
-and up) and the trajectory's float64 columns (record), 104 bytes a sample,
-of which only the first and the last keep their state.
+quadrature table, the first eigenpair, and the newest state, which is its
+blocks X = [u v] and P = [u' v'] and their Evaluation (K X, M P, and the
+coupling vectors and energy from one quadrature pass), which its energy row
+and the next step share; u, v, u' and v' exist only as the contiguous
+copies of their columns that each read makes.  Beside them: the pending
+row batch (the times and Evaluations of sampled states whose rows are not
+formed yet, up to ROW_BATCH_BYTES: tens of states in 1D, none across a step
+on a 64^2 square and up) and the trajectory's float64 columns (record), 104
+bytes a sample, of which only the first and the last keep their state.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import numpy as np
 from . import diagnostics
 from .assembly import (CouplingSpec, DiscreteOperators, assemble_operators, coupling_vectors,
                        factor_spd)
-from .constants import WellConstants, admissibility, compute_well_constants, first_eigenpair
+from .constants import (WellConstants, admissibility, compute_well_constants, first_eigenpair,
+                        quadratic_norm)
 from .geometry import Mesh, build_interval_mesh, build_rectangle_mesh, classify_boundary
 
 
@@ -78,58 +79,55 @@ class Evaluation:
                    if b is not None)
 
 
-#: Block (0: X, 1: P) and column of each vector of a stepped state.
-_COLUMNS = {"u": (0, 0), "v": (0, 1), "du": (1, 0), "dv": (1, 1)}
+def _require_finite(X: np.ndarray, P: np.ndarray) -> None:
+    """Raise ValueError naming the first of u, v, du, dv (the columns of
+    X = [u v] and P = [u' v']) with a non-finite entry."""
+    if not (np.isfinite(X).all() and np.isfinite(P).all()):
+        bad = next(name for name, column in zip(("u", "v", "du", "dv"), (*X.T, *P.T))
+                   if not np.isfinite(column).all())
+        raise ValueError(f"non-finite entries in {bad}")
 
 
-@dataclass(frozen=True)
 class SimState:
-    """Coefficient vectors over free nodes at one time instant.
+    """Coefficient vectors over free nodes at one time instant, held as the
+    (n, 2) blocks X = [u v] and P = [u' v'].  u, v, du and dv are read-only
+    and each read returns a contiguous copy of its column.  The constructor
+    copies its four vectors into the blocks.
 
     A state keeps the Evaluation of its last evaluation() (step leaves the
-    one of the state it returns) until it is stepped, in a slot that is
-    neither an __init__ argument nor compared, so dataclasses.replace starts
-    without one.  A state that step returns holds its blocks [u v] and
-    [u' v'] instead of the four vectors, and forms each on first read as a
-    contiguous copy of its column: the bits of a separate vector."""
+    one of the state it returns) until it is stepped; a constructed state
+    starts without one."""
 
-    t: float
-    u: np.ndarray
-    v: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
-    _evaluation: Evaluation | None = field(default=None, init=False, repr=False,
-                                           compare=False)
+    __slots__ = ("t", "X", "P", "_evaluation")
 
-    def __post_init__(self):
-        n = len(self.u)
-        if not (len(self.v) == len(self.du) == len(self.dv) == n):
+    def __init__(self, t: float, u, v, du, dv):
+        if not (len(v) == len(du) == len(dv) == len(u)):
             raise ValueError("state vectors must have equal lengths")
-        # one check of all four vectors; the field is named only on failure
-        if not np.isfinite(np.concatenate((self.u, self.v, self.du, self.dv))).all():
-            bad = next(name for name in ("u", "v", "du", "dv")
-                       if not np.isfinite(getattr(self, name)).all())
-            raise ValueError(f"non-finite entries in {bad}")
+        self._hold(t, np.column_stack([u, v]), np.column_stack([du, dv]))
 
-    @staticmethod
-    def _stepped(t: float, ev: Evaluation) -> "SimState":
-        """The state at time t of ev's blocks, which step checked finite."""
-        state = object.__new__(SimState)
-        state.__dict__.update(t=t, _blocks=(ev.X, ev.P), _evaluation=ev)
+    @classmethod
+    def _stepped(cls, t: float, X: np.ndarray, P: np.ndarray, operators: DiscreteOperators,
+                 spec: CouplingSpec | None) -> "SimState":
+        """The state at time t of step's new blocks, evaluated once they are
+        checked finite."""
+        state = cls.__new__(cls)
+        state._hold(t, X, P)
+        state._evaluation = Evaluation(X, P, operators, spec)
         return state
 
-    def __getattr__(self, name):
-        # reached only for a vector that a stepped state has not formed yet
-        if name not in _COLUMNS or "_blocks" not in self.__dict__:
-            raise AttributeError(name)
-        block, column = _COLUMNS[name]
-        vector = self.__dict__[name] = self.__dict__["_blocks"][block][:, column].copy()
-        return vector
+    def _hold(self, t: float, X: np.ndarray, P: np.ndarray) -> None:
+        _require_finite(X, P)
+        self.t, self.X, self.P, self._evaluation = t, X, P, None
+
+    u = property(lambda self: self.X[:, 0].copy())
+    v = property(lambda self: self.X[:, 1].copy())
+    du = property(lambda self: self.P[:, 0].copy())
+    dv = property(lambda self: self.P[:, 1].copy())
 
     @staticmethod
     def zero(n: int, t: float = 0.0) -> "SimState":
         z = np.zeros(n)
-        return SimState(t, z, z.copy(), z.copy(), z.copy())
+        return SimState(t, z, z, z, z)
 
     def evaluation(self, operators: DiscreteOperators,
                    spec: CouplingSpec | None) -> Evaluation:
@@ -139,10 +137,7 @@ class SimState:
         ev = self._evaluation
         if (ev is None or ev.operators is not operators
                 or ev.spec is not spec and ev.spec != spec):
-            X, P = self.__dict__.get("_blocks") or (np.column_stack([self.u, self.v]),
-                                                     np.column_stack([self.du, self.dv]))
-            ev = Evaluation(X, P, operators, spec)
-            object.__setattr__(self, "_evaluation", ev)
+            ev = self._evaluation = Evaluation(self.X, self.P, operators, spec)
         return ev
 
 
@@ -300,26 +295,23 @@ def step(state: SimState, dt: float, operators: DiscreteOperators,
     """One implicit-midpoint step; spec=None switches the coupling off and
     makes the step one linear solve.
 
-    u and v advance as the two columns of one (n, 2) block.  The state's
+    u and v advance as the two columns of the state's block X.  The state's
     evaluation(operators, spec), which it then drops (a state is sampled
     before it is stepped), gives the right-hand side M P - (dt/2) K X and
     the first guess F of the midpoint coupling, which _advance resolves by
-    fixed-point passes.  The new blocks X = [u v] and P = [u' v'] are
-    checked finite (a ValueError names the first bad vector, as the SimState
-    constructor does) and evaluated by one more coupling pass, which also
-    yields the coupling energy.  The returned state is those blocks with
-    that Evaluation, which its sample and the next step read.
+    fixed-point passes.  The returned state holds the new blocks X = [u v]
+    and P = [u' v'] themselves, with no copy: they are checked finite by
+    the constructor's check (_require_finite, whose ValueError names the
+    first bad vector) and then evaluated by one more coupling pass, which
+    also yields the coupling energy.  That Evaluation stays with the state
+    for its sample and the next step.
     """
     if opts is None:
         opts = StepOptions()
     if dt <= 0:
         raise ValueError("dt must be positive")
     X, P = _advance(state, dt, operators, spec, opts)
-    if not (np.isfinite(X).all() and np.isfinite(P).all()):
-        bad = next(name for name, (block, column) in _COLUMNS.items()
-                   if not np.isfinite((X, P)[block][:, column]).all())
-        raise ValueError(f"non-finite entries in {bad}")
-    return SimState._stepped(state.t + dt, Evaluation(X, P, operators, spec))
+    return SimState._stepped(state.t + dt, X, P, operators, spec)
 
 
 def _residual_bound(x_prev: np.ndarray, x_mid: np.ndarray, dt: float, dim: int,
@@ -339,9 +331,10 @@ def _residual_bound(x_prev: np.ndarray, x_mid: np.ndarray, dt: float, dim: int,
 @np.errstate(over="ignore", invalid="ignore")
 def _advance(state: SimState, dt: float, operators: DiscreteOperators,
              spec: CouplingSpec | None, opts: StepOptions):
-    """The blocks (X, P) one step after the state: step's fixed-point solve.
-    Its temporaries and the dropped evaluation's products are freed on
-    return, before step evaluates the new blocks.
+    """The new blocks (X, P) one step after the state's: step's fixed-point
+    solve.  It drops the state's kept Evaluation, so its temporaries and
+    that evaluation's products are freed on return, before step evaluates
+    the new blocks.
 
     Pass k makes one two-column solve for p_mid with f = F(x_prev) (x_prev
     is the state's X on the first pass, the previous pass's x_mid after) and
@@ -378,7 +371,7 @@ def _advance(state: SimState, dt: float, operators: DiscreteOperators,
     """
     A_lu, weights = _step_factorizations(operators, dt)
     ev = state.evaluation(operators, spec)
-    object.__setattr__(state, "_evaluation", None)
+    state._evaluation = None
     x0, p0, f = ev.X, ev.P, ev.F
     rhs = ev.MP - (dt / 2.0) * ev.KX
     dim, x_prev = operators.mesh.dim, x0
@@ -533,8 +526,7 @@ def _build_field(init: FieldInit, operators: DiscreteOperators, threshold: float
     else:  # polynomial
         lo = mesh.vertices.min(axis=0)
         vec = np.prod(mesh.vertices - lo, axis=1)[operators.free]
-    quad = operators.M if velocity else operators.K
-    nrm = math.sqrt(max(float(vec @ (quad @ vec)), 0.0))
+    nrm = quadratic_norm(operators.M if velocity else operators.K, vec)
     if nrm == 0.0:
         raise ValueError(f"initial preset '{init.preset}' vanished after constraints")
     amp = init.amplitude * threshold if init.relative else init.amplitude

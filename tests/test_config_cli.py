@@ -428,6 +428,20 @@ def test_cli_coarse_sampling_stops_at_the_first_sample_pair(tmp_path, capsys, mo
     assert not (out_dir / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("blocked", ["trajectory.csv", "report.kv", "energy.svg"])
+def test_cli_failed_output_write_exits_2_with_final_manifest(tmp_path, capsys, blocked):
+    # a directory where an output file goes makes its write fail
+    text = DECAY_1D.replace("time.t_end = 1.0", "time.t_end = 0.1")
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)]) == 2
+    assert "config error" in capsys.readouterr().err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert manifest["exit_code"] == 2
+    assert blocked in manifest["error"]
+
+
 def test_cli_coarse_sampling_runs_without_the_dissipation_check(tmp_path):
     text = DECAY_1D + "time.stride = 100\n"
     out_dir = tmp_path / "coarse"

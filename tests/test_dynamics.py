@@ -78,6 +78,35 @@ def test_state_validation():
             SimState(0.0, *vectors)
 
 
+@pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(6)],
+                         ids=["interval-16", "square-6"])
+def test_state_is_its_blocks_and_reads_column_copies(setup):
+    _, _, ops = setup()
+    spec = CouplingSpec(1.0)
+    names = ("u", "v", "du", "dv")
+    vectors = 0.3 * np.random.default_rng(5).standard_normal((4, ops.n_free))
+    kept = vectors.copy()
+    state = SimState(0.0, *vectors)
+    # the constructor copies: neither the caller's arrays nor a read vector
+    # reach back into the state
+    vectors[:] = 7.0
+    state.u[0] = 7.0
+    for name, want in zip(names, kept):
+        assert getattr(state, name).tobytes() == want.tobytes(), name
+        with pytest.raises(AttributeError):
+            setattr(state, name, want)
+    stepped = step(state, 0.01, ops, spec)
+    built = SimState(stepped.t, stepped.u, stepped.v, stepped.du, stepped.dv)
+    assert built.X.tobytes() == stepped.X.tobytes()
+    assert built.P.tobytes() == stepped.P.tobytes()
+    for name in names:
+        a, b = getattr(built, name), getattr(stepped, name)
+        assert a.flags.c_contiguous and b.flags.c_contiguous, name
+        assert a.tobytes() == b.tobytes(), name
+    assert built._evaluation is None and stepped._evaluation is not None
+    assert diag.full_sample(built, ops, spec) == diag.full_sample(stepped, ops, spec)
+
+
 def test_linear_undamped_step_conserves_energy():
     mesh, _, ops = interval_setup(32)
     ops0 = without_damping(ops)
@@ -623,7 +652,7 @@ def test_evaluation_of_other_operators_or_spec_is_not_reused(setup):
         assert (diag.full_sample(stepped, other_ops, other_spec)
                 == diag.full_sample(fresh(stepped), other_ops, other_spec)), case
     stepped = step(start, 0.01, ops, spec)
-    moved = dataclasses.replace(stepped, u=2 * stepped.u)
+    moved = SimState(stepped.t, 2 * stepped.u, stepped.v, stepped.du, stepped.dv)
     assert moved._evaluation is None
     assert diag.full_sample(moved, ops, spec) == diag.full_sample(fresh(moved), ops, spec)
 
