@@ -230,13 +230,10 @@ def boundary_mass_matrix(mesh: Mesh, facet_indices: np.ndarray,
     points, shape (len(facet_indices), nq).  Facet quadrature matches the
     boundary classification rule.
     """
-    n = mesh.n_vertices
-    if len(facet_indices) == 0:
-        return sp.csr_matrix((n, n))
     _, wts, shp = mesh.facet_quadrature()
     wts = wts[facet_indices] if weights is None else wts[facet_indices] * weights
     local = np.einsum("fq,qi,qj->fij", wts, shp, shp)
-    return _scatter(n, mesh.facets[facet_indices], local)
+    return _scatter(mesh.n_vertices, mesh.facets[facet_indices], local)
 
 
 def _delta_values(partition: BoundaryPartition, delta: float | None) -> np.ndarray:
@@ -286,7 +283,7 @@ def assemble_operators(partition: BoundaryPartition,
     free = np.setdiff1d(np.arange(n), dirichlet)
 
     def restrict(A):
-        return sp.csr_matrix(A.tocsc()[:, free].tocsr()[free, :])
+        return A[free][:, free]
 
     return DiscreteOperators(
         partition=partition,

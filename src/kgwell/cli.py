@@ -85,10 +85,6 @@ _FORMULAS = {
 def _to_jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _to_jsonable(v) for k, v in vars(obj).items() if not k.startswith("_")}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -111,13 +107,12 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 
 def cmd_constants(cfg: dict[str, str]) -> int:
-    scenario = scenario_from_config(cfg)
     report = validate_hypotheses(*hypotheses_from_config(cfg))
     if not report.valid:
         print("\n".join(report.lines()))
         print("hypothesis check failed; constants not computed", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    prep = prepare(scenario)
+    prep = prepare(scenario_from_config(cfg))
     wc = prep.constants
     print(f"{'name':14s} {'value':>24s}  formula")
     for name, formula in _FORMULAS.items():

@@ -53,7 +53,8 @@ INITIAL_FIELDS = ("u0", "v0", "u1", "v1")
 
 #: Config key -> (target, parser). A target without a dot is a ScenarioConfig
 #: field ("a" and "b" are the interval ends); "<field>.<attr>" is a FieldInit
-#: attribute of that initial field; "hypotheses.<arg>" a validator input.
+#: attribute of that initial field; "hypotheses.theta" is the validator's one
+#: input that no scenario key determines (rho and n are the scenario's).
 KEYS = {
     "scenario.name": ("name", str),
     "mesh.kind": ("mesh_kind", str),
@@ -79,8 +80,6 @@ KEYS = {
        for name in INITIAL_FIELDS
        for suffix, attr, parse in (("", "preset", str), ("_amplitude", "amplitude", float),
                                    ("_scale", "relative", _relative))},
-    "hypotheses.rho": ("hypotheses.rho", float),
-    "hypotheses.n": ("hypotheses.n", int),
     "hypotheses.theta": ("hypotheses.theta", float),
 }
 
@@ -128,23 +127,18 @@ def _value(cfg: dict[str, str], key: str, parse):
         raise ConfigError(f"config key {key}: {exc}") from None
 
 
-def _targets(cfg: dict[str, str], required=(), ignored=()) -> dict[str, dict]:
-    """Parsed values of the set (and the required) keys, grouped by the
-    target's part before the dot ("" for ScenarioConfig fields)."""
-    groups: dict[str, dict] = defaultdict(dict)
-    for key, (target, parse) in KEYS.items():
-        if key not in ignored and (key in cfg or key in required):
-            group, _, attr = target.rpartition(".")
-            groups[group][attr] = _value(cfg, key, parse)
-    return groups
-
-
 def scenario_from_config(cfg: dict[str, str]) -> ScenarioConfig:
     """Typed scenario from a flat config dict; errors name the bad key."""
     kind = _value(cfg, "mesh.kind", str)
     required = ("geometry.x0", *_MESH_KEYS.get(kind, ()))
     ignored = {key for keys in _MESH_KEYS.values() for key in keys} - set(required)
-    groups = _targets(cfg, required, ignored)
+    # parsed values of the set (and the required) keys, grouped by the
+    # target's part before the dot ("" for ScenarioConfig fields)
+    groups: dict[str, dict] = defaultdict(dict)
+    for key, (target, parse) in KEYS.items():
+        if key not in ignored and (key in cfg or key in required):
+            group, _, attr = target.rpartition(".")
+            groups[group][attr] = _value(cfg, key, parse)
     fields = groups[""]
     if kind == "interval":
         fields["interval"] = (fields.pop("a"), fields.pop("b"))
@@ -156,12 +150,9 @@ def scenario_from_config(cfg: dict[str, str]) -> ScenarioConfig:
 
 
 def hypotheses_from_config(cfg: dict[str, str]) -> tuple[float, int, float | None]:
-    """(rho, n, theta) for the hypothesis validator; n defaults to the mesh
-    dimension, rho to the coupling exponent."""
-    groups = _targets(cfg)
-    fields, hyp = groups[""], groups["hypotheses"]
-    if "n" not in hyp and "mesh_kind" not in fields:
-        raise ConfigError("missing config key: hypotheses.n (or mesh.kind to infer it)")
-    rho = hyp.get("rho", fields.get("rho", ScenarioConfig.rho))
-    n = hyp.get("n", 1 if fields.get("mesh_kind") == "interval" else 2)
-    return rho, n, hyp.get("theta")
+    """(rho, n, theta) for the hypothesis validator: the coupling exponent
+    and mesh dimension of the config's own scenario, and hypotheses.theta
+    (None when unset)."""
+    scenario = scenario_from_config(cfg)
+    theta = _value(cfg, "hypotheses.theta", float) if "hypotheses.theta" in cfg else None
+    return scenario.rho, scenario.dim, theta

@@ -19,7 +19,7 @@ otherwise.
 
 The best constants are maximized over the finite-element space only, so
 they are lower bounds for their continuum counterparts; callers inflate
-them by a safety factor (default 1.1) before forming thresholds, which
+them by a safety factor (default SAFETY) before forming thresholds, which
 shrinks the admissible ball and keeps the well test conservative.
 
 Setup-only state ends with setup: compute_well_constants factors K once
@@ -55,6 +55,9 @@ EIGENPAIR_BACKWARD_ERROR = 1e-12
 #: BEST_CONSTANT_TOL, and fails after BEST_CONSTANT_MAX_ITER K-solves.
 BEST_CONSTANT_TOL = 1e-9
 BEST_CONSTANT_MAX_ITER = 500
+
+#: Default inflation of the discrete best constants c0..c3.
+SAFETY = 1.1
 
 
 class SetupError(Exception):
@@ -286,7 +289,7 @@ def well_constants(rho: float, n: int, c0: float, c1: float, c2: float,
 
 
 def compute_well_constants(operators: DiscreteOperators, rho: float,
-                           safety: float = 1.1) -> WellConstants:
+                           safety: float = SAFETY) -> WellConstants:
     """Full pipeline: eigenvalue, embedding/trace constants (inflated by
     `safety`), then the threshold formulas; dimension, R and m0 come from
     the operators' mesh and boundary partition.  K is factored once here, by

@@ -189,22 +189,23 @@ def require_fine_sampling(gap: float) -> None:
         )
 
 
-def check_dissipation(trajectory, m0: float, slack: float | None = None) -> DissipationReport:
+def check_dissipation(trajectory, m0: float) -> DissipationReport:
     """Finite-difference check of dE/dt <= -m0 (||u'||^2 + ||v'||^2 on the
     damped boundary), the trace forms being the flux of each sample pair at
     its midpoint velocities (energy_rows), which the trajectory recorded.
     Pass the smallest damping the run assembled
     (operators.delta_min, which equals the geometric m0 for delta = m . nu)
-    as m0.  Sample spacing must not exceed MAX_SAMPLE_SPACING."""
+    as m0.  Sample spacing must not exceed MAX_SAMPLE_SPACING.  The slack is
+    10 dt E(0), dt being the run's time step (the smallest sample gap when
+    the trajectory does not record it)."""
     times = trajectory.times()
     if len(times) < 2:
         raise ValueError("need at least two samples for a dissipation check")
     gaps = np.diff(times)
     require_fine_sampling(np.max(gaps))
     E = trajectory.energies()
-    if slack is None:
-        dt = trajectory.meta.get("dt", float(np.min(gaps)))
-        slack = 10.0 * dt * float(E[0])
+    dt = trajectory.meta.get("dt", float(np.min(gaps)))
+    slack = 10.0 * dt * float(E[0])
     # dE/dt + m0 * flux of each sample pair; the worst is the first maximum
     residual = np.diff(E) / gaps + m0 * trajectory.column("flux")[1:]
     worst = int(np.argmax(residual))
@@ -291,8 +292,6 @@ def report_lines(constants: WellConstants, results: dict) -> list[str]:
     """Flatten constants and check results into sorted group.key=value lines."""
     out = {}
     for group, rep in {"constants": constants, **results}.items():
-        if rep is None:
-            continue
         for key, val in (rep if isinstance(rep, dict) else vars(rep)).items():
             out[f"{group}.{key}"] = val
     return [f"{k}={_fmt(v)}" for k, v in sorted(out.items())]

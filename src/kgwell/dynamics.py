@@ -40,8 +40,8 @@ import numpy as np
 from . import diagnostics
 from .assembly import (CouplingSpec, DiscreteOperators, assemble_operators, coupling_vectors,
                        factor_spd)
-from .constants import (WellConstants, admissibility, compute_well_constants, first_eigenpair,
-                        quadratic_norm)
+from .constants import (SAFETY, WellConstants, admissibility, compute_well_constants,
+                        first_eigenpair, quadratic_norm)
 from .geometry import Mesh, build_interval_mesh, build_rectangle_mesh, classify_boundary
 
 
@@ -453,9 +453,9 @@ class ScenarioConfig:
     dt: float | None = None
     t_end: float = 1.0
     stride: int = 10
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 50
-    safety: float = 1.1
+    solver_tol: float = StepOptions.tol
+    solver_max_iter: int = StepOptions.max_iter
+    safety: float = SAFETY
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -475,11 +475,10 @@ class ScenarioConfig:
                              f"constants), got {self.safety}")
         if self.mesh_kind not in ("interval", "rectangle"):
             raise ValueError(f"unknown mesh kind '{self.mesh_kind}'")
-        dim = 1 if self.mesh_kind == "interval" else 2
-        if len(self.x0) != dim:
-            raise ValueError(f"x0 needs {dim} coordinate(s) for a {self.mesh_kind} mesh, "
+        if len(self.x0) != self.dim:
+            raise ValueError(f"x0 needs {self.dim} coordinate(s) for a {self.mesh_kind} mesh, "
                              f"got {len(self.x0)}")
-        if dim == 2 and (len(self.rect_lo) != 2 or len(self.rect_hi) != 2):
+        if self.dim == 2 and (len(self.rect_lo) != 2 or len(self.rect_hi) != 2):
             raise ValueError("rect_lo and rect_hi must each hold two numbers")
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
@@ -487,6 +486,11 @@ class ScenarioConfig:
             raise ValueError(f"unknown delta kind '{self.delta_kind}'")
         if self.delta_kind == "constant" and self.delta_value <= 0:
             raise ValueError("constant delta must be positive")
+
+    @property
+    def dim(self) -> int:
+        """Space dimension of the mesh kind."""
+        return 1 if self.mesh_kind == "interval" else 2
 
 
 @dataclass

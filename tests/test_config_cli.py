@@ -95,13 +95,16 @@ def test_x0_dimension_checked():
 
 
 def test_hypotheses_defaults():
+    # rho is coupling.rho, n the dimension of mesh.kind, theta hypotheses.theta
     cfg = parse_config_text(DECAY_1D)
     rho, n, theta = hypotheses_from_config(cfg)
     assert (rho, n, theta) == (1.0, 1, None)
-    cfg["hypotheses.n"] = "7"
-    cfg["hypotheses.rho"] = "0.4"
+    cfg["coupling.rho"] = "0.4"
     cfg["hypotheses.theta"] = "1.4"
-    assert hypotheses_from_config(cfg) == (0.4, 7, 1.4)
+    assert hypotheses_from_config(cfg) == (0.4, 1, 1.4)
+    rect = parse_config_text(DECAY_1D + "mesh.kind = rectangle\nmesh.lo = 0 0\nmesh.hi = 1 1\n"
+                             "mesh.nx = 4\nmesh.ny = 4\ngeometry.x0 = -0.1 -0.1\n")
+    assert hypotheses_from_config(rect) == (1.0, 2, None)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +146,25 @@ def test_cli_constants_bad_rho(tmp_path, capsys):
 def test_cli_validate(tmp_path, capsys):
     path = write_cfg(tmp_path, DECAY_1D)
     assert main(["validate", "--config", path]) == 0
-    bad = write_cfg(tmp_path, DECAY_1D + "hypotheses.n = 7\n", name="bad.cfg")
+    bad = write_cfg(tmp_path, DECAY_1D + "coupling.rho = 0.2\nhypotheses.theta = 1.1\n",
+                    name="bad.cfg")
     assert main(["validate", "--config", bad]) == 1
     out = capsys.readouterr().out
     assert "no regime satisfied" in out
+
+
+@pytest.mark.parametrize("rho, valid", [("0.2", False), ("1.0", True)])
+def test_cli_hypotheses_are_the_scenario_s(tmp_path, capsys, rho, valid):
+    # 4 rho theta = 0.88 < 1 at rho = 0.2: no regime holds for the run's own
+    # rho, so validate fails and constants refuses to compute
+    text = DECAY_1D.replace("coupling.rho = 1.0", f"coupling.rho = {rho}")
+    path = write_cfg(tmp_path, text + "hypotheses.theta = 1.1\n")
+    assert main(["validate", "--config", path]) == (0 if valid else 1)
+    assert f"rho={float(rho):g} n=1 theta=1.1" in capsys.readouterr().out
+    assert main(["constants", "--config", path]) == (0 if valid else 2)
+    captured = capsys.readouterr()
+    assert ("hypothesis check failed" in captured.err) is not valid
+    assert ("lambda1" in captured.out) is valid
 
 
 def test_cli_run_zero_scenario(tmp_path, capsys):
@@ -364,7 +382,7 @@ def test_cli_records_delta_premise(tmp_path, capsys, extra, held):
 
 #: Keys that are no longer settable: an old config that sets one is rejected
 #: as setting an unknown key, not run without it.
-REMOVED_KEYS = ("coupling.quad_degree", "delta.floor",
+REMOVED_KEYS = ("coupling.quad_degree", "delta.floor", "hypotheses.rho", "hypotheses.n",
                 *(f"initial.{name}_file" for name in INITIAL_FIELDS))
 
 #: (subcommand, config edit) pairs that must be rejected as input errors.
@@ -373,7 +391,8 @@ INPUT_ERRORS = {
     "b_not_above_a": ("run", lambda tmp: "mesh.b = 0.0\n"),
     "negative_rho": ("run", lambda tmp: "coupling.rho = -1.0\n"),
     "sampling_too_coarse": ("run", lambda tmp: "time.stride = 100\n"),
-    "hypotheses_n_zero": ("validate", lambda tmp: "hypotheses.n = 0\n"),
+    # validate reads n from the scenario, so it rejects a mesh kind run rejects
+    "validate_unknown_mesh_kind": ("validate", lambda tmp: "mesh.kind = disk\n"),
     "zero_solver_tol": ("run", lambda tmp: "solver.tol = 0\n"),
     "negative_solver_tol": ("run", lambda tmp: "solver.tol = -1\n"),
     "zero_solver_max_iter": ("run", lambda tmp: "solver.max_iter = 0\n"),

@@ -671,7 +671,7 @@ def test_streamed_dissipation_matches_stored_states_bitwise(name):
     worst, worst_t = stored_state_dissipation(pairs, ops, ops.delta_min)
     assert worst > -math.inf
     for traj in (record(sampled, ops, prep.spec), simulate(prep)):
-        rep = diag.check_dissipation(traj, ops.delta_min, slack=0.0)
+        rep = diag.check_dissipation(traj, ops.delta_min)
         assert rep.worst_residual == worst and rep.worst_t == worst_t
 
 
