@@ -98,8 +98,8 @@ class CouplingSpec:
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
     @property
     def quad_degree(self) -> int:
@@ -258,7 +258,8 @@ def assemble_operators(partition: BoundaryPartition,
         Damping coefficient on the damped boundary part.  None selects
         m . nu (required for the decay estimates), as sampled by the boundary
         split; a float is a constant.  Assembly is rejected (ValueError)
-        unless delta is positive at every boundary quadrature point.
+        unless delta is positive and finite at every boundary quadrature
+        point.
     """
     mesh = partition.mesh
     n = mesh.n_vertices
@@ -271,10 +272,10 @@ def assemble_operators(partition: BoundaryPartition,
     g1 = partition.gamma1_facets
     dvals = _delta_values(partition, delta)
     delta_min = float(np.min(dvals)) if dvals.size else float("inf")
-    if delta_min <= 0.0:
+    if not (np.isfinite(dvals).all() and delta_min > 0.0):
         raise ValueError(
-            "damping coefficient must be positive on the damped boundary; "
-            f"minimum sampled value is {delta_min}"
+            "damping coefficient must be positive and finite on the damped boundary; "
+            f"sampled values span [{delta_min}, {np.max(dvals)}]"
         )
     T_full = boundary_mass_matrix(mesh, g1)
     B_full = boundary_mass_matrix(mesh, g1, weights=dvals)

@@ -187,9 +187,11 @@ def _execute_run(cfg: dict[str, str], out_dir: Path, checks, no_plot: bool) -> t
         manifest["constants"] = prep.constants
         manifest["admissibility"] = prep.admissibility
         manifest["admissible"] = prep.admissibility.admissible
-        # the dissipation check needs fine sampling: a coarse run stops at
-        # its first sample pair, before any output
-        trajectory = simulate(prep, check_spacing="dissipation" in checks)
+        if "dissipation" in checks:
+            # the dissipation check needs fine sampling: a coarse run is
+            # rejected at its widest sample pair, before its first step
+            diagnostics.require_fine_sampling(min(scenario.stride, prep.n_steps) * prep.dt)
+        trajectory = simulate(prep)
         results = {key: run(trajectory, prep) for key, _, run in selected}
         # a failed write (a full disk, a directory in a file's place) is
         # recorded in the manifest like any other rejected input

@@ -14,15 +14,17 @@ Example::
     initial.u0 = eigenfunction
     initial.u0_amplitude = 0.1
 
-Every key is a row of KEYS; a key the file omits keeps the ScenarioConfig
-or FieldInit default, and value checks live in those dataclasses.
+Every key is a row of KEYS; a key the file omits keeps the ScenarioConfig,
+FieldInit or StepOptions default, and value checks live in those
+dataclasses.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
-from .dynamics import FieldInit, ScenarioConfig
+from .dynamics import FieldInit, ScenarioConfig, StepOptions
 
 
 class ConfigError(Exception):
@@ -52,9 +54,10 @@ def _relative(raw: str) -> bool:
 INITIAL_FIELDS = ("u0", "v0", "u1", "v1")
 
 #: Config key -> (target, parser). A target without a dot is a ScenarioConfig
-#: field ("a" and "b" are the interval ends); "<field>.<attr>" is a FieldInit
-#: attribute of that initial field; "hypotheses.theta" is the validator's one
-#: input that no scenario key determines (rho and n are the scenario's).
+#: field ("a" and "b" are the interval ends); "<field>.<attr>" is an
+#: attribute of that field's FieldInit (an initial field) or StepOptions
+#: (solver); "hypotheses.theta" is the validator's one input that no
+#: scenario key determines (rho and n are the scenario's).
 KEYS = {
     "scenario.name": ("name", str),
     "mesh.kind": ("mesh_kind", str),
@@ -73,8 +76,8 @@ KEYS = {
     "time.dt": ("dt", float),
     "time.t_end": ("t_end", float),
     "time.stride": ("stride", int),
-    "solver.tol": ("solver_tol", float),
-    "solver.max_iter": ("solver_max_iter", int),
+    "solver.tol": ("solver.tol", float),
+    "solver.max_iter": ("solver.max_iter", int),
     "constants.safety": ("safety", float),
     **{f"initial.{name}{suffix}": (f"{name}.{attr}", parse)
        for name in INITIAL_FIELDS
@@ -143,8 +146,8 @@ def scenario_from_config(cfg: dict[str, str]) -> ScenarioConfig:
     if kind == "interval":
         fields["interval"] = (fields.pop("a"), fields.pop("b"))
     try:
-        return ScenarioConfig(**fields, **{name: FieldInit(**groups[name])
-                                           for name in INITIAL_FIELDS})
+        return ScenarioConfig(**fields, solver=StepOptions(**groups["solver"]),
+                              **{name: FieldInit(**groups[name]) for name in INITIAL_FIELDS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -152,7 +155,9 @@ def scenario_from_config(cfg: dict[str, str]) -> ScenarioConfig:
 def hypotheses_from_config(cfg: dict[str, str]) -> tuple[float, int, float | None]:
     """(rho, n, theta) for the hypothesis validator: the coupling exponent
     and mesh dimension of the config's own scenario, and hypotheses.theta
-    (None when unset)."""
+    (None when unset), which must be finite."""
     scenario = scenario_from_config(cfg)
     theta = _value(cfg, "hypotheses.theta", float) if "hypotheses.theta" in cfg else None
+    if theta is not None and not math.isfinite(theta):
+        raise ConfigError(f"config key hypotheses.theta: must be finite, got {theta}")
     return scenario.rho, scenario.dim, theta

@@ -141,10 +141,23 @@ class SimState:
         return ev
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepOptions:
+    """The midpoint fixed-point solve's stopping rule: a pass stops once its
+    residual is below tol, and a step that needs more than max_iter passes
+    raises NonlinearSolveFailure.  tol must be positive and finite and
+    max_iter at least 1 (ValueError otherwise).  A scenario's options
+    (ScenarioConfig.solver) are the config keys solver.tol and
+    solver.max_iter."""
+
     tol: float = 1e-10
     max_iter: int = 50
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"solver tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"solver max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -427,11 +440,15 @@ class FieldInit:
     def __post_init__(self):
         if self.preset not in FIELD_PRESETS:
             raise ValueError(f"unknown initial preset '{self.preset}'")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"initial amplitude must be finite, got {self.amplitude}")
 
 
 @dataclass
 class ScenarioConfig:
-    """Declarative description of one simulation run."""
+    """Declarative description of one simulation run.  A non-finite number
+    raises ValueError: here, or for the mesh ends and x0 in prepare's mesh
+    builders and boundary split."""
 
     name: str = "scenario"
     mesh_kind: str = "interval"
@@ -453,26 +470,21 @@ class ScenarioConfig:
     dt: float | None = None
     t_end: float = 1.0
     stride: int = 10
-    solver_tol: float = StepOptions.tol
-    solver_max_iter: int = StepOptions.max_iter
+    solver: StepOptions = field(default_factory=StepOptions)
     safety: float = SAFETY
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.dt is not None and self.t_end < self.dt:
             raise ValueError("t_end must be at least dt")
         if self.stride < 1:
             raise ValueError("stride must be a positive integer")
-        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
-            raise ValueError(f"solver tol must be positive and finite, got {self.solver_tol}")
-        if self.solver_max_iter < 1:
-            raise ValueError(f"solver max_iter must be at least 1, got {self.solver_max_iter}")
-        if not self.safety >= 1:
-            raise ValueError(f"safety must be at least 1 (it inflates the discrete best "
-                             f"constants), got {self.safety}")
+        if not (math.isfinite(self.safety) and self.safety >= 1):
+            raise ValueError(f"safety must be finite and at least 1 (it inflates the discrete "
+                             f"best constants), got {self.safety}")
         if self.mesh_kind not in ("interval", "rectangle"):
             raise ValueError(f"unknown mesh kind '{self.mesh_kind}'")
         if len(self.x0) != self.dim:
@@ -480,12 +492,14 @@ class ScenarioConfig:
                              f"got {len(self.x0)}")
         if self.dim == 2 and (len(self.rect_lo) != 2 or len(self.rect_hi) != 2):
             raise ValueError("rect_lo and rect_hi must each hold two numbers")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if self.delta_kind not in ("mdotnu", "constant"):
             raise ValueError(f"unknown delta kind '{self.delta_kind}'")
-        if self.delta_kind == "constant" and self.delta_value <= 0:
-            raise ValueError("constant delta must be positive")
+        if self.delta_kind == "constant" and not (math.isfinite(self.delta_value)
+                                                  and self.delta_value > 0):
+            raise ValueError(f"constant delta must be positive and finite, "
+                             f"got {self.delta_value}")
 
     @property
     def dim(self) -> int:
@@ -495,15 +509,16 @@ class ScenarioConfig:
 
 @dataclass
 class Prepared:
-    """Everything simulate() needs, exposed for tests and notebooks: the
-    config, the operators (which hold the boundary partition and, through
-    it, the mesh), the coupling spec, the constants (whose threshold() is
-    the active well), the initial state, its admissibility report and the
-    time step."""
+    """A scenario made ready to run: every number simulate() reads.  The
+    config (its stride and solver options), the operators (which hold the
+    boundary partition and, through it, the mesh), the coupling spec (None
+    when the config switches the coupling off), the constants (whose
+    threshold() is the active well), the initial state, its admissibility
+    report, the time step and, from it, n_steps."""
 
     config: ScenarioConfig
     operators: DiscreteOperators
-    spec: CouplingSpec
+    spec: CouplingSpec | None
     constants: WellConstants
     state0: SimState
     admissibility: object
@@ -512,6 +527,11 @@ class Prepared:
     @property
     def mesh(self) -> Mesh:
         return self.operators.mesh
+
+    @property
+    def n_steps(self) -> int:
+        """Steps to the horizon: t_end / dt rounded, at least one."""
+        return max(1, round(self.config.t_end / self.dt))
 
 
 def _build_field(init: FieldInit, operators: DiscreteOperators, threshold: float,
@@ -547,7 +567,7 @@ def prepare(config: ScenarioConfig) -> Prepared:
     partition = classify_boundary(mesh, config.x0)
     delta = None if config.delta_kind == "mdotnu" else config.delta_value
     operators = assemble_operators(partition, delta=delta)
-    spec = CouplingSpec(rho=config.rho)
+    spec = CouplingSpec(rho=config.rho) if config.coupling_enabled else None
     constants = compute_well_constants(operators, config.rho, safety=config.safety)
     threshold, _ = constants.threshold()
     u0 = _build_field(config.u0, operators, threshold, velocity=False)
@@ -563,32 +583,21 @@ def prepare(config: ScenarioConfig) -> Prepared:
     )
 
 
-def simulate(config: ScenarioConfig | Prepared, check_spacing: bool = False) -> Trajectory:
-    """Run a scenario and sample it every `stride` steps (plus t = 0 and the
-    final instant).  Proceeds even for inadmissible data; the Prepared's
-    admissibility report says whether they were.  With check_spacing, a
-    sample pair too far apart for the dissipation check raises ValueError
-    (diagnostics.require_fine_sampling) as soon as it is sampled, before the
-    rest of the horizon is simulated."""
-    prep = config if isinstance(config, Prepared) else prepare(config)
-    cfg = prep.config
-    dt = prep.dt
-    n_steps = max(1, round(cfg.t_end / dt))
-    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    spec = prep.spec if cfg.coupling_enabled else None
+def simulate(prep: Prepared) -> Trajectory:
+    """Step a prepared run prep.n_steps times from prep.state0 and sample it
+    every config.stride steps (plus t = 0 and the final instant).  Proceeds
+    even for inadmissible data; prep.admissibility says whether they were."""
+    cfg, dt, n_steps = prep.config, prep.dt, prep.n_steps
 
     def sampled_states():
-        state = sampled = prep.state0
+        state = prep.state0
         yield state
         for k in range(1, n_steps + 1):
-            state = step(state, dt, prep.operators, spec, opts)
+            state = step(state, dt, prep.operators, prep.spec, cfg.solver)
             if k % cfg.stride == 0 or k == n_steps:
-                if check_spacing:
-                    diagnostics.require_fine_sampling(state.t - sampled.t)
                 yield state
-                sampled = state
 
-    trajectory = record(sampled_states(), prep.operators, spec)
+    trajectory = record(sampled_states(), prep.operators, prep.spec)
     trajectory.meta = {"dt": dt, "n_steps": n_steps}
     return trajectory
 

@@ -184,8 +184,8 @@ class Mesh:
 
 def build_interval_mesh(a: float, b: float, elements: int) -> Mesh:
     """Uniform mesh of the interval (a, b) with endpoint facets."""
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"need finite a < b, got a={a}, b={b}")
     if elements < 1:
         raise ValueError("need at least one element")
     x = np.linspace(a, b, elements + 1)
@@ -202,8 +202,9 @@ def build_rectangle_mesh(corner_lo, corner_hi, nx: int, ny: int) -> Mesh:
     hi = np.asarray(corner_hi, float)
     if lo.shape != (2,) or hi.shape != (2,):
         raise ValueError("corners must be 2-vectors")
-    if not np.all(lo < hi):
-        raise ValueError("degenerate rectangle: need corner_lo < corner_hi componentwise")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.all(lo < hi)):
+        raise ValueError(f"need finite corner_lo < corner_hi componentwise, "
+                         f"got {tuple(lo.tolist())} and {tuple(hi.tolist())}")
     if nx < 1 or ny < 1:
         raise ValueError("need nx, ny >= 1")
     xs = np.linspace(lo[0], hi[0], nx + 1)

@@ -292,7 +292,7 @@ def test_damping_scales_linearly_in_delta():
 
 def test_nonpositive_delta_rejected():
     _, part, _ = interval_setup(elements=3)
-    for delta in (0.0, -0.5):
+    for delta in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="must be positive"):
             assemble_operators(part, delta=delta)
 

@@ -36,7 +36,7 @@ def test_every_trace_point_resolves_to_a_callable():
 def test_trajectory_exposes_what_the_benchmark_child_reads():
     cfg = ScenarioConfig(name="bench", elements=8, x0=(0.0,), dt=0.01, t_end=0.05,
                          stride=2, u0=FieldInit("eigenfunction", 0.1))
-    traj = simulate(cfg)
+    traj = simulate(prepare(cfg))
     assert traj.meta["n_steps"] == 5
     assert len(traj.samples) == 4
     u = traj.samples[0].state.u
@@ -137,7 +137,7 @@ def test_coupled_step_evaluates_every_pass_its_bound_does_not_stop(monkeypatch):
     cfg = ScenarioConfig(name="count", mesh_kind="rectangle", nx=4, ny=4, x0=(-0.1, -0.1),
                          dt=0.05, t_end=0.3, stride=2, u0=FieldInit("eigenfunction", 0.4),
                          v0=FieldInit("eigenfunction", 0.4))
-    traj = simulate(cfg)
+    traj = simulate(prepare(cfg))
     steps = traj.meta["n_steps"]
     assert steps == 6 and len(events) == steps
     certified = evaluated = 0

@@ -12,6 +12,7 @@ from kgwell.config import (
     INITIAL_FIELDS,
     KEYS,
     ConfigError,
+    _floats,
     hypotheses_from_config,
     parse_config_text,
     scenario_from_config,
@@ -252,6 +253,8 @@ def test_constants_table_lists_every_field_once(tmp_path):
 
 
 def test_cli_run_solver_failure(tmp_path, capsys):
+    # stride * dt is far too coarse for the dissipation check, which would
+    # reject the run before its first step, so that check is not selected
     text = DECAY_1D.replace("time.dt = 2e-3", "time.dt = 10.0")
     text = text.replace("time.t_end = 1.0", "time.t_end = 20.0")
     text = text.replace("initial.u0_amplitude = 0.1",
@@ -260,7 +263,8 @@ def test_cli_run_solver_failure(tmp_path, capsys):
                         "initial.v0_amplitude = 5.0\ninitial.v0_scale = absolute")
     path = write_cfg(tmp_path, text)
     out_dir = tmp_path / "fail"
-    assert main(["run", "--config", path, "--out", str(out_dir)]) == 4
+    assert main(["run", "--config", path, "--out", str(out_dir),
+                 "--check", "well,equivalence,bound"]) == 4
     err = capsys.readouterr().err
     assert "t = 0" in err  # failing time surfaced
     manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -397,6 +401,13 @@ INPUT_ERRORS = {
     "negative_solver_tol": ("run", lambda tmp: "solver.tol = -1\n"),
     "zero_solver_max_iter": ("run", lambda tmp: "solver.max_iter = 0\n"),
     "safety_below_one": ("run", lambda tmp: "constants.safety = 0.5\n"),
+    "infinite_t_end": ("run", lambda tmp: "time.t_end = inf\n"),
+    "infinite_rho": ("run", lambda tmp: "coupling.rho = inf\n"),
+    "constants_infinite_rho": ("constants", lambda tmp: "coupling.rho = inf\n"),
+    "validate_infinite_rho": ("validate", lambda tmp: "coupling.rho = inf\n"),
+    "nan_constant_delta": ("run", lambda tmp: "delta.kind = constant\ndelta.value = nan\n"),
+    "infinite_constant_delta": ("run",
+                                lambda tmp: "delta.kind = constant\ndelta.value = inf\n"),
     **{f"removed_{key}": ("run", lambda tmp, key=key: f"{key} = 1\n") for key in REMOVED_KEYS},
 }
 
@@ -424,8 +435,8 @@ def test_cli_input_errors_exit_2_with_final_manifest(tmp_path, capsys, case):
 
 
 def test_cli_coarse_sampling_stops_at_the_first_sample_pair(tmp_path, capsys, monkeypatch):
-    # stride * dt = 0.2 over a horizon of 500 steps: rejected after the first
-    # `stride` steps, not after the whole horizon
+    # stride * dt = 0.2 over a horizon of 500 steps: rejected before the
+    # first step
     import kgwell.dynamics as dynamics
 
     calls = []
@@ -440,7 +451,7 @@ def test_cli_coarse_sampling_stops_at_the_first_sample_pair(tmp_path, capsys, mo
     out_dir = tmp_path / "coarse"
     assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir)]) == 2
     assert "too coarse" in capsys.readouterr().err
-    assert 0 < len(calls) <= 100
+    assert calls == []
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["status"] == "config_error"
     assert manifest["exit_code"] == 2
@@ -459,6 +470,71 @@ def test_cli_failed_output_write_exits_2_with_final_manifest(tmp_path, capsys, b
     assert manifest["status"] == "config_error"
     assert manifest["exit_code"] == 2
     assert blocked in manifest["error"]
+
+
+def test_cli_horizon_shorter_than_the_stride_is_one_fine_sample_pair(tmp_path):
+    # stride * dt = 0.2 is coarse, but the horizon ends after 5 steps: the one
+    # sample pair spans 0.05, fine enough for the dissipation check
+    text = DECAY_1D + "time.dt = 0.01\ntime.stride = 20\ntime.t_end = 0.05\n"
+    out_dir = tmp_path / "short"
+    argv = ["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir), "--no-plot"]
+    assert main(argv) == 0
+    assert len((out_dir / "trajectory.csv").read_text().splitlines()) == 1 + 2
+
+
+#: A 10-element interval and a 4^2 square, each run for a few steps.
+SHORT_INTERVAL = DECAY_1D.replace("mesh.elements = 60", "mesh.elements = 10") + (
+    "time.dt = 1e-2\ntime.t_end = 0.05\ntime.stride = 1\n")
+SHORT_SQUARE = SHORT_INTERVAL + (
+    "mesh.kind = rectangle\nmesh.lo = 0.0 0.0\nmesh.hi = 1.0 1.0\nmesh.nx = 4\nmesh.ny = 4\n"
+    "geometry.x0 = -0.1 -0.1\n")
+
+#: Every float-valued key that run reads (hypotheses.theta is validate's).
+RUN_FLOAT_KEYS = sorted(key for key, (_, parse) in KEYS.items()
+                        if parse in (float, _floats) and key != "hypotheses.theta")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("key", RUN_FLOAT_KEYS)
+def test_cli_non_finite_float_keys_exit_2_with_final_manifest(tmp_path, capsys, key, bad):
+    rectangle = key in ("mesh.lo", "mesh.hi")
+    text = SHORT_SQUARE if rectangle else SHORT_INTERVAL
+    # the other coordinate of a rectangle's key stays finite
+    text += f"{key} = {bad} 0.5\n" if rectangle else f"{key} = {bad}\n"
+    if key == "delta.value":
+        text += "delta.kind = constant\n"
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", write_cfg(tmp_path, text), "--out", str(out_dir), "--no-plot"]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("config_error", 2)
+    assert manifest["error"]
+    assert not (out_dir / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command,base,edit,named", [
+    ("run", SHORT_INTERVAL, "mesh.b = inf\n", "b=inf"),
+    ("run", SHORT_SQUARE, "mesh.hi = inf 1.0\n", "(inf, 1.0)"),
+    ("run", SHORT_INTERVAL, "time.dt = nan\n", "dt must be positive and finite, got nan"),
+    ("run", SHORT_INTERVAL, "time.t_end = nan\n", "t_end must be positive and finite, got nan"),
+    # run does not read hypotheses.theta; validate and constants do
+    *((command, SHORT_INTERVAL, f"hypotheses.theta = {bad}\n",
+       f"hypotheses.theta: must be finite, got {bad}")
+      for command in ("validate", "constants") for bad in ("nan", "inf")),
+], ids=["interval_end", "rectangle_corner", "dt", "t_end", "validate_theta_nan",
+        "validate_theta_inf", "constants_theta_nan", "constants_theta_inf"])
+def test_cli_non_finite_rejection_names_the_bad_value(tmp_path, capsys, command, base, edit,
+                                                     named):
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", write_cfg(tmp_path, base + edit)]
+    if command == "run":
+        argv += ["--out", str(out_dir), "--no-plot"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    if command == "run":
+        assert named in json.loads((out_dir / "manifest.json").read_text())["error"]
 
 
 def test_cli_coarse_sampling_runs_without_the_dissipation_check(tmp_path):

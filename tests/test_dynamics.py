@@ -386,6 +386,15 @@ def test_nonlinear_solve_failure_for_huge_dt():
     assert err.value.time == 0.0
 
 
+@pytest.mark.parametrize("options", [dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan),
+                                     dict(max_iter=0)], ids=["tol-0", "tol-neg", "tol-nan",
+                                                             "max_iter-0"])
+def test_step_options_reject_a_stopping_rule_that_cannot_stop(options):
+    # tol = 0 would otherwise run max_iter passes and blame dt
+    with pytest.raises(ValueError, match="solver (tol|max_iter)"):
+        StepOptions(**options)
+
+
 @pytest.mark.parametrize("setup", [lambda: interval_setup(16), lambda: square_setup(16)],
                          ids=["interval-16", "square-16"])
 def test_step_names_the_vector_that_overflows(setup):
@@ -411,7 +420,7 @@ def test_divergent_coupled_run_fails_where_it_did(dt, when, why):
                          u0=FieldInit("eigenfunction", 8.0, relative=False),
                          v0=FieldInit("eigenfunction", -8.0, relative=False))
     with pytest.raises(NonlinearSolveFailure, match=why) as err:
-        simulate(cfg)
+        simulate(prepare(cfg))
     assert err.value.time == when
 
 
@@ -447,8 +456,8 @@ def test_simulate_equals_record_of_public_steps_bitwise(name, monkeypatch):
     traj = simulate(prep)
     monkeypatch.undo()
     n_steps = traj.meta["n_steps"]
-    assert len(calls) == n_steps == round(cfg.t_end / prep.dt)
-    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    assert len(calls) == n_steps == prep.n_steps
+    opts = cfg.solver
     state = prep.state0
     states = [state]
     for k in range(1, n_steps + 1):
@@ -470,7 +479,7 @@ def test_simulate_equals_record_of_public_steps_bitwise(name, monkeypatch):
 def test_simulate_zero_scenario():
     cfg = ScenarioConfig(name="zero", elements=16, x0=(0.0,), dt=0.01,
                          t_end=0.5, stride=5)
-    traj = simulate(cfg)
+    traj = simulate(prepare(cfg))
     assert traj.samples[0].energy.t == 0.0
     np.testing.assert_allclose(traj.energies(), 0.0, atol=1e-30)
     assert np.isclose(traj.times()[-1], 0.5)
@@ -495,7 +504,7 @@ def test_simulate_without_coupling_steps_and_samples_linearly():
                          u0=FieldInit("eigenfunction", 0.4), v0=FieldInit("bump", 0.3))
     prep = prepare(cfg)
     traj = simulate(prep)
-    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    opts = cfg.solver
     state = prep.state0
     states = []
     assert traj.samples[0].energy == diag.full_sample(state, prep.operators, None)
@@ -506,7 +515,8 @@ def test_simulate_without_coupling_steps_and_samples_linearly():
     for name in ("u", "v", "du", "dv"):
         assert np.array_equal(getattr(traj.samples[-1].state, name), getattr(state, name)), name
     assert all(p.energy.coupling == 0.0 for p in traj.samples)
-    coupled = step(prep.state0, prep.dt, prep.operators, prep.spec, opts)
+    assert prep.spec is None
+    coupled = step(prep.state0, prep.dt, prep.operators, CouplingSpec(cfg.rho), opts)
     assert not np.array_equal(coupled.u, states[0].u)
 
 
@@ -522,10 +532,10 @@ def test_simulate_with_coupling_matches_fresh_states_bitwise(name):
     prep = prepare(STREAMED_CASES[name])
     cfg, ops, spec = prep.config, prep.operators, prep.spec
     traj = simulate(prep)
-    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    opts = cfg.solver
     state = prep.state0
     rows = [diag.full_sample(fresh(state), ops, spec)]
-    n_steps = round(cfg.t_end / prep.dt)
+    n_steps = prep.n_steps
     for k in range(1, n_steps + 1):
         state = step(fresh(state), prep.dt, ops, spec, opts)
         if k % cfg.stride == 0 or k == n_steps:
@@ -579,13 +589,12 @@ BATCHED_CASES = {
 @pytest.mark.parametrize("name", sorted(BATCHED_CASES))
 def test_batched_rows_equal_per_state_rows_bitwise(name, monkeypatch):
     prep = prepare(BATCHED_CASES[name])
-    cfg, ops = prep.config, prep.operators
-    spec = prep.spec if cfg.coupling_enabled else None
+    cfg, ops, spec = prep.config, prep.operators, prep.spec
     sizes = batch_sizes(monkeypatch)
     traj = simulate(prep)
-    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    opts = cfg.solver
     states = [prep.state0]
-    n_steps = round(cfg.t_end / prep.dt)
+    n_steps = prep.n_steps
     state = prep.state0
     for k in range(1, n_steps + 1):
         state = step(fresh(state), prep.dt, ops, spec, opts)
@@ -661,9 +670,9 @@ def test_evaluation_of_other_operators_or_spec_is_not_reused(setup):
 def test_streamed_dissipation_matches_stored_states_bitwise(name):
     prep = prepare(STREAMED_CASES[name])
     cfg, ops = prep.config, prep.operators
-    opts = StepOptions(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    opts = cfg.solver
     states = [prep.state0]
-    for k in range(1, round(cfg.t_end / prep.dt) + 1):
+    for k in range(1, prep.n_steps + 1):
         states.append(step(states[-1], prep.dt, ops, prep.spec, opts))
     sampled = states[::cfg.stride]
     assert len(sampled) > 2 and sampled[-1] is states[-1]
@@ -678,7 +687,7 @@ def test_streamed_dissipation_matches_stored_states_bitwise(name):
 def test_simulate_keeps_only_first_and_last_state():
     cfg = ScenarioConfig(name="two", elements=8, x0=(0.0,), dt=0.01, t_end=0.1, stride=2,
                          u0=FieldInit("eigenfunction", 0.2))
-    traj = simulate(cfg)
+    traj = simulate(prepare(cfg))
     kept = [p.state is not None for p in traj.samples]
     assert kept == [True] + [False] * (len(kept) - 2) + [True]
     assert len(kept) == 6
@@ -691,7 +700,7 @@ def test_simulate_admissible_well_and_dt_refinement():
                 v0=FieldInit("eigenfunction", 0.1))
     prep1 = prepare(ScenarioConfig(dt=2e-3, stride=5, **base))
     traj1 = simulate(prep1)
-    traj2 = simulate(ScenarioConfig(dt=1e-3, stride=10, **base))
+    traj2 = simulate(prepare(ScenarioConfig(dt=1e-3, stride=10, **base)))
     lam = prep1.constants.threshold()[0]
     assert prep1.admissibility.admissible
     m1 = max(p.energy.norm_u_V for p in traj1.samples)

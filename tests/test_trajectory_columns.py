@@ -55,7 +55,7 @@ def run(request):
 def test_interval_run_spans_three_record_batches():
     prep = prepare(RUNS["interval-50-stride-1"])
     per_state = prep.state0.evaluation(prep.operators, prep.spec).nbytes
-    samples = round(prep.config.t_end / prep.dt) + 1
+    samples = prep.n_steps + 1
     assert samples > 3 * math.ceil(ROW_BATCH_BYTES / per_state)
 
 
@@ -125,6 +125,6 @@ def test_default_run_builds_no_sample_objects(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "energy.svg").exists()
     assert built == {"EnergySample": 0, "TrajectoryPoint": 0}
     # the wrappers count: indexing the samples view builds one of each
-    traj = simulate(RUNS["zero"])
+    traj = simulate(prepare(RUNS["zero"]))
     assert traj.samples[-1].energy.t == traj.times()[-1]
     assert built == {"EnergySample": 1, "TrajectoryPoint": 1}
